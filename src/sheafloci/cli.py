@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="singular-locus codimensions of a fibre")
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--degree", type=int, help="cross-check against the file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--triples", action="store_true", help="include all triples")
     p.add_argument(
         "--subset",
@@ -162,9 +161,7 @@ def _cmd_analyze(args) -> int:
         return 1
     fib = fibre(cfg)
     subsets = [_parse_ids(s) for s in (args.subset or [])]
-    rep = locus_report(
-        fib, pairs=True, triples=args.triples, extra_subsets=subsets, jobs=args.jobs
-    )
+    rep = locus_report(fib, pairs=True, triples=args.triples, extra_subsets=subsets)
     _emit(args.out, canonical_dumps(report_to_dict(rep)))
     if cfg.stratum() == "deep":
         print(

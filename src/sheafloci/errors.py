@@ -49,7 +49,14 @@ class DegenerateError(SheafLociError):
 
     Raised e.g. for a vanishing determinant where a curve was expected, or
     for a singular locus whose codimension contradicts the asserted value.
+    ``expected`` and ``actual`` hold the two values when an invariant
+    check failed, else None.
     """
+
+    def __init__(self, message, expected=None, actual=None):
+        super().__init__(message)
+        self.expected = expected
+        self.actual = actual
 
 
 class NotInFibreError(SheafLociError):

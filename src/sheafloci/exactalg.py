@@ -11,16 +11,24 @@ arithmetic is enough even though the underlying geometry is usually set
 up over an algebraically closed field.
 
 Matrices stay small (well under 50x50 for every supported degree), so a
-dense row-major layout is used.  Pivots are chosen by smallest bit size
-among the nonzero candidates in a column, which keeps coefficient swell
-in check without changing the (unique) reduced row echelon form.
+dense row-major layout is used.  Every elimination runs on one integer
+core, ``insert_row``: a row is cleared of denominators once, then reduced
+against the stored pivot rows by cross-multiplication, dividing out the
+gcd of its entries after each step to keep coefficients small.  rank
+counts the rows that survive; rref back-substitutes by inserting the
+echelon rows once more with the pivot columns reversed, and divides by
+each pivot only at the end (the reduced row echelon form is unique, so
+nothing depends on pivot order); kernel, solve and inverse read off the
+RREF; det tracks the row scalings, the cross-multiplication factors,
+the gcds and the pivot permutation.  The jet oracle in ``localfree``
+inserts its rows into the same core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -140,110 +148,110 @@ def stack_rows(mats: Sequence[QMatrix]) -> QMatrix:
     return out
 
 
-def _bits(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+def integer_row(row: Sequence) -> tuple:
+    """(integer row, scale): the rational row times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def _rref_rows(rows: list) -> tuple:
-    """In-place reduced row echelon form on a list of row lists.
+def insert_row(pivots: dict, row: list) -> Optional[tuple]:
+    """Reduce an integer row against an echelon and store what survives.
 
-    Returns (rows, pivot_columns).  Pivot selection: smallest bit size
-    among the nonzero candidates, a cheap guard against coefficient swell.
-    The result is the canonical RREF whatever the pivot choice.
+    pivots maps a column to a primitive integer row whose first nonzero
+    entry lies in that column.  The row is divided by its content; each
+    step then clears its first nonzero entry against the pivot row of
+    that column, row <- p*row - f*pivot_row with p and f the two entries
+    over their gcd, and divides out the content again.  Returns None
+    when the row reduces to zero, else (column, num, den): the row now
+    stored under that column is num/den times the given row plus a
+    combination of the other pivot rows.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = None
-        best_bits = None
-        for i in range(r, nrows):
-            e = rows[i][c]
-            if e != 0:
-                b = _bits(e)
-                if best is None or b < best_bits:
-                    best, best_bits = i, b
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f != 0:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-    return rows, tuple(pivots)
+    n = len(row)
+    den = gcd(*row)
+    if den == 0:
+        return None
+    if den > 1:
+        row = [a // den for a in row]
+    num = 1
+    c = 0
+    while True:
+        while c < n and not row[c]:
+            c += 1
+        if c == n:
+            return None
+        top = pivots.get(c)
+        if top is None:
+            pivots[c] = row
+            return c, num, den
+        p, f = top[c], row[c]
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        c += 1
+        tail = [p * a - f * b for a, b in zip(row[c:], top[c:])]
+        g = gcd(*tail)
+        if g > 1:
+            tail = [a // g for a in tail]
+            den *= g
+        row = [0] * c + tail
+        num *= p
+
+
+def _rref_rows(rows: Sequence) -> tuple:
+    """Reduced row echelon form: (nonzero rows as Fraction lists, pivot columns).
+
+    The rows enter an integer echelon.  Its rows then enter a second
+    echelon in decreasing pivot order, with the pivot columns moved to
+    the front in reverse: each row is cleared against the later pivot
+    rows before reaching its own pivot, which is back-substitution.
+    Each row is divided by its pivot only at the end.  The RREF is
+    unique, so the row order does not matter.
+    """
+    echelon = {}
+    for r in rows:
+        insert_row(echelon, integer_row(r)[0])
+    if not echelon:
+        return [], ()
+    ncols = len(rows[0])
+    cols = sorted(echelon, reverse=True)
+    order = cols + [j for j in range(ncols) if j not in echelon]
+    reduced = {}
+    for c in cols:
+        insert_row(reduced, [echelon[c][j] for j in order])
+    out = []
+    for k in range(len(cols) - 1, -1, -1):
+        moved = reduced[k]
+        row = [0] * ncols
+        for j, a in zip(order, moved):
+            row[j] = a
+        lead = moved[k]
+        out.append([Fraction(a, lead) if a else _ZERO for a in row])
+    return out, tuple(reversed(cols))
 
 
 def rref(m: QMatrix) -> tuple:
-    """Reduced row echelon form.  Returns (QMatrix, pivot column tuple)."""
+    """Reduced row echelon form.  Returns (QMatrix, pivot column tuple).
+
+    The matrix keeps m.rows rows; zero rows sit at the bottom.
+    """
     rows, pivots = _rref_rows(m.row_lists())
+    rows.extend([_ZERO] * m.cols for _ in range(m.rows - len(rows)))
     return QMatrix.from_rows(rows, cols=m.cols), pivots
 
 
+def _rank(rows: Iterable[Sequence]) -> int:
+    # shared by rank and rank_of_rows so that neither calls the other and
+    # a profile counts each public call once
+    pivots = {}
+    return sum(insert_row(pivots, integer_row(r)[0]) is not None for r in rows)
+
+
 def rank(m: QMatrix) -> int:
-    _, pivots = _rref_rows(m.row_lists())
-    return len(pivots)
+    return _rank(m.row_lists())
 
 
 def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank of a list of row vectors (no QMatrix allocation).
-
-    Rows are cleared of denominators and eliminated over the integers
-    with cross-multiplication, normalizing each updated row by its gcd
-    to limit growth.  Plain int arithmetic here is much faster than
-    Fractions on the many small rank queries this package issues.
-    """
-    work = []
-    for r in rows:
-        vals = [Fraction(x) for x in r]
-        scale = 1
-        for v in vals:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        row = [int(v * scale) for v in vals]
-        if any(row):
-            work.append(row)
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank_found = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank_found, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank_found], work[piv] = work[piv], work[rank_found]
-        top = work[rank_found]
-        p = top[c]
-        for i in range(rank_found + 1, len(work)):
-            row = work[i]
-            factor = row[c]
-            if not factor:
-                continue
-            g = 0
-            for j in range(c + 1, ncols):
-                row[j] = p * row[j] - factor * top[j]
-                g = gcd(g, row[j])
-            row[c] = 0
-            if g > 1:
-                for j in range(c + 1, ncols):
-                    row[j] //= g
-        rank_found += 1
-        if rank_found == len(work):
-            break
-    return rank_found
+    """Rank of a list of row vectors of ints or Fractions (no QMatrix needed)."""
+    return _rank(rows)
 
 
 def kernel(m: QMatrix) -> QMatrix:
@@ -299,31 +307,28 @@ def inverse(m: QMatrix) -> QMatrix:
 
 
 def det(m: QMatrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant from the integer echelon of the rows.
+
+    Row i is scaled by s_i to clear its denominators and stored as
+    num_i/den_i times that plus earlier rows, so det(m) is the signed
+    product of the stored pivots times prod(den_i) / prod(num_i * s_i),
+    the sign being that of the pivot columns in insertion order.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    work = m.row_lists()
-    sign = 1
-    acc = _ONE
-    for c in range(n):
-        piv = None
-        piv_bits = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                b = _bits(work[i][c])
-                if piv is None or b < piv_bits:
-                    piv, piv_bits = i, b
-        if piv is None:
+    pivots = {}
+    order = []
+    numer = denom = 1
+    for r in m.row_lists():
+        row, scale = integer_row(r)
+        step = insert_row(pivots, row)
+        if step is None:
             return _ZERO
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        pv = work[c][c]
-        acc *= pv
-        for i in range(c + 1, n):
-            f = work[i][c]
-            if f != 0:
-                f = f / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return acc if sign == 1 else -acc
+        c, a, b = step
+        order.append(c)
+        numer *= b
+        denom *= a * scale
+    for c in order:
+        numer *= pivots[c][c]
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
+    return Fraction(-numer if inversions % 2 else numer, denom)

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, GenericityError, ShapeError
-from .exactalg import QMatrix, kernel, rank_of_rows, rref
+from .exactalg import QMatrix, kernel, rref
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import (
     PointConfig,
     fat_point_rows,
     length,
+    low_degree_certificate,
     membership_conditions,
     simple_point_row,
 )
@@ -130,8 +131,13 @@ def intersect(a: ProjSubspace, b: ProjSubspace) -> ProjSubspace:
         )
     rows = list(a.functionals.row_lists()) + list(b.functionals.row_lists())
     out = ProjSubspace.cut_by(rows, a.ambient)
-    assert out.codim <= a.codim + b.codim
-    assert out.codim >= max(a.codim, b.codim)
+    want = (max(a.codim, b.codim), a.codim + b.codim)
+    if not want[0] <= out.codim <= want[1]:
+        raise DegenerateError(
+            f"intersection has codimension {out.codim}, outside {want}",
+            expected=want,
+            actual=out.codim,
+        )
     return out
 
 
@@ -205,21 +211,27 @@ def fibre(cfg: PointConfig) -> Fibre:
     admissible configurations the result has projective dimension 3d - 1.
     """
     d = cfg.degree
-    low = membership_conditions(cfg, d - 3)
-    ker = kernel(low)
-    if ker.cols > 0:
-        cert = HomPoly.from_coeffs(d - 3, ker.col(0))
+    cert = low_degree_certificate(cfg, d - 3)
+    if cert is not None:
         raise GenericityError(
             f"configuration lies on a degree-{d - 3} curve",
             certificate=cert,
         )
     m = membership_conditions(cfg, d)
     space = ProjSubspace.cut_by(m.row_lists(), monomial_count(d) - 1)
-    assert space.codim == length(cfg), (
-        "membership conditions became dependent in degree d despite "
-        "independence in degree d-3"
-    )
-    assert space.proj_dim == 3 * d - 1
+    if space.codim != length(cfg):
+        raise DegenerateError(
+            f"membership conditions in degree {d} have rank {space.codim}, "
+            f"expected the scheme length {length(cfg)}",
+            expected=length(cfg),
+            actual=space.codim,
+        )
+    if space.proj_dim != 3 * d - 1:
+        raise DegenerateError(
+            f"fibre has dimension {space.proj_dim}, expected {3 * d - 1}",
+            expected=3 * d - 1,
+            actual=space.proj_dim,
+        )
     return Fibre(cfg, space)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError
-from .exactalg import inverse
+from .exactalg import insert_row, integer_row, inverse
 from .poly import HomPoly, LocalPoly, substitute_linear, upoly_coeff
 from .rng import SplitMix64
 from .schemes import FatPoint
@@ -123,29 +123,6 @@ def maximal_ideal_free(germ: CurveGerm) -> bool:
 # Independent jet-algebra check
 
 
-def _insert_row(pivots: dict, row: dict) -> bool:
-    """Online Gaussian elimination on sparse rows keyed by column index.
-
-    Reduces the row against the stored pivots; a surviving row is
-    normalized and stored.  Returns whether the row was independent.
-    """
-    while row:
-        j = min(row)
-        p = pivots.get(j)
-        if p is None:
-            c = row[j]
-            pivots[j] = {k: v / c for k, v in row.items()}
-            return True
-        c = row[j]
-        for k, v in p.items():
-            nv = row.get(k, _ZERO) - c * v
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
-    return False
-
-
 def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     """dim I/mI computed inside k[x,y]/(m^trunc).
 
@@ -159,8 +136,13 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     mons = [(i, t - i) for t in range(trunc) for i in range(t + 1)]
     index = {m: k for k, m in enumerate(mons)}
 
-    def sparse(p: LocalPoly) -> dict:
-        return {index[e]: c for e, c in p.as_dict().items() if e in index}
+    def dense(p: LocalPoly) -> list:
+        row = [_ZERO] * len(mons)
+        for e, c in p.as_dict().items():
+            k = index.get(e)
+            if k is not None:
+                row[k] = c
+        return integer_row(row)[0]
 
     multipliers = [(i + j, LocalPoly.from_dict({(i, j): _ONE})) for i, j in mons]
     f = germ.f
@@ -169,17 +151,13 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     pivots = {}
     for deg_g, g in multipliers:
         if deg_g + f_ord < trunc:
-            _insert_row(pivots, sparse(g * f))
+            insert_row(pivots, dense(g * f))
     for gen in gens:
         g_ord = gen.order()
         for deg_g, g in multipliers:
             if 1 <= deg_g and deg_g + g_ord < trunc:
-                _insert_row(pivots, sparse(g * gen))
-    dim = 0
-    for gen in gens:
-        if _insert_row(pivots, sparse(gen)):
-            dim += 1
-    return dim
+                insert_row(pivots, dense(g * gen))
+    return sum(insert_row(pivots, dense(gen)) is not None for gen in gens)
 
 
 def jet_principality_oracle(

@@ -24,7 +24,7 @@ from functools import lru_cache
 import re
 from typing import Optional, Sequence
 
-from .errors import ParseError, ShapeError
+from .errors import DegenerateError, ParseError, ShapeError
 from .exactalg import QMatrix, det as qdet
 
 _ZERO = Fraction(0)
@@ -297,7 +297,12 @@ def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Optional[Sequ
         return acc
 
     result = expand(full_mask)
-    assert result.degree == total_degree
+    if result.degree != total_degree:
+        raise DegenerateError(
+            f"determinant has degree {result.degree}, expected {total_degree}",
+            expected=total_degree,
+            actual=result.degree,
+        )
     return result
 
 

@@ -14,11 +14,10 @@ keeps every subset query a small exact rank computation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
 from .exactalg import QMatrix, inverse, rank_of_rows, rref, solve
@@ -114,16 +113,11 @@ def singular_subspace(fib: Fibre, point_id: int) -> ProjSubspace:
     return sub
 
 
-def stratum_codim(
-    fib: Fibre, point_ids: Sequence[int], _blocks: Optional[dict] = None
-) -> int:
+def stratum_codim(fib: Fibre, point_ids: Sequence[int]) -> int:
     """Codimension, inside the fibre, of the curves singular at all given points."""
     rows = []
     for pid in point_ids:
-        if _blocks is not None:
-            rows.extend(_blocks[pid])
-        else:
-            rows.extend(_compressed_block(fib, pid))
+        rows.extend(_compressed_block(fib, pid))
     return rank_of_rows(rows)
 
 
@@ -145,7 +139,13 @@ def normal_space_dim(fib: Fibre, point_id: int) -> int:
     kind, data = fib.config.point(point_id)
     if kind == "simple":
         ambient = rank_of_rows(gradient_rows(data, fib.degree))
-        assert ambient == 3
+        if ambient != 3:
+            raise DegenerateError(
+                f"gradient rows at point {point_id} have rank {ambient}, "
+                f"expected 3",
+                expected=3,
+                actual=ambient,
+            )
         if k != ambient - 1 and fib.config.stratum() != "deep":
             raise DegenerateError(
                 f"normal space at point {point_id} has dimension {k}, "
@@ -261,7 +261,13 @@ def impose_singularities(
                 f = f + corr.scale(coeff)
         if f.is_zero():
             continue
-        assert fib.contains(f)
+        missed = sum(v != 0 for v in fib.space.functionals.apply(list(f.coeffs)))
+        if missed:
+            raise DegenerateError(
+                f"corrected curve violates {missed} membership conditions",
+                expected=0,
+                actual=missed,
+            )
         return f
     raise DegenerateError(
         "could not cancel the gradient functionals; correction system "
@@ -297,60 +303,45 @@ def locus_report(
     pairs: bool = True,
     triples: bool = False,
     extra_subsets: Sequence[Sequence[int]] = (),
-    jobs: int = 1,
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
     Per-point condition blocks are computed once; each requested subset
-    then costs one exact rank.  jobs > 1 spreads the subsets over a
-    thread pool; the output order is deterministic either way.
+    then costs one exact rank.  Extra subsets must name distinct point
+    ids in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
+    for s in extra_subsets:
+        if not all(1 <= pid <= cfg.npoints for pid in s):
+            raise ConfigError(
+                f"subset {tuple(s)} has a point id outside 1..{cfg.npoints}"
+            )
+        if len(set(s)) != len(s):
+            raise ConfigError(f"subset {tuple(s)} repeats a point id")
     blocks = {pid: _compressed_block(fib, pid) for pid in ids}
     point_codims = tuple(
         (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
     )
 
-    tasks = []
-    if pairs:
-        tasks.extend(combinations(ids, 2))
-    if triples:
-        tasks.extend(combinations(ids, 3))
-    tasks.extend(tuple(s) for s in extra_subsets)
-
     def codim_of(subset):
-        return stratum_codim(fib, subset, _blocks=blocks)
+        return rank_of_rows([row for pid in subset for row in blocks[pid]])
 
-    if jobs > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(tasks, pool.map(codim_of, tasks)))
-    else:
-        results = {s: codim_of(s) for s in tasks}
-
-    pair_codims = []
-    triple_codims = []
-    subset_codims = []
-    if pairs:
-        for s in combinations(ids, 2):
-            pair_codims.append((s[0], s[1], results[s]))
-    if triples:
-        for s in combinations(ids, 3):
-            tri_collinear = collinear(
-                cfg.support_of(s[0]), cfg.support_of(s[1]), cfg.support_of(s[2])
-            )
-            triple_codims.append((s[0], s[1], s[2], results[s], tri_collinear))
-    for s in extra_subsets:
-        subset_codims.append((tuple(s), results[tuple(s)]))
-
+    pair_codims = tuple(
+        (*s, codim_of(s)) for s in (combinations(ids, 2) if pairs else ())
+    )
+    triple_codims = tuple(
+        (*s, codim_of(s), collinear(*(cfg.support_of(pid) for pid in s)))
+        for s in (combinations(ids, 3) if triples else ())
+    )
     return SingularLocusReport(
         degree=cfg.degree,
         stratum=cfg.stratum(),
         fibre_dim=fib.proj_dim,
         point_codims=point_codims,
-        pair_codims=tuple(pair_codims),
-        triple_codims=tuple(triple_codims),
-        subset_codims=tuple(subset_codims),
+        pair_codims=pair_codims,
+        triple_codims=triple_codims,
+        subset_codims=tuple((tuple(s), codim_of(s)) for s in extra_subsets),
     )
 
 

@@ -1,10 +1,10 @@
 """Shared test oracles and reference data.
 
 The oracles here deliberately reimplement small pieces of the library
-with different algorithms (first-nonzero pivoting instead of bit-size
-pivoting, cofactor expansion instead of elimination, Horner evaluation
-instead of monomial sums) so that cross-checks exercise independent
-code paths.
+with different algorithms (Fraction elimination instead of the
+library's integer echelon core, cofactor expansion instead of
+elimination, Horner evaluation instead of monomial sums) so that
+cross-checks exercise independent code paths.
 """
 
 from fractions import Fraction
@@ -50,7 +50,7 @@ def naive_rank(rows):
 
 
 def naive_det(rows):
-    """Determinant by first-nonzero Gaussian elimination (no bit-size pivots)."""
+    """Determinant by first-nonzero Fraction Gaussian elimination."""
     rows = [[Fraction(x) for x in r] for r in rows]
     n = len(rows)
     sign = 1

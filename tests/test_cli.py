@@ -90,13 +90,6 @@ class TestAnalyze:
         _, out2, _ = run(capsys, "analyze", "--config", str(cfg))
         assert out1 == out2
 
-    def test_jobs_do_not_change_output(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        run(capsys, "random", "--degree", "5", "--seed", "8", "--out", str(cfg))
-        _, out1, _ = run(capsys, "analyze", "--config", str(cfg), "--jobs", "1")
-        _, out3, _ = run(capsys, "analyze", "--config", str(cfg), "--jobs", "3")
-        assert out1 == out3
-
     def test_subset_flag(self, capsys, tmp_path):
         cfg = tmp_path / "ref.json"
         run(capsys, "verify-remark6", "--emit-config", str(cfg))
@@ -254,6 +247,16 @@ class TestUsageErrors:
             capsys, "analyze", "--config", str(cfg), "--subset", "1,two"
         )
         assert code == 1 and "subset" in err
+
+    @pytest.mark.parametrize("ids", ["99", "0,1", "1,1"])
+    def test_subset_ids_out_of_range_or_repeated(self, capsys, tmp_path, ids):
+        cfg = tmp_path / "cfg.json"
+        run(capsys, "random", "--degree", "4", "--seed", "3", "--out", str(cfg))
+        code, out, err = run(capsys, "analyze", "--config", str(cfg), "--subset", ids)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -20,7 +20,13 @@ from sheafloci.exactalg import (
 )
 from sheafloci.rng import SplitMix64
 
-from conftest import REFERENCE_POINTS_D6, evaluation_rows, naive_det, naive_rank
+from conftest import (
+    REFERENCE_POINTS_D6,
+    cofactor_det,
+    evaluation_rows,
+    naive_det,
+    naive_rank,
+)
 
 
 def F(x):
@@ -195,12 +201,16 @@ def test_stack_and_shape_errors():
 
 
 @st.composite
-def small_matrix(draw):
+def small_matrix(draw, square=False):
+    """Fraction matrices up to 4x4; zero-heavy rows make rank drops common."""
     nr = draw(st.integers(1, 4))
-    nc = draw(st.integers(1, 4))
+    nc = nr if square else draw(st.integers(1, 4))
+    dense = st.fractions(max_denominator=9)
+    sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), dense)
     rows = draw(
         st.lists(
-            st.lists(st.fractions(max_denominator=9), min_size=nc, max_size=nc),
+            st.lists(dense, min_size=nc, max_size=nc)
+            | st.lists(sparse, min_size=nc, max_size=nc),
             min_size=nr,
             max_size=nr,
         )
@@ -229,3 +239,26 @@ def test_kernel_exactness_property(m):
     assert rank(m) + k.cols == m.cols
     for j in range(k.cols):
         assert all(v == 0 for v in m.apply(k.col(j)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix())
+def test_rank_of_rows_matches_naive_rank_property(m):
+    rows = m.row_lists()
+    assert rank_of_rows(rows) == naive_rank(rows)
+    assert rank(m) == naive_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(square=True))
+def test_det_matches_cofactor_det_property(m):
+    # Fraction entries exercise the row scalings, gcds and pivot sign.
+    assert det(m) == cofactor_det(m.row_lists())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrix(), st.data())
+def test_rref_invariant_under_row_permutation(m, data):
+    perm = data.draw(st.permutations(range(m.rows)))
+    shuffled = QMatrix.from_rows([m.row(i) for i in perm], cols=m.cols)
+    assert rref(shuffled) == rref(m)

@@ -169,6 +169,15 @@ class TestFibre:
         with pytest.raises(GenericityError):
             fibre(cfg)
 
+    def test_codimension_invariant_raises_typed_error(self, monkeypatch):
+        # The check must survive python -O, so it cannot be an assert.
+        import sheafloci.linsys as linsys
+
+        monkeypatch.setattr(linsys, "length", lambda cfg: 11)
+        with pytest.raises(DegenerateError) as info:
+            fibre(ref_config())
+        assert (info.value.expected, info.value.actual) == (11, 10)
+
 
 class TestSeparatingForm:
     def test_d4_standard_is_x0(self):

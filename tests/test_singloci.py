@@ -330,12 +330,6 @@ class TestReport:
         assert subsets[(1, 2, 3, 4, 5)] == 9
         assert asserted_violations(rep) == []
 
-    def test_jobs_do_not_change_output(self):
-        fib = fibre(ref_config())
-        rep1 = locus_report(fib, pairs=True, triples=False, jobs=1)
-        rep2 = locus_report(fib, pairs=True, triples=False, jobs=3)
-        assert rep1 == rep2
-
     def test_violations_detected(self):
         rep = SingularLocusReport(
             degree=5,
