@@ -22,6 +22,14 @@ nothing depends on pivot order); kernel, solve and inverse read off the
 RREF; det tracks the row scalings, the cross-multiplication factors,
 the gcds and the pivot permutation.  The jet oracle in ``localfree``
 inserts its rows into the same core.
+
+rank first reduces the integer rows modulo the prime P = 2^61 - 1.
+Every minor mod P is the reduction of the integer minor, so a minor
+that is nonzero mod P is nonzero over Q and rank_P <= rank_Q.  Full
+row rank mod P therefore proves full row rank over Q, and rank returns
+the row count at once; only rows that turn out dependent mod P go on to
+the exact integer echelon.  The answer is exact either way; only the
+speed depends on the prime.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The Mersenne prime 2^61 - 1: residues stay below 2^61, so a product of
+# two has at most 122 bits, and a random rank drop mod P is very unlikely.
+_PRIME = (1 << 61) - 1
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -238,11 +250,43 @@ def rref(m: QMatrix) -> tuple:
     return QMatrix.from_rows(rows, cols=m.cols), pivots
 
 
+def _independent_mod_p(rows: Sequence[list]) -> bool:
+    """Whether the integer rows stay linearly independent modulo _PRIME.
+
+    The same cross-multiplication as insert_row, on residues.
+    """
+    pivots = {}
+    for row in rows:
+        row = [a % _PRIME for a in row]
+        n = len(row)
+        c = 0
+        while True:
+            while c < n and not row[c]:
+                c += 1
+            if c == n:
+                return False
+            top = pivots.get(c)
+            if top is None:
+                pivots[c] = row
+                break
+            p, f = top[c], row[c]
+            c += 1
+            tail = [(p * a - f * b) % _PRIME for a, b in zip(row[c:], top[c:])]
+            row = [0] * c + tail
+    return True
+
+
 def _rank(rows: Iterable[Sequence]) -> int:
     # shared by rank and rank_of_rows so that neither calls the other and
     # a profile counts each public call once
+    rows = [
+        r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
+    ]
+    # full row rank mod P is a certificate (see the module docstring)
+    if _independent_mod_p(rows):
+        return len(rows)
     pivots = {}
-    return sum(insert_row(pivots, integer_row(r)[0]) is not None for r in rows)
+    return sum(insert_row(pivots, r) is not None for r in rows)
 
 
 def rank(m: QMatrix) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, GenericityError, ShapeError
-from .exactalg import QMatrix, kernel, rref
+from .exactalg import QMatrix, integer_row, kernel, rref
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import (
@@ -91,35 +92,44 @@ class ProjSubspace:
         """Columns spanning the subspace, one per free column."""
         return kernel(self.functionals)
 
-    def reduce_functional(self, row: Sequence) -> list:
-        """Representative of the functional modulo this subspace's cutting rows.
+    @cached_property
+    def _integer_functionals(self) -> tuple:
+        """(L, free columns, [(pivot, L * row at the free columns)]).
 
-        The result vanishes at all pivot columns, so its restriction to the
-        subspace is read off at the free columns (see compress_functional).
+        L is the common denominator of the functionals, whose pivot
+        columns hold only 0 and 1; computed once per subspace.
         """
-        r = list(row)
-        if len(r) != self.ambient + 1:
-            raise ShapeError(
-                f"functional has {len(r)} coordinates, expected {self.ambient + 1}"
-            )
+        free = self.free_columns
+        k = len(free)
         rows = self.functionals.row_lists()
-        for rr, p in zip(rows, self.pivots):
-            c = r[p]
-            if c != 0:
-                for j in range(p, len(r)):
-                    if rr[j] != 0:
-                        r[j] -= c * rr[j]
-        return r
+        flat, common = integer_row([r[j] for r in rows for j in free])
+        scaled = [(p, flat[i * k : (i + 1) * k]) for i, p in enumerate(self.pivots)]
+        return common, free, scaled
 
     def compress_functional(self, row: Sequence) -> list:
         """Coordinates of the restricted functional in the free-column basis.
 
         With b_j the basis column attached to free column j, entry j equals
-        the value of the functional on b_j.  Ranks of stacked compressed
-        rows are codimensions inside the subspace.
+        the value of the functional on b_j, which is the functional minus
+        the combination of the cutting rows that clears its pivot columns,
+        read at column j.  With the cutting rows M/L over one denominator
+        and the functional R/s cleared of its own, entry j is
+        (L*R_j - sum_p R_p*M_pj) / (s*L), computed on integers.  Ranks of
+        stacked compressed rows are codimensions inside the subspace.
         """
-        reduced = self.reduce_functional(row)
-        return [reduced[j] for j in self.free_columns]
+        if len(row) != self.ambient + 1:
+            raise ShapeError(
+                f"functional has {len(row)} coordinates, expected {self.ambient + 1}"
+            )
+        ints, scale = integer_row(row)
+        common, free, scaled = self._integer_functionals
+        out = [common * ints[j] for j in free]
+        for p, m in scaled:
+            c = ints[p]
+            if c:
+                out = [a - c * b for a, b in zip(out, m)]
+        den = scale * common
+        return [Fraction(a, den) for a in out]
 
 
 def intersect(a: ProjSubspace, b: ProjSubspace) -> ProjSubspace:

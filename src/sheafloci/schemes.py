@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -69,6 +70,11 @@ class SimplePoint:
 
     def canonical(self) -> tuple:
         """Primitive integer representative with positive leading entry."""
+        return tuple(Fraction(v) for v in self._primitive)
+
+    @cached_property
+    def _primitive(self) -> tuple:
+        """canonical() as plain ints, computed once per point."""
         denom_lcm = 1
         for c in self.coords:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
@@ -80,15 +86,15 @@ class SimplePoint:
         lead = next(v for v in ints if v != 0)
         if lead < 0:
             ints = [-v for v in ints]
-        return tuple(Fraction(v) for v in ints)
+        return tuple(ints)
 
     def __eq__(self, other):
         if not isinstance(other, SimplePoint):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._primitive == other._primitive
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self._primitive)
 
 
 @dataclass(frozen=True)
@@ -289,11 +295,19 @@ def low_degree_certificate(cfg: PointConfig, k: int) -> Optional[HomPoly]:
 
 
 def collinear(p: SimplePoint, q: SimplePoint, r: SimplePoint) -> bool:
-    """Whether three pairwise distinct points lie on a common line."""
-    if p == q or p == r or q == r:
+    """Whether three pairwise distinct points lie on a common line.
+
+    Decided by the integer 3x3 determinant of the points' primitive
+    representatives.
+    """
+    a, b, c = p._primitive, q._primitive, r._primitive
+    if a == b or a == c or b == c:
         raise ConfigError("collinearity is only defined for distinct points")
-    m = QMatrix.from_rows([p.coords, q.coords, r.coords])
-    return qdet(m) == 0
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    ) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import jsonschema
@@ -205,11 +206,23 @@ SCHEMAS = {
 }
 
 
+@cache
+def _validator(kind: str):
+    """The named schema's validator, its schema checked once on first use."""
+    schema = SCHEMAS[kind]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_payload(obj: dict, kind: str) -> None:
-    """Check a payload against the named schema; ConfigError on mismatch."""
-    try:
-        jsonschema.validate(obj, SCHEMAS[kind])
-    except jsonschema.ValidationError as e:
+    """Check a payload against the named schema; ConfigError on mismatch.
+
+    Reports the same error jsonschema.validate would raise: the best
+    match among all the errors.
+    """
+    e = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise ConfigError(f"invalid {kind} payload at {path}: {e.message}") from e
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
-from .exactalg import QMatrix, inverse, rank_of_rows, rref, solve
+from .exactalg import QMatrix, integer_row, inverse, rank_of_rows, rref, solve
 from .linsys import Fibre, ProjSubspace, intersect, separating_form
 from .poly import HomPoly, monomials, substitute_linear
 from .rng import SplitMix64
@@ -306,9 +306,12 @@ def locus_report(
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
-    Per-point condition blocks are computed once; each requested subset
-    then costs one exact rank.  Extra subsets must name distinct point
-    ids in 1..npoints, else ConfigError.
+    Per-point condition blocks are computed and cleared of denominators
+    once; each requested subset then costs one rank_of_rows call on its
+    stacked integer rows.  A full row rank modulo a prime settles that
+    rank at once; only rows dependent modulo the prime go on to exact
+    elimination.  Extra subsets must name distinct point ids in
+    1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -319,7 +322,9 @@ def locus_report(
             )
         if len(set(s)) != len(s):
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
-    blocks = {pid: _compressed_block(fib, pid) for pid in ids}
+    blocks = {
+        pid: [integer_row(r)[0] for r in _compressed_block(fib, pid)] for pid in ids
+    }
     point_codims = tuple(
         (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
     )

@@ -189,6 +189,67 @@ def test_rank_of_rows_matches_rank():
         assert rank_of_rows(rows) == naive_rank(rows)
 
 
+# rank reduces rows modulo this prime first.  All but one case below
+# are dependent mod P, so they pass only if rank falls back to exact
+# elimination unless the rows are independent mod P.
+P = 2**61 - 1
+
+FALLBACK_CASES = [
+    # independent over Q, dependent mod P
+    [[P, 1], [0, 1]],
+    [[1, 1, 0], [1 + P, 1, 0], [0, 0, 3 * P]],
+    # denominators P: cleared to [1, P] and [1, 0], equal mod P
+    [[Fraction(1, P), 1], [Fraction(1, P), 0]],
+    [[Fraction(1, P), 1], [Fraction(2, P), 2]],
+    # denominators P, independent mod P as well
+    [[Fraction(1, P), Fraction(2, P)], [Fraction(1, 3), Fraction(2, P)]],
+    # rank-deficient over Q
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+    [[0, 0], [0, 0]],
+    [[1, 2], [3, 4], [5, 6]],
+    [[Fraction(1, 2), 1], [1, 2], [0, 0]],
+]
+
+
+@pytest.mark.parametrize("rows", FALLBACK_CASES)
+def test_rank_falls_back_when_dependent_mod_p(rows):
+    assert rank_of_rows(rows) == naive_rank(rows)
+    assert rank(QMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+def test_rank_skips_exact_elimination_only_for_full_row_rank(monkeypatch):
+    import sheafloci.exactalg as exactalg
+
+    original = exactalg.insert_row
+    inserted = []
+
+    def counting_insert(pivots, row):
+        inserted.append(row)
+        return original(pivots, row)
+
+    monkeypatch.setattr(exactalg, "insert_row", counting_insert)
+    assert rank_of_rows([[1, 2, 3], [Fraction(1, 2), 5, 7]]) == 2
+    assert inserted == []
+    assert rank_of_rows([[P, 1], [0, 1]]) == 2
+    assert len(inserted) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from([0, 0, 1, -1, P, -P, 2 * P, P + 1, P - 1, Fraction(1, P)]),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_rank_of_rows_near_the_prime_matches_naive_rank(rows):
+    assert rank_of_rows(rows) == naive_rank(rows)
+
+
 def test_stack_and_shape_errors():
     a = QMatrix.from_rows([[1, 2]])
     b = QMatrix.from_rows([[3, 4], [5, 6]])

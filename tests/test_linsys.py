@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import ConfigError, DegenerateError, GenericityError, ShapeError
 from sheafloci.exactalg import QMatrix, rank
@@ -74,20 +75,29 @@ class TestProjSubspace:
         with pytest.raises(ShapeError):
             intersect(a, b)
 
-    def test_reduce_functional_kills_pivots(self):
-        s = ProjSubspace.cut_by([[1, 2, 0, 3], [0, 0, 1, -1]], 3)
-        r = s.reduce_functional([5, 1, 2, 0])
-        for p in s.pivots:
-            assert r[p] == 0
-
-    def test_compress_matches_evaluation_on_basis(self):
-        s = ProjSubspace.cut_by([[1, 2, 0, 3], [0, 0, 1, -1]], 3)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_compress_matches_evaluation_on_basis(self, data):
+        # Oracle: the functional evaluated on each basis column, exactly.
+        n = data.draw(st.integers(1, 6))
+        dense = st.fractions(max_denominator=9)
+        sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), dense)
+        row = st.lists(dense, min_size=n, max_size=n) | st.lists(
+            sparse, min_size=n, max_size=n
+        )
+        s = ProjSubspace.cut_by(data.draw(st.lists(row, max_size=n)), n - 1)
         b = s.basis()
-        func = [Fraction(v) for v in (7, -1, 4, 2)]
+        func = data.draw(row)
         comp = s.compress_functional(func)
+        assert len(comp) == b.cols
         for j in range(b.cols):
-            direct = sum(f * v for f, v in zip(func, b.col(j)))
-            assert comp[j] == direct
+            assert comp[j] == sum(f * v for f, v in zip(func, b.col(j)))
+
+
+    def test_compress_rejects_wrong_length(self):
+        s = ProjSubspace.cut_by([[1, 2, 0, 3]], 3)
+        with pytest.raises(ShapeError):
+            s.compress_functional([1, 2, 3])
 
 
 class TestFibre:
