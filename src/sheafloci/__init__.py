@@ -62,9 +62,6 @@ from .singloci import (
     locus_report,
     normal_space_dim,
     singular_conditions,
-    singular_subspace,
-    stratum_codim,
-    transversality,
 )
 
 __all__ = [
@@ -119,9 +116,6 @@ __all__ = [
     "resolution_check",
     "separating_form",
     "singular_conditions",
-    "singular_subspace",
     "stability_sufficient",
-    "stratum_codim",
-    "transversality",
     "u_at_zero",
 ]

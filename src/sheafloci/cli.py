@@ -122,8 +122,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as e:
+        raise SheafLociError(
+            f"{path} is not UTF-8 text: {e.reason} at byte {e.start}"
+        ) from None
 
 
 def _emit(out: Optional[str], text: str) -> None:

@@ -244,13 +244,6 @@ class SheafMatrix:
             if q.degree != 2:
                 raise ShapeError("bordering column entries must be quadratic")
 
-    def full_matrix(self) -> list:
-        n = self.phi.nrows
-        return [
-            [self.quad[i]] + [self.phi.entry(i, j).to_hompoly() for j in range(n - 1)]
-            for i in range(n)
-        ]
-
     def curve(self) -> HomPoly:
         return curve_from_pair(self.quad, self.phi)
 

@@ -4,10 +4,9 @@ The curves of degree d through a suitable length-l scheme Z, with
 l = (d-1)(d-2)/2, form a projective-linear subspace of dimension
 3d - 1 inside the P_N of all degree-d curves, N = (d+2)(d+1)/2 - 1.
 This module represents such subspaces by reduced systems of linear
-functionals, intersects them, and provides the coordinate machinery
-used downstream: reduction of extra functionals modulo the subspace
-and the compressed (free-column) picture in which codimensions inside
-the subspace become plain matrix ranks.
+functionals and provides the coordinate machinery used downstream:
+the compressed (free-column) picture of extra functionals, in which
+codimensions inside the subspace become plain matrix ranks.
 """
 
 from __future__ import annotations
@@ -130,25 +129,6 @@ class ProjSubspace:
                 out = [a - c * b for a, b in zip(out, m)]
         den = scale * common
         return [Fraction(a, den) for a in out]
-
-
-def intersect(a: ProjSubspace, b: ProjSubspace) -> ProjSubspace:
-    """Intersection, cut out by the union of both functional systems."""
-    if a.ambient != b.ambient:
-        raise ShapeError(
-            f"cannot intersect subspaces of ambient dimensions "
-            f"{a.ambient} and {b.ambient}"
-        )
-    rows = list(a.functionals.row_lists()) + list(b.functionals.row_lists())
-    out = ProjSubspace.cut_by(rows, a.ambient)
-    want = (max(a.codim, b.codim), a.codim + b.codim)
-    if not want[0] <= out.codim <= want[1]:
-        raise DegenerateError(
-            f"intersection has codimension {out.codim}, outside {want}",
-            expected=want,
-            actual=out.codim,
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

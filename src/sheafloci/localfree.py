@@ -8,7 +8,7 @@ a module over the local ring of the curve exactly when the germ is
 regular or u(0) is nonzero.
 
 The criterion is checked independently by a jet computation: inside the
-truncated algebra k[x,y]/(m^N) the dimension of I/mI is found by exact
+jet algebra k[x,y]/(m^N) the dimension of I/mI is found by exact
 linear algebra, and Nakayama's lemma says the ideal is principal (hence
 free, as it has finite colength) precisely when that dimension is one.
 """

@@ -195,15 +195,6 @@ def _powers(x: Fraction, upto: int) -> list:
     return out
 
 
-def euler_relation_holds(p: HomPoly, pt: Sequence) -> bool:
-    """x0*d0p + x1*d1p + x2*d2p = deg(p) * p, checked at a point."""
-    if p.degree == 0:
-        return True
-    pt = [Fraction(v) for v in pt]
-    lhs = sum((pt[v] * p.partial(v).eval(pt) for v in range(3)), _ZERO)
-    return lhs == p.degree * p.eval(pt)
-
-
 # ---------------------------------------------------------------------------
 # Linear forms
 
@@ -466,14 +457,6 @@ class LocalPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def truncated(self, below: int) -> "LocalPoly":
-        """Drop all terms of total degree >= below."""
-        return LocalPoly(tuple((k, v) for k, v in self.coeffs if k[0] + k[1] < below))
-
-    def shifted(self, dx: int, dy: int) -> "LocalPoly":
-        """Multiply by the monomial x^dx y^dy."""
-        return LocalPoly(tuple(((i + dx, j + dy), v) for (i, j), v in self.coeffs))
 
     def substitute_x(self, h: Sequence) -> list:
         """Univariate coefficient list of f(h(y), y), h given by y-coefficients."""

@@ -29,7 +29,6 @@ from .kronecker import (
     maximal_minors,
     stability_sufficient,
 )
-from .linsys import ProjSubspace
 from .localfree import (
     CurveGerm,
     FatIdealData,
@@ -157,16 +156,6 @@ SCHEMAS = {
             "violations": {"type": "array", "items": {"type": "string"}},
         },
     },
-    "subspace": {
-        "type": "object",
-        "required": ["ambient", "codim", "functionals"],
-        "additionalProperties": False,
-        "properties": {
-            "ambient": {"type": "integer", "minimum": 0},
-            "codim": {"type": "integer", "minimum": 0},
-            "functionals": {"type": "array", "items": {"type": "array", "items": _RATIONAL}},
-        },
-    },
     "localfree_query": {
         "type": "object",
         "required": ["f", "h", "mult"],
@@ -276,7 +265,7 @@ def config_from_dict(d: dict) -> PointConfig:
 
 
 # ---------------------------------------------------------------------------
-# Resolutions and subspaces
+# Resolutions
 
 
 def resolution_to_dict(res: IdealResolution) -> dict:
@@ -295,19 +284,6 @@ def resolution_to_dict(res: IdealResolution) -> dict:
         "stable": stability_sufficient(phi),
     }
     validate_payload(out, "resolution")
-    return out
-
-
-def subspace_to_dict(sub: ProjSubspace) -> dict:
-    out = {
-        "ambient": sub.ambient,
-        "codim": sub.codim,
-        "functionals": [
-            [rat_to_str(v) for v in sub.functionals.row(i)]
-            for i in range(sub.functionals.rows)
-        ],
-    }
-    validate_payload(out, "subspace")
     return out
 
 

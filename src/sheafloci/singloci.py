@@ -7,9 +7,15 @@ three partial derivatives (rank 2 modulo the fibre, by the Euler
 relation); at a curvilinear fat point of multiplicity m the conditions
 are the gradient at the support together with the order-m coefficient
 functional along the branch, again rank 2 modulo the fibre on the
-strata handled here.  Codimensions of intersections are computed as
-ranks of functionals compressed to the fibre's free coordinates, which
-keeps every subset query a small exact rank computation.
+strata handled here.
+
+Every codimension goes through one block per point: _compressed_block
+compresses the point's conditions to the fibre's free coordinates and
+inserts them, as integer rows, into one integer echelon.  Its rows are
+a basis of the conditions modulo the fibre, so their count is the
+codimension of the point's locus in the fibre, and the codimension of
+an intersection is the rank of the stacked blocks.  locus_report,
+normal_space_dim and impose_singularities all read these blocks.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
-from .exactalg import QMatrix, integer_row, inverse, rank_of_rows, rref, solve
-from .linsys import Fibre, ProjSubspace, intersect, separating_form
+from .exactalg import QMatrix, insert_row, integer_row, inverse, rank_of_rows, solve
+from .linsys import Fibre, separating_form
 from .poly import HomPoly, monomials, substitute_linear
 from .rng import SplitMix64
 from .schemes import (
@@ -81,61 +87,25 @@ def singular_conditions(cfg: PointConfig, point_id: int) -> SingConditions:
 
 
 def _compressed_block(fib: Fibre, point_id: int) -> list:
-    """Reduced basis of the point's singular conditions modulo the fibre.
+    """Integer echelon basis of the point's singular conditions modulo the fibre.
 
     Rows live in the fibre's free coordinates; their count is the
     codimension of the singular locus of this point inside the fibre.
     """
-    sc = singular_conditions(fib.config, point_id)
-    comp = [fib.space.compress_functional(list(r)) for r in sc.rows]
-    free = len(fib.space.free_columns)
-    red, pivots = rref(QMatrix.from_rows(comp, cols=free))
-    return [list(red.row(i)) for i in range(len(pivots))]
-
-
-def singular_subspace(fib: Fibre, point_id: int) -> ProjSubspace:
-    """Curves in the fibre with singular sheaf at the point, ambiently.
-
-    On the all-simple and one-double-point strata the result must have
-    codimension 2 inside the fibre; any other value raises
-    DegenerateError naming the offending point.
-    """
-    sc = singular_conditions(fib.config, point_id)
-    sub = intersect(
-        fib.space, ProjSubspace.cut_by([list(r) for r in sc.rows], fib.space.ambient)
-    )
-    inside = sub.codim - fib.space.codim
-    if fib.config.stratum() != "deep" and inside != 2:
-        raise DegenerateError(
-            f"singular locus at {sc.kind} point {point_id} has codimension "
-            f"{inside} in the fibre, expected 2"
-        )
-    return sub
-
-
-def stratum_codim(fib: Fibre, point_ids: Sequence[int]) -> int:
-    """Codimension, inside the fibre, of the curves singular at all given points."""
-    rows = []
-    for pid in point_ids:
-        rows.extend(_compressed_block(fib, pid))
-    return rank_of_rows(rows)
-
-
-def transversality(fib: Fibre, point_ids: Sequence[int]) -> bool:
-    """Whether the singular loci of the points intersect transversally."""
-    total = stratum_codim(fib, point_ids)
-    return total == sum(stratum_codim(fib, [pid]) for pid in point_ids)
+    echelon = {}
+    for r in singular_conditions(fib.config, point_id).rows:
+        insert_row(echelon, integer_row(fib.space.compress_functional(r))[0])
+    return list(echelon.values())
 
 
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
     """Codimension of the point's singular locus inside the fibre.
 
     Equals the rank of the singular conditions modulo the fibre; for a
-    simple point this is cross-checked against the ambient gradient rank
-    minus one, the drop forced by the Euler relation.
+    simple point the ambient gradient rows must have rank 3, so that the
+    Euler relation accounts for exactly one condition lost to the fibre.
     """
-    block = _compressed_block(fib, point_id)
-    k = len(block)
+    k = len(_compressed_block(fib, point_id))
     kind, data = fib.config.point(point_id)
     if kind == "simple":
         ambient = rank_of_rows(gradient_rows(data, fib.degree))
@@ -146,15 +116,12 @@ def normal_space_dim(fib: Fibre, point_id: int) -> int:
                 expected=3,
                 actual=ambient,
             )
-        if k != ambient - 1 and fib.config.stratum() != "deep":
-            raise DegenerateError(
-                f"normal space at point {point_id} has dimension {k}, "
-                f"expected 2"
-            )
-    elif k != 2 and fib.config.stratum() != "deep":
+    if k != 2 and fib.config.stratum() != "deep":
         raise DegenerateError(
-            f"normal space at fat point {point_id} has dimension {k}, "
-            f"expected 2"
+            f"normal space at {kind} point {point_id} has dimension {k}, "
+            f"expected 2",
+            expected=2,
+            actual=k,
         )
     return k
 
@@ -306,12 +273,11 @@ def locus_report(
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
-    Per-point condition blocks are computed and cleared of denominators
-    once; each requested subset then costs one rank_of_rows call on its
-    stacked integer rows.  A full row rank modulo a prime settles that
-    rank at once; only rows dependent modulo the prime go on to exact
-    elimination.  Extra subsets must name distinct point ids in
-    1..npoints, else ConfigError.
+    Per-point integer blocks are computed once; each requested subset
+    then costs one rank_of_rows call on its stacked rows.  A full row
+    rank modulo a prime settles that rank at once; only rows dependent
+    modulo the prime go on to exact elimination.  Extra subsets must
+    name distinct point ids in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -322,9 +288,7 @@ def locus_report(
             )
         if len(set(s)) != len(s):
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
-    blocks = {
-        pid: [integer_row(r)[0] for r in _compressed_block(fib, pid)] for pid in ids
-    }
+    blocks = {pid: _compressed_block(fib, pid) for pid in ids}
     point_codims = tuple(
         (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
     )

@@ -4,7 +4,18 @@ The oracles here deliberately reimplement small pieces of the library
 with different algorithms (Fraction elimination instead of the
 library's integer echelon core, cofactor expansion instead of
 elimination, Horner evaluation instead of monomial sums) so that
-cross-checks exercise independent code paths.
+cross-checks exercise independent code paths:
+
+- naive_rank, naive_det, cofactor_det: first-nonzero Fraction
+  elimination and cofactor expansion.
+- degree_monomials, evaluation_rows, horner_eval: monomial order and
+  evaluation computed afresh.
+- euler_relation_holds: the Euler identity at a point, by Horner.
+- ambient_codim, ambient_singular_subspace: singular loci cut out in
+  the ambient space of all curves, never in the fibre's compressed
+  coordinates.
+- zero_column_module, proportional_pair_module: Kronecker modules
+  broken on purpose.
 """
 
 from fractions import Fraction
@@ -132,6 +143,41 @@ def horner_eval(poly, pt):
             inner += val
         acc += inner
     return acc
+
+
+def euler_relation_holds(p, pt):
+    """x0*d0p + x1*d1p + x2*d2p = deg(p) * p, checked at a point by Horner."""
+    if p.degree == 0:
+        return True
+    pt = [Fraction(v) for v in pt]
+    lhs = sum(pt[v] * horner_eval(p.partial(v), pt) for v in range(3))
+    return lhs == p.degree * horner_eval(p, pt)
+
+
+def _ambient_rows(fib, ids):
+    """The fibre's cutting rows followed by every condition row at ids."""
+    from sheafloci.singloci import singular_conditions
+
+    rows = fib.space.functionals.row_lists()
+    for pid in ids:
+        rows.extend(list(r) for r in singular_conditions(fib.config, pid).rows)
+    return rows
+
+
+def ambient_codim(fib, ids):
+    """Codimension in the fibre of the curves singular at every point of ids.
+
+    Ranks the ambient rows with naive_rank and subtracts the fibre's own
+    codimension; no compressed coordinates and no integer echelon.
+    """
+    return naive_rank(_ambient_rows(fib, ids)) - fib.space.codim
+
+
+def ambient_singular_subspace(fib, pid):
+    """Curves in the fibre with singular sheaf at the point, cut ambiently."""
+    from sheafloci.linsys import ProjSubspace
+
+    return ProjSubspace.cut_by(_ambient_rows(fib, [pid]), fib.space.ambient)
 
 
 def zero_column_module(phi, col=0):

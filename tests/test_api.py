@@ -1,0 +1,45 @@
+"""The public API: every exported name resolves, once, and removed names stay gone."""
+
+import importlib
+
+import pytest
+
+import sheafloci
+from sheafloci.serialize import SCHEMAS
+
+# (module, attribute path) of helpers removed from the library
+REMOVED = [
+    ("sheafloci.singloci", "stratum_codim"),
+    ("sheafloci.singloci", "transversality"),
+    ("sheafloci.singloci", "singular_subspace"),
+    ("sheafloci.linsys", "intersect"),
+    ("sheafloci.kronecker", "SheafMatrix.full_matrix"),
+    ("sheafloci.poly", "LocalPoly.truncated"),
+    ("sheafloci.poly", "LocalPoly.shifted"),
+    ("sheafloci.serialize", "subspace_to_dict"),
+    ("sheafloci.poly", "euler_relation_holds"),
+]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sheafloci.__all__ if not hasattr(sheafloci, name)]
+    assert missing == []
+
+
+def test_no_exported_name_repeats():
+    assert len(set(sheafloci.__all__)) == len(sheafloci.__all__)
+
+
+@pytest.mark.parametrize("module,path", REMOVED)
+def test_removed_name_is_absent(module, path):
+    *owners, name = path.split(".")
+    obj = importlib.import_module(module)
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, name)
+    assert name not in sheafloci.__all__
+    assert not hasattr(sheafloci, name)
+
+
+def test_subspace_schema_is_gone():
+    assert "subspace" not in SCHEMAS

@@ -258,6 +258,25 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("analyze", "--config"),
+            ("kronecker", "--config"),
+            ("verify-remark6", "--config"),
+            ("localfree", "--in"),
+        ],
+    )
+    def test_non_utf8_file_is_exit_one(self, capsys, tmp_path, command, flag):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import ConfigError, DegenerateError, GenericityError, ShapeError
 from sheafloci.exactalg import QMatrix, rank
-from sheafloci.linsys import Fibre, ProjSubspace, fibre, intersect, separating_form
+from sheafloci.linsys import Fibre, ProjSubspace, fibre, separating_form
 from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
@@ -56,24 +56,6 @@ class TestProjSubspace:
         assert b.cols == 2
         for j in range(b.cols):
             assert s.contains(b.col(j))
-
-    def test_intersect_coordinate_hyperplanes(self):
-        a = ProjSubspace.cut_by([[1, 0, 0, 0]], 3)
-        b = ProjSubspace.cut_by([[0, 1, 0, 0]], 3)
-        c = intersect(a, b)
-        assert c.codim == 2
-        assert c.contains([0, 0, 1, 7])
-
-    def test_intersect_same_hyperplane(self):
-        a = ProjSubspace.cut_by([[1, 2, 3]], 2)
-        b = ProjSubspace.cut_by([[2, 4, 6]], 2)
-        assert intersect(a, b).codim == 1
-
-    def test_intersect_ambient_mismatch(self):
-        a = ProjSubspace.whole(2)
-        b = ProjSubspace.whole(3)
-        with pytest.raises(ShapeError):
-            intersect(a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -23,9 +23,9 @@ from sheafloci.localfree import (
 from sheafloci.poly import HomPoly, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
-from sheafloci.singloci import classify_curve, singular_subspace
+from sheafloci.singloci import classify_curve
 
-from conftest import naive_rank
+from conftest import ambient_singular_subspace, naive_rank
 
 
 def germ(text):
@@ -248,7 +248,7 @@ class TestGlobalBridge:
         fib = fibre(cfg)
         fat_id = cfg.npoints
         fp = cfg.fat[0]
-        sub = singular_subspace(fib, fat_id)
+        sub = ambient_singular_subspace(fib, fat_id)
         basis = sub.basis()
         checked = 0
         for j in range(basis.cols):

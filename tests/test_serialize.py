@@ -8,7 +8,7 @@ from conftest import REFERENCE_POINTS_D6
 
 from sheafloci.errors import ConfigError
 from sheafloci.kronecker import kronecker_from_points, maximal_minors
-from sheafloci.linsys import ProjSubspace, fibre
+from sheafloci.linsys import fibre
 from sheafloci.localfree import CurveGerm, FatIdealData
 from sheafloci.poly import parse_homogeneous, parse_local
 from sheafloci.schemes import SimplePoint, PointConfig, random_config
@@ -22,7 +22,6 @@ from sheafloci.serialize import (
     localfree_result_to_dict,
     report_to_dict,
     resolution_to_dict,
-    subspace_to_dict,
     validate_payload,
 )
 
@@ -146,15 +145,6 @@ class TestReportAndSubspace:
         assert len(d["pairs"]) == 3 and len(d["triples"]) == 1
         assert d["violations"] == []
         json.loads(canonical_dumps(d))
-
-    def test_subspace_payload(self):
-        sub = ProjSubspace.whole(5).cut_by([[1, 0, 0, 0, 0, 0]], 5)
-        d = subspace_to_dict(sub)
-        assert d == {
-            "ambient": 5,
-            "codim": 1,
-            "functionals": [["1", "0", "0", "0", "0", "0"]],
-        }
 
 
 class TestLocalFreePayloads:

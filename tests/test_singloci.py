@@ -6,7 +6,7 @@ import pytest
 
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
 from sheafloci.exactalg import QMatrix, inverse, rank, rank_of_rows
-from sheafloci.linsys import fibre
+from sheafloci.linsys import ProjSubspace, fibre
 from sheafloci.poly import HomPoly, monomial_index, monomials
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import PointConfig, SimplePoint, normalize, random_config
@@ -19,12 +19,14 @@ from sheafloci.singloci import (
     locus_report,
     normal_space_dim,
     singular_conditions,
-    singular_subspace,
-    stratum_codim,
-    transversality,
 )
 
-from conftest import REFERENCE_POINTS_D6, horner_eval
+from conftest import (
+    REFERENCE_POINTS_D6,
+    ambient_codim,
+    ambient_singular_subspace,
+    horner_eval,
+)
 
 
 def ref_config():
@@ -35,6 +37,12 @@ def standard_d4_config():
     return PointConfig.of(
         4, [SimplePoint.of(1, 0, 0), SimplePoint.of(0, 1, 0), SimplePoint.of(0, 0, 1)]
     )
+
+
+def transversal(rep, ids):
+    """Whether the loci at ids meet in the sum of their codimensions."""
+    points = {pid: codim for pid, _kind, codim in rep.point_codims}
+    return dict(rep.subset_codims)[ids] == sum(points[pid] for pid in ids)
 
 
 def newton_interpolate(ts, vs):
@@ -152,31 +160,46 @@ class TestSingularConditions:
 class TestCodimensions:
     def test_reference_singletons(self):
         fib = fibre(ref_config())
-        for pid in range(1, 11):
-            assert stratum_codim(fib, [pid]) == 2
+        rep = locus_report(fib, pairs=False)
+        assert [pid for pid, _kind, _codim in rep.point_codims] == list(range(1, 11))
+        for pid, _kind, codim in rep.point_codims:
+            assert codim == 2
             assert normal_space_dim(fib, pid) == 2
 
     def test_reference_pairs_and_triples(self):
         fib = fibre(ref_config())
-        assert stratum_codim(fib, [1, 2]) == 4
-        assert stratum_codim(fib, [2, 3]) == 4
-        assert stratum_codim(fib, [1, 2, 3]) == 6
-        assert transversality(fib, [1, 2])
-        assert transversality(fib, [1, 2, 3])
+        rep = locus_report(
+            fib, pairs=False, extra_subsets=[(1, 2), (2, 3), (1, 2, 3)]
+        )
+        assert dict(rep.subset_codims) == {(1, 2): 4, (2, 3): 4, (1, 2, 3): 6}
+        assert transversal(rep, (1, 2))
+        assert transversal(rep, (1, 2, 3))
 
     def test_reference_subset_codims_frozen(self):
         fib = fibre(ref_config())
-        assert stratum_codim(fib, [1, 2, 3, 4]) == 8
-        assert stratum_codim(fib, [1, 2, 3, 4, 5]) == 9
-        assert not transversality(fib, [1, 2, 3, 4, 5])
+        rep = locus_report(
+            fib, pairs=False, extra_subsets=[(1, 2, 3, 4), (1, 2, 3, 4, 5)]
+        )
+        assert dict(rep.subset_codims) == {(1, 2, 3, 4): 8, (1, 2, 3, 4, 5): 9}
+        assert not transversal(rep, (1, 2, 3, 4, 5))
 
     def test_double_stratum_fat_point_codim(self):
         for seed in (11, 23):
             cfg = random_config(5, seed, stratum="double")
             fib = fibre(cfg)
             fat_id = cfg.npoints
-            assert stratum_codim(fib, [fat_id]) == 2
+            rep = locus_report(fib, pairs=False)
+            assert rep.point_codims[fat_id - 1] == (fat_id, "fat", 2)
             assert normal_space_dim(fib, fat_id) == 2
+
+    def test_normal_space_rejects_a_wrong_block(self, monkeypatch):
+        import sheafloci.singloci as singloci
+
+        fib = fibre(ref_config())
+        monkeypatch.setattr(singloci, "_compressed_block", lambda fib, pid: [[1]])
+        with pytest.raises(DegenerateError) as err:
+            normal_space_dim(fib, 3)
+        assert (err.value.expected, err.value.actual) == (2, 1)
 
     def test_u_row_is_needed_at_fat_point(self):
         # The gradient alone cuts only one condition on the fibre; the
@@ -192,7 +215,7 @@ class TestCodimensions:
     def test_singular_subspace_dimensions(self):
         cfg = ref_config()
         fib = fibre(cfg)
-        sub = singular_subspace(fib, 4)
+        sub = ambient_singular_subspace(fib, 4)
         assert sub.codim == fib.space.codim + 2
         assert sub.proj_dim == fib.proj_dim - 2
         for j in range(min(3, sub.basis().cols)):
@@ -227,7 +250,7 @@ class TestClassify:
         cfg = random_config(5, 11, stratum="double")
         fib = fibre(cfg)
         fat_id = cfg.npoints
-        sub = singular_subspace(fib, fat_id)
+        sub = ambient_singular_subspace(fib, fat_id)
         basis = sub.basis()
         hits = 0
         for j in range(basis.cols):
@@ -254,13 +277,10 @@ class TestClassify:
         fib = fibre(cfg)
         fat_id = cfg.npoints
         sc = singular_conditions(cfg, fat_id)
-        grad_sub = fibre_cut = None
-        from sheafloci.linsys import ProjSubspace, intersect
-
-        grad_space = ProjSubspace.cut_by(
-            [list(r) for r in sc.rows[:3]], fib.space.ambient
+        sub = ProjSubspace.cut_by(
+            fib.space.functionals.row_lists() + [list(r) for r in sc.rows[:3]],
+            fib.space.ambient,
         )
-        sub = intersect(fib.space, grad_space)
         found = False
         basis = sub.basis()
         u_row = list(sc.rows[3])
@@ -354,3 +374,47 @@ class TestReport:
         kinds = {kind for _, kind, _ in rep.point_codims}
         assert kinds == {"simple", "fat"}
         assert all(c == 2 for _, _, c in rep.point_codims)
+
+
+class TestAmbientOracle:
+    """Every locus_report codimension against ambient_codim.
+
+    The report ranks integer blocks compressed to the fibre; the oracle
+    ranks the fibre's own rows stacked with the ambient condition rows by
+    first-nonzero Fraction elimination.
+    """
+
+    @pytest.mark.parametrize(
+        "degree,stratum,seed",
+        [
+            (4, "generic", 1),
+            (4, "generic", 2),
+            (4, "generic", 3),
+            (5, "generic", 1),
+            (5, "generic", 2),
+            (6, "generic", 1),
+            (4, "double", 1),
+            (4, "double", 2),
+            (4, "double", 3),
+            (5, "double", 1),
+            (5, "double", 2),
+        ],
+    )
+    def test_report_matches_ambient_codims(self, degree, stratum, seed):
+        fib = fibre(random_config(degree, seed, stratum=stratum))
+        rep = locus_report(fib, pairs=True, triples=True)
+        for pid, _kind, codim in rep.point_codims:
+            assert codim == ambient_codim(fib, [pid])
+        for i, j, codim in rep.pair_codims:
+            assert codim == ambient_codim(fib, [i, j])
+        for i, j, k, codim, _collinear in rep.triple_codims:
+            assert codim == ambient_codim(fib, [i, j, k])
+
+    def test_reference_subsets_match_ambient_codims(self):
+        fib = fibre(ref_config())
+        subsets = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (2, 3, 4), (6, 7, 8, 9, 10)]
+        rep = locus_report(fib, pairs=False, extra_subsets=subsets)
+        got = dict(rep.subset_codims)
+        assert got[(1, 2, 3, 4)] == 8 and got[(1, 2, 3, 4, 5)] == 9
+        for ids in subsets:
+            assert got[ids] == ambient_codim(fib, ids)
