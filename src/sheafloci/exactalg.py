@@ -23,13 +23,13 @@ RREF; det tracks the row scalings, the cross-multiplication factors,
 the gcds and the pivot permutation.  The jet oracle in ``localfree``
 inserts its rows into the same core.
 
-rank first reduces the integer rows modulo the prime P = 2^61 - 1.
-Every minor mod P is the reduction of the integer minor, so a minor
-that is nonzero mod P is nonzero over Q and rank_P <= rank_Q.  Full
-row rank mod P therefore proves full row rank over Q, and rank returns
-the row count at once; only rows that turn out dependent mod P go on to
-the exact integer echelon.  The answer is exact either way; only the
-speed depends on the prime.
+rank first reduces the integer rows modulo the prime P = 1073741789,
+the largest prime below 2^30.  Every minor mod P is the reduction of
+the integer minor, so a minor that is nonzero mod P is nonzero over Q
+and rank_P <= rank_Q.  Full row rank mod P therefore proves full row
+rank over Q, and rank returns the row count at once; only rows that
+turn out dependent mod P go on to the exact integer echelon.  The
+answer is exact either way; only the speed depends on the prime.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# The Mersenne prime 2^61 - 1: residues stay below 2^61, so a product of
-# two has at most 122 bits, and a random rank drop mod P is very unlikely.
-_PRIME = (1 << 61) - 1
+# The largest prime below 2^30: each residue fits in one 30-bit CPython
+# digit and a product of two in 60 bits, and a random rank drop mod P
+# (about one in 10^9 per row) only costs the exact fallback.
+_PRIME = 1073741789
 
 
 def rat_from_str(text: str) -> Fraction:

@@ -105,16 +105,11 @@ class ProjSubspace:
         scaled = [(p, flat[i * k : (i + 1) * k]) for i, p in enumerate(self.pivots)]
         return common, free, scaled
 
-    def compress_functional(self, row: Sequence) -> list:
-        """Coordinates of the restricted functional in the free-column basis.
+    def compress_numerators(self, row: Sequence) -> tuple:
+        """(numerators, den): compress_functional(row) is numerators / den.
 
-        With b_j the basis column attached to free column j, entry j equals
-        the value of the functional on b_j, which is the functional minus
-        the combination of the cutting rows that clears its pivot columns,
-        read at column j.  With the cutting rows M/L over one denominator
-        and the functional R/s cleared of its own, entry j is
-        (L*R_j - sum_p R_p*M_pj) / (s*L), computed on integers.  Ranks of
-        stacked compressed rows are codimensions inside the subspace.
+        The numerators are integers; their row is a positive multiple of
+        the compressed functional, so integer eliminations read it as is.
         """
         if len(row) != self.ambient + 1:
             raise ShapeError(
@@ -127,7 +122,21 @@ class ProjSubspace:
             c = ints[p]
             if c:
                 out = [a - c * b for a, b in zip(out, m)]
-        den = scale * common
+        return out, scale * common
+
+    def compress_functional(self, row: Sequence) -> list:
+        """Coordinates of the restricted functional in the free-column basis.
+
+        With b_j the basis column attached to free column j, entry j equals
+        the value of the functional on b_j, which is the functional minus
+        the combination of the cutting rows that clears its pivot columns,
+        read at column j.  With the cutting rows M/L over one denominator
+        and the functional R/s cleared of its own, entry j is
+        (L*R_j - sum_p R_p*M_pj) / (s*L), computed on integers by
+        compress_numerators.  Ranks of stacked compressed rows are
+        codimensions inside the subspace.
+        """
+        out, den = self.compress_numerators(row)
         return [Fraction(a, den) for a in out]
 
 

@@ -16,17 +16,25 @@ a basis of the conditions modulo the fibre, so their count is the
 codimension of the point's locus in the fibre, and the codimension of
 an intersection is the rank of the stacked blocks.  locus_report,
 normal_space_dim and impose_singularities all read these blocks.
+
+locus_report first ranks a sketch of each subset: every block B is
+multiplied once by a fixed seeded integer matrix R with six columns, and
+since rank(B R) <= rank(B) <= rows, a sketch of full row rank proves the
+codimension.  A subset whose sketch falls short, or whose stacked blocks
+have more than six rows, is ranked on the blocks themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
-from .exactalg import QMatrix, insert_row, integer_row, inverse, rank_of_rows, solve
+from .exactalg import QMatrix, insert_row, inverse, rank_of_rows, solve
 from .linsys import Fibre, separating_form
 from .poly import HomPoly, monomials, substitute_linear
 from .rng import SplitMix64
@@ -94,7 +102,7 @@ def _compressed_block(fib: Fibre, point_id: int) -> list:
     """
     echelon = {}
     for r in singular_conditions(fib.config, point_id).rows:
-        insert_row(echelon, integer_row(fib.space.compress_functional(r))[0])
+        insert_row(echelon, fib.space.compress_numerators(r)[0])
     return list(echelon.values())
 
 
@@ -245,6 +253,21 @@ def impose_singularities(
 # ---------------------------------------------------------------------------
 # Reports over many subsets
 
+# A sketch has as many columns as a triple's stacked blocks have rows.
+_SKETCH_COLS = 6
+_SKETCH_SEED = 0x736B65746368
+
+
+@cache
+def _sketch_matrix(n: int) -> tuple:
+    """The n x 6 sketch matrix R as six columns, entries in [-2^15, 2^15]."""
+    rng = SplitMix64(_SKETCH_SEED)
+    rows = [
+        [rng.randint(-(1 << 15), 1 << 15) for _ in range(_SKETCH_COLS)]
+        for _ in range(n)
+    ]
+    return tuple(zip(*rows))
+
 
 @dataclass(frozen=True)
 class SingularLocusReport:
@@ -273,11 +296,15 @@ def locus_report(
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
-    Per-point integer blocks are computed once; each requested subset
-    then costs one rank_of_rows call on its stacked rows.  A full row
-    rank modulo a prime settles that rank at once; only rows dependent
-    modulo the prime go on to exact elimination.  Extra subsets must
-    name distinct point ids in 1..npoints, else ConfigError.
+    Per-point integer blocks B_i and their sketches B_i R are computed
+    once.  A subset of at most six stacked rows first costs one
+    rank_of_rows call on its stacked sketch rows; when that rank equals
+    the row count it is the codimension, because rank(B R) <= rank(B).
+    Otherwise, and for every larger subset, one rank_of_rows call on the
+    stacked block rows decides it.  Either call ends at once when the
+    rows have full rank modulo a prime; only rows dependent modulo the
+    prime go on to exact elimination.  Extra subsets must name distinct
+    point ids in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -289,12 +316,22 @@ def locus_report(
         if len(set(s)) != len(s):
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
     blocks = {pid: _compressed_block(fib, pid) for pid in ids}
+    sketch = _sketch_matrix(len(fib.space.free_columns))
+    sketches = {
+        pid: [[sum(map(mul, row, col)) for col in sketch] for row in block]
+        for pid, block in blocks.items()
+    }
     point_codims = tuple(
         (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
     )
 
     def codim_of(subset):
-        return rank_of_rows([row for pid in subset for row in blocks[pid]])
+        rows = [row for pid in subset for row in blocks[pid]]
+        if len(rows) <= _SKETCH_COLS and rank_of_rows(
+            [row for pid in subset for row in sketches[pid]]
+        ) == len(rows):
+            return len(rows)
+        return rank_of_rows(rows)
 
     pair_codims = tuple(
         (*s, codim_of(s)) for s in (combinations(ids, 2) if pairs else ())

@@ -1,15 +1,20 @@
 """The eight acceptance checks.
 
 Each test emits exactly one pass/fail line through the pytest terminal
-reporter, so the lines stay visible under output capture.  All
+reporter while capture is suspended, so the lines reach the terminal
+under pytest's default capture too.  All
 comparisons are exact: every value is a Fraction or an integer and
 tolerances are zero throughout.  Runtime budgets are asserted where
 stated, with fixture construction time billed to the criterion that
 first consumes the fixture.
 """
 
+import os
+import subprocess
+import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import pytest
 
@@ -60,13 +65,16 @@ RUNS = 50
 @pytest.fixture(scope="module")
 def line(request):
     """Writer that reaches the terminal despite fd-level capture."""
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    reporter = plugins.get_plugin("terminalreporter")
+    capman = plugins.get_plugin("capturemanager")
 
     def write(text):
-        if reporter is not None:
-            reporter.write_line(text)
-        else:
-            print(text)
+        with capman.global_and_fixture_disabled() if capman else nullcontext():
+            if reporter is not None:
+                reporter.write_line(text)
+            else:
+                print(text)
 
     return write
 
@@ -279,3 +287,18 @@ def test_criterion_8_normal_space_dimension(line, generic_data, double_data):
                 for cfg, fib in pool[d]:
                     for pid in range(1, cfg.npoints + 1):
                         assert normal_space_dim(fib, pid) == 2
+
+
+def test_verdict_lines_reach_the_terminal_under_default_capture():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py", "-k", "criterion_1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "criterion 1: PASS" in proc.stdout

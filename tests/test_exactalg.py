@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sheafloci.exactalg as exactalg
 from sheafloci.exactalg import (
     QMatrix,
     det,
@@ -192,7 +193,7 @@ def test_rank_of_rows_matches_rank():
 # rank reduces rows modulo this prime first.  All but one case below
 # are dependent mod P, so they pass only if rank falls back to exact
 # elimination unless the rows are independent mod P.
-P = 2**61 - 1
+P = exactalg._PRIME
 
 FALLBACK_CASES = [
     # independent over Q, dependent mod P

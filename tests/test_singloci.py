@@ -376,6 +376,63 @@ class TestReport:
         assert all(c == 2 for _, _, c in rep.point_codims)
 
 
+def count_rank_calls(monkeypatch):
+    """Record (rows, columns, rank) of every singloci.rank_of_rows call."""
+    import sheafloci.singloci as singloci
+
+    original = singloci.rank_of_rows
+    calls = []
+
+    def counting(rows):
+        r = original(rows)
+        calls.append((len(rows), len(rows[0]) if rows else 0, r))
+        return r
+
+    monkeypatch.setattr(singloci, "rank_of_rows", counting)
+    return calls
+
+
+class TestSketch:
+    """Subsets of at most six rows are first ranked on per-point sketches."""
+
+    @pytest.mark.parametrize("stratum", ["generic", "double"])
+    def test_short_sketches_fall_back_to_the_blocks(self, monkeypatch, stratum):
+        import sheafloci.singloci as singloci
+
+        fib = fibre(random_config(5, 1, stratum=stratum))
+        extra = [(1, 2, 3), (1, 2, 3, 4)]
+        expected = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        # one nonzero column: every sketch of two or more rows has rank 1
+        monkeypatch.setattr(
+            singloci, "_sketch_matrix", lambda n: ((1,) * n,) + ((0,) * n,) * 5
+        )
+        calls = count_rank_calls(monkeypatch)
+        rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        assert rep == expected
+        # a subset of at most six rows ranks its sketch, then its blocks;
+        # (1, 2, 3, 4) stacks 8 rows and ranks only its blocks
+        small = len(rep.pair_codims) + len(rep.triple_codims) + 1
+        assert len(calls) == 2 * small + 1
+        for i, j, codim in rep.pair_codims:
+            assert codim == ambient_codim(fib, [i, j])
+        for i, j, k, codim, _collinear in rep.triple_codims:
+            assert codim == ambient_codim(fib, [i, j, k])
+
+    def test_one_rank_call_per_subset_when_sketches_certify(self, monkeypatch):
+        fib = fibre(ref_config())
+        calls = count_rank_calls(monkeypatch)
+        extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
+        rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
+        assert subsets == 45 + 120 + 3
+        # blocks have 18 columns at degree 6, sketches 6; the subsets of
+        # 4 and 5 points stack 8 and 10 rows and skip the sketch
+        sketch_calls = [(rows, r) for rows, cols, r in calls if cols == 6]
+        assert len(sketch_calls) == subsets - 2
+        assert all(r == rows for rows, r in sketch_calls)
+        assert len(calls) == subsets
+
+
 class TestAmbientOracle:
     """Every locus_report codimension against ambient_codim.
 
