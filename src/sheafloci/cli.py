@@ -146,8 +146,6 @@ def _parse_ids(text: str) -> tuple:
         raise SheafLociError(
             f"invalid subset {text!r}: expected comma-separated point ids"
         ) from None
-    if len(ids) < 1:
-        raise SheafLociError(f"invalid subset {text!r}: empty")
     return ids
 
 

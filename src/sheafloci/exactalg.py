@@ -116,13 +116,6 @@ class QMatrix:
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -145,20 +138,6 @@ class QMatrix:
             sum((self.entries[i * self.cols + k] * vec[k] for k in range(self.cols)), _ZERO)
             for i in range(self.rows)
         ]
-
-    def stack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in stack")
-        return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-
-def stack_rows(mats: Sequence[QMatrix]) -> QMatrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.stack(m)
-    return out
 
 
 def integer_row(row: Sequence) -> tuple:

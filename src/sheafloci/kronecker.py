@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import DegenerateError, NotInFibreError, ShapeError
 from .exactalg import QMatrix, kernel, rank, solve
 from .poly import HomPoly, LinForm, det_poly_matrix, monomial_count, monomials
-from .schemes import PointConfig, membership_conditions
+from .schemes import PointConfig, membership_conditions, require_generic
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,14 @@ class IdealResolution:
 def kronecker_from_points(cfg: PointConfig) -> IdealResolution:
     """Resolve the ideal of the configuration in degree d - 2.
 
-    Stage one takes the kernel of the degree-(d-2) membership conditions,
-    which must have dimension n = d - 1; stage two solves for all linear
-    syzygies among those generators, which must form an (n-1)-dimensional
-    space.  Either failure raises DegenerateError.
+    A configuration on a degree-(d-3) curve raises GenericityError with
+    the certificate.  Stage one takes the kernel of the degree-(d-2)
+    membership conditions, which must have dimension n = d - 1; stage two
+    solves for all linear syzygies among those generators, which must
+    form an (n-1)-dimensional space.  Either failure raises
+    DegenerateError.
     """
+    require_generic(cfg)
     d = cfg.degree
     n = d - 1
     ker = kernel(membership_conditions(cfg, d - 2))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ConfigError, DegenerateError, GenericityError, ShapeError
+from .errors import ConfigError, DegenerateError, ShapeError
 from .exactalg import QMatrix, integer_row, kernel, rref
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
@@ -24,8 +24,8 @@ from .schemes import (
     PointConfig,
     fat_point_rows,
     length,
-    low_degree_certificate,
     membership_conditions,
+    require_generic,
     simple_point_row,
 )
 
@@ -210,12 +210,7 @@ def fibre(cfg: PointConfig) -> Fibre:
     admissible configurations the result has projective dimension 3d - 1.
     """
     d = cfg.degree
-    cert = low_degree_certificate(cfg, d - 3)
-    if cert is not None:
-        raise GenericityError(
-            f"configuration lies on a degree-{d - 3} curve",
-            certificate=cert,
-        )
+    require_generic(cfg)
     m = membership_conditions(cfg, d)
     space = ProjSubspace.cut_by(m.row_lists(), monomial_count(d) - 1)
     if space.codim != length(cfg):

@@ -160,6 +160,11 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     return sum(insert_row(pivots, dense(gen)) is not None for gen in gens)
 
 
+def default_truncation(germ: CurveGerm, data: FatIdealData) -> int:
+    """The oracle's jet order when none is given: 2m + deg f + 2."""
+    return 2 * data.mult + germ.f.total_degree() + 2
+
+
 def jet_principality_oracle(
     germ: CurveGerm, data: FatIdealData, truncation: Optional[int] = None
 ) -> bool:
@@ -173,7 +178,7 @@ def jet_principality_oracle(
     if not membership(germ, data):
         raise ConfigError("the fat point scheme does not lie on the curve")
     if truncation is None:
-        truncation = 2 * data.mult + germ.f.total_degree() + 2
+        truncation = default_truncation(germ, data)
     dim = _nakayama_dim(germ, data, truncation)
     dim_again = _nakayama_dim(germ, data, truncation + 2)
     if dim != dim_again:

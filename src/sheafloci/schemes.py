@@ -294,6 +294,20 @@ def low_degree_certificate(cfg: PointConfig, k: int) -> Optional[HomPoly]:
     return HomPoly.from_coeffs(k, ker.col(0))
 
 
+def require_generic(cfg: PointConfig) -> None:
+    """Raise GenericityError if a curve of degree d - 3 passes through Z.
+
+    The error carries that curve as its certificate; the fibre and the
+    Kronecker resolution are built only for configurations off such curves.
+    """
+    k = cfg.degree - 3
+    cert = low_degree_certificate(cfg, k)
+    if cert is not None:
+        raise GenericityError(
+            f"configuration lies on a degree-{k} curve", certificate=cert
+        )
+
+
 def collinear(p: SimplePoint, q: SimplePoint, r: SimplePoint) -> bool:
     """Whether three pairwise distinct points lie on a common line.
 
@@ -362,6 +376,9 @@ def normalize(cfg: PointConfig, target_id: int) -> tuple:
 
 COORD_BOUND = 20
 MAX_REJECTIONS = 10**4
+# the largest degree a configuration file or `random --degree` may ask
+# for; README ("Input ceilings") gives the measurement behind it
+MAX_DEGREE = 10
 
 
 def _random_point(rng: SplitMix64) -> SimplePoint:
@@ -389,6 +406,8 @@ def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
     """
     if d < 4:
         raise ConfigError("degree must be at least 4")
+    if d > MAX_DEGREE:
+        raise ConfigError(f"degree {d} is above the ceiling {MAX_DEGREE}")
     if stratum not in ("generic", "double"):
         raise ConfigError(f"unknown stratum {stratum!r}")
     rng = SplitMix64(seed)

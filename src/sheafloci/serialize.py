@@ -2,9 +2,13 @@
 
 All rational numbers travel as strings like "3/4" or "-7"; polynomials
 travel in the canonical text form produced by their str() and accepted
-by the parser.  Every payload is validated against its schema before it
-is written or after it is read, and canonical_dumps renders objects
-deterministically (sorted keys, two-space indent, trailing newline).
+by the parser.  SCHEMAS is the contract for every payload.  Input is
+validated where it enters, in config_from_dict and germ_query_from_dict,
+which also enforce the input ceilings; the payloads the builders emit
+are checked against their schemas by a test, not at run time, so
+jsonschema is imported only when input is read.  canonical_dumps renders
+objects deterministically (sorted keys, two-space indent, trailing
+newline).
 
 Convention note: in configuration files the fat-point entry "h" lists
 the coefficients of h(y) from y^1 upward, since h(0) = 0 always; in the
@@ -19,8 +23,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-import jsonschema
-
 from .errors import ConfigError
 from .exactalg import QMatrix, rat_from_str, rat_to_str
 from .kronecker import (
@@ -32,6 +34,7 @@ from .kronecker import (
 from .localfree import (
     CurveGerm,
     FatIdealData,
+    default_truncation,
     fat_ideal_free,
     is_regular,
     jet_principality_oracle,
@@ -39,10 +42,16 @@ from .localfree import (
     u_at_zero,
 )
 from .poly import parse_local
-from .schemes import FatPoint, PointConfig, SimplePoint
+from .schemes import MAX_DEGREE, FatPoint, PointConfig, SimplePoint
 from .singloci import SingularLocusReport, asserted_violations
 
 RATIONAL_PATTERN = r"^[+-]?\d+(/[1-9]\d*)?$"
+
+# ceilings on a local freeness query, checked before any computation;
+# README ("Input ceilings") gives the measurement behind them
+MAX_MULT = 11
+MAX_GERM_DEGREE = 25
+MAX_TRUNCATION = 31
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
@@ -55,7 +64,7 @@ SCHEMAS = {
         "required": ["degree", "simple", "fat"],
         "additionalProperties": False,
         "properties": {
-            "degree": {"type": "integer", "minimum": 4},
+            "degree": {"type": "integer", "minimum": 4, "maximum": MAX_DEGREE},
             "simple": {"type": "array", "items": _TRIPLE},
             "fat": {
                 "type": "array",
@@ -198,6 +207,8 @@ SCHEMAS = {
 @cache
 def _validator(kind: str):
     """The named schema's validator, its schema checked once on first use."""
+    import jsonschema
+
     schema = SCHEMAS[kind]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -210,6 +221,8 @@ def validate_payload(obj: dict, kind: str) -> None:
     Reports the same error jsonschema.validate would raise: the best
     match among all the errors.
     """
+    import jsonschema
+
     e = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
@@ -239,13 +252,11 @@ def config_to_dict(cfg: PointConfig) -> dict:
                 "mult": fp.mult,
             }
         )
-    out = {
+    return {
         "degree": cfg.degree,
         "simple": [_triple_out(p.coords) for p in cfg.simple],
         "fat": fat,
     }
-    validate_payload(out, "config")
-    return out
 
 
 def config_from_dict(d: dict) -> PointConfig:
@@ -275,7 +286,7 @@ def resolution_to_dict(res: IdealResolution) -> dict:
         rows.append(
             [_triple_out(phi.entry(i, j).coeffs3()) for j in range(phi.ncols)]
         )
-    out = {
+    return {
         "degree": res.degree,
         "phi": rows,
         "generators": [str(g) for g in res.generators],
@@ -283,8 +294,6 @@ def resolution_to_dict(res: IdealResolution) -> dict:
         "injective": injectivity_check(phi),
         "stable": stability_sufficient(phi),
     }
-    validate_payload(out, "resolution")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,7 @@ def resolution_to_dict(res: IdealResolution) -> dict:
 
 
 def report_to_dict(report: SingularLocusReport) -> dict:
-    out = {
+    return {
         "degree": report.degree,
         "stratum": report.stratum,
         "fibre_dim": report.fibre_dim,
@@ -314,23 +323,37 @@ def report_to_dict(report: SingularLocusReport) -> dict:
         ],
         "violations": asserted_violations(report),
     }
-    validate_payload(out, "report")
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Local freeness queries
 
 
+def _at_most(what: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise ConfigError(f"{what} {value} is above the ceiling {ceiling}")
+
+
 def germ_query_from_dict(d: dict):
-    """(germ, ideal data, truncation or None) from a query payload."""
+    """(germ, ideal data, truncation or None) from a query payload.
+
+    The multiplicity, the germ's degree and the jet truncation, given or
+    derived, are held to MAX_MULT, MAX_GERM_DEGREE and MAX_TRUNCATION.
+    """
     validate_payload(d, "localfree_query")
     h = [rat_from_str(c) for c in d["h"]]
     if h and h[0] != 0:
         raise ConfigError('the first entry of "h" must be "0" in queries')
     germ = CurveGerm(parse_local(d["f"]))
     data = FatIdealData.of(h, d["mult"])
-    return germ, data, d.get("truncation")
+    truncation = d.get("truncation")
+    _at_most("mult", data.mult, MAX_MULT)
+    _at_most("germ degree", germ.f.total_degree(), MAX_GERM_DEGREE)
+    if truncation is None:
+        _at_most("default truncation", default_truncation(germ, data), MAX_TRUNCATION)
+    else:
+        _at_most("truncation", truncation, MAX_TRUNCATION)
+    return germ, data, truncation
 
 
 def localfree_result_to_dict(
@@ -338,7 +361,7 @@ def localfree_result_to_dict(
 ) -> dict:
     """Run the freeness criterion and the jet oracle, as one payload."""
     member = membership(germ, data)
-    out = {
+    return {
         "f": str(germ.f),
         "h": [rat_to_str(c) for c in data.h] or ["0"],
         "mult": data.mult,
@@ -350,15 +373,11 @@ def localfree_result_to_dict(
             jet_principality_oracle(germ, data, truncation) if member else None
         ),
     }
-    validate_payload(out, "localfree_result")
-    return out
 
 
 def genericity_error_to_dict(message: str, certificate) -> dict:
-    out = {
+    return {
         "error": "genericity",
         "message": message,
         "certificate": str(certificate) if certificate is not None else None,
     }
-    validate_payload(out, "genericity_error")
-    return out

@@ -18,6 +18,9 @@ REMOVED = [
     ("sheafloci.poly", "LocalPoly.shifted"),
     ("sheafloci.serialize", "subspace_to_dict"),
     ("sheafloci.poly", "euler_relation_holds"),
+    ("sheafloci.exactalg", "stack_rows"),
+    ("sheafloci.exactalg", "QMatrix.stack"),
+    ("sheafloci.exactalg", "QMatrix.transpose"),
 ]
 
 

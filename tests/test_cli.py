@@ -1,11 +1,17 @@
 """End-to-end command behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sheafloci.cli import console_main
 from sheafloci.poly import parse_homogeneous
+from sheafloci.schemes import MAX_DEGREE
+from sheafloci.serialize import MAX_GERM_DEGREE, MAX_MULT, MAX_TRUNCATION
 
 CONIC_D5 = {
     "degree": 5,
@@ -123,9 +129,10 @@ class TestAnalyze:
 
 
 class TestGenericityExit:
-    def test_conic_exits_two_with_certificate(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "kronecker"])
+    def test_conic_exits_two_with_certificate(self, capsys, tmp_path, command):
         cfg = write_json(tmp_path / "conic.json", CONIC_D5)
-        code, out, _ = run(capsys, "analyze", "--config", cfg)
+        code, out, _ = run(capsys, command, "--config", cfg)
         assert code == 2
         payload = json.loads(out)
         assert payload["error"] == "genericity"
@@ -281,3 +288,53 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "analyze" in out
+
+
+class TestInputCeilings:
+    """One above each ceiling is refused before any computation runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--degree", str(MAX_DEGREE + 1), "--seed", "1"],
+            ["analyze", "--config", "over.json"],
+            ["localfree", "--poly", "x*y", "--mult", str(MAX_MULT + 1)],
+            ["localfree", "--poly", "x*y", "--mult", "2",
+             "--truncation", str(MAX_TRUNCATION + 1)],
+            ["localfree", "--poly", f"x*y + y^{MAX_GERM_DEGREE + 1}", "--mult", "2"],
+            # a default truncation 2*mult + deg f + 2 above the ceiling
+            ["localfree", "--poly", f"x*y + y^{MAX_TRUNCATION - 2 * MAX_MULT - 1}",
+             "--mult", str(MAX_MULT)],
+        ],
+        ids=["random-degree", "config-degree", "mult", "truncation", "poly-degree",
+             "default-truncation"],
+    )
+    def test_over_ceiling_is_exit_one(self, capsys, tmp_path, monkeypatch, argv):
+        write_json(tmp_path / "over.json", {"degree": MAX_DEGREE + 1, "simple": [], "fat": []})
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ceiling" in err or "maximum" in err
+
+
+def test_output_only_commands_never_import_jsonschema():
+    # other tests import jsonschema into this process, so ask a fresh one
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from sheafloci.cli import console_main\n"
+        "assert console_main(['random', '--degree', '4', '--seed', '1']) == 0\n"
+        "assert console_main(['verify-remark6']) == 0\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,6 @@ from sheafloci.exactalg import (
     rat_to_str,
     rref,
     solve,
-    stack_rows,
 )
 from sheafloci.rng import SplitMix64
 
@@ -251,13 +250,9 @@ def test_rank_of_rows_near_the_prime_matches_naive_rank(rows):
     assert rank_of_rows(rows) == naive_rank(rows)
 
 
-def test_stack_and_shape_errors():
+def test_matmul_shape_error():
     a = QMatrix.from_rows([[1, 2]])
     b = QMatrix.from_rows([[3, 4], [5, 6]])
-    s = stack_rows([a, b])
-    assert s.rows == 3 and s.cols == 2
-    with pytest.raises(ValueError):
-        a.stack(QMatrix.from_rows([[1, 2, 3]]))
     with pytest.raises(ValueError):
         b.matmul(a)
 

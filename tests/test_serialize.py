@@ -7,13 +7,16 @@ import pytest
 from conftest import REFERENCE_POINTS_D6
 
 from sheafloci.errors import ConfigError
+from sheafloci.exactalg import QMatrix
 from sheafloci.kronecker import kronecker_from_points, maximal_minors
 from sheafloci.linsys import fibre
-from sheafloci.localfree import CurveGerm, FatIdealData
+from sheafloci.localfree import CurveGerm, FatIdealData, random_membership_germ
 from sheafloci.poly import parse_homogeneous, parse_local
-from sheafloci.schemes import SimplePoint, PointConfig, random_config
+from sheafloci.rng import SplitMix64
+from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
 from sheafloci.singloci import locus_report
 from sheafloci.serialize import (
+    SCHEMAS,
     canonical_dumps,
     config_from_dict,
     config_to_dict,
@@ -213,3 +216,42 @@ class TestValidatePayload:
         d["simple"][3][1] = "half"
         with pytest.raises(ConfigError, match="simple/3/1"):
             config_from_dict(d)
+
+
+def test_every_output_payload_conforms_to_its_schema():
+    """The builders are not checked at run time; this is their contract."""
+    payloads = []
+    for d in range(4, 9):
+        generic = random_config(d, seed=900 + d)
+        double = random_config(d, seed=900 + d, stratum="double")
+        payloads += [("config", config_to_dict(generic)), ("config", config_to_dict(double))]
+        for cfg, triples in ((generic, True), (double, False)):
+            n = cfg.npoints
+            subsets = [tuple(range(1, min(n, 4) + 1)), tuple(range(1, n + 1))]
+            rep = locus_report(fibre(cfg), pairs=True, triples=triples, extra_subsets=subsets)
+            payloads.append(("report", report_to_dict(rep)))
+        if d <= 6:
+            payloads.append(("resolution", resolution_to_dict(kronecker_from_points(generic))))
+    # seven simple points and one triple point, length 10 in degree 6
+    triple = FatPoint.of(
+        SimplePoint.of(1, 3, 2), QMatrix.from_rows([[1, 0, 0], [-3, 1, 0], [-2, 0, 1]]), (0, 1, 1), 3
+    )
+    deep = PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6[:7]], [triple])
+    payloads += [
+        ("config", config_to_dict(deep)),
+        ("report", report_to_dict(locus_report(fibre(deep), pairs=True))),
+    ]
+    for mult in (1, 2, 3):
+        germ, data = random_membership_germ(SplitMix64(910 + mult), mult)
+        payloads.append(("localfree_result", localfree_result_to_dict(germ, data)))
+    outside = localfree_result_to_dict(CurveGerm(parse_local("y - x^2")), FatIdealData.of([0], 2))
+    assert outside["free"] is None
+    payloads.append(("localfree_result", outside))
+    payloads += [
+        ("genericity_error", genericity_error_to_dict("on a conic", parse_homogeneous("x0*x1"))),
+        ("genericity_error", genericity_error_to_dict("no certificate", None)),
+    ]
+    kinds = {kind for kind, _ in payloads}
+    assert kinds == set(SCHEMAS) - {"localfree_query"}
+    for kind, payload in payloads:
+        validate_payload(payload, kind)
