@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import GenericityError, SheafLociError
+from .errors import ConfigError, GenericityError, SheafLociError
 from .kronecker import kronecker_from_points
 from .linsys import fibre
 from .schemes import PointConfig, SimplePoint, random_config
@@ -182,6 +182,11 @@ def _cmd_verify_remark6(args) -> int:
         return 0
     if args.config:
         cfg = config_from_dict(_read_json(args.config))
+        if cfg.degree != 6:
+            raise ConfigError(
+                f"verify-remark6 checks degree-6 configurations; "
+                f"{args.config} has degree {cfg.degree}"
+            )
     else:
         cfg = _reference_config()
     fib = fibre(cfg)

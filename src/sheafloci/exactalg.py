@@ -188,8 +188,8 @@ def insert_row(pivots: dict, row: list) -> Optional[tuple]:
         num *= p
 
 
-def _rref_rows(rows: Sequence) -> tuple:
-    """Reduced row echelon form: (nonzero rows as Fraction lists, pivot columns).
+def rref_rows(rows: Sequence) -> tuple:
+    """RREF of rows of ints or Fractions: (nonzero rows as Fractions, pivots).
 
     The rows enter an integer echelon.  Its rows then enter a second
     echelon in decreasing pivot order, with the pivot columns moved to
@@ -225,7 +225,7 @@ def rref(m: QMatrix) -> tuple:
 
     The matrix keeps m.rows rows; zero rows sit at the bottom.
     """
-    rows, pivots = _rref_rows(m.row_lists())
+    rows, pivots = rref_rows(m.row_lists())
     rows.extend([_ZERO] * m.cols for _ in range(m.rows - len(rows)))
     return QMatrix.from_rows(rows, cols=m.cols), pivots
 
@@ -285,7 +285,7 @@ def kernel(m: QMatrix) -> QMatrix:
     satisfies m @ K = 0.  Basis vectors are indexed by the free columns
     of the RREF in increasing order, each with a 1 in its free slot.
     """
-    rows, pivots = _rref_rows(m.row_lists())
+    rows, pivots = rref_rows(m.row_lists())
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis_cols = []
@@ -309,7 +309,7 @@ def solve(m: QMatrix, b: Sequence) -> Optional[list]:
     aug = [row + [Fraction(bv)] for row, bv in zip(m.row_lists(), b)]
     if not aug:
         return [_ZERO] * m.cols
-    rows, pivots = _rref_rows(aug)
+    rows, pivots = rref_rows(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols
@@ -324,7 +324,7 @@ def inverse(m: QMatrix) -> QMatrix:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     aug = [m.row(i) + QMatrix.identity(n).row(i) for i in range(n)]
-    rows, pivots = _rref_rows(aug)
+    rows, pivots = rref_rows(aug)
     if list(pivots) != list(range(n)):
         raise ValueError("singular matrix has no inverse")
     return QMatrix.from_rows([r[n:] for r in rows], cols=n)

@@ -211,16 +211,14 @@ def injectivity_check(phi: KroneckerModule) -> bool:
     return kernel(injectivity_system(phi)).cols == 0
 
 
-def stability_sufficient(phi: KroneckerModule) -> bool:
-    """Linear independence of the maximal minors as degree-(d-2) forms.
+def stability_sufficient(minors: Sequence[HomPoly]) -> bool:
+    """Linear independence of a module's maximal minors as degree-(d-2) forms.
 
-    Independence rules out the degenerations that produce non-stable
-    modules in this family; modules resolved from admissible point
-    configurations pass.
+    Takes the list maximal_minors(phi) returns.  Independence rules out
+    the degenerations that produce non-stable modules in this family;
+    modules resolved from admissible point configurations pass.
     """
-    minors = maximal_minors(phi)
-    m = QMatrix.from_rows([list(p.coeffs) for p in minors])
-    return rank(m) == phi.nrows
+    return rank(QMatrix.from_rows([list(p.coeffs) for p in minors])) == len(minors)
 
 
 # ---------------------------------------------------------------------------

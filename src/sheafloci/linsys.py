@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, ShapeError
-from .exactalg import QMatrix, integer_row, kernel, rref
+from .exactalg import QMatrix, integer_row, kernel, rref_rows
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import (
@@ -30,7 +30,6 @@ from .schemes import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,8 @@ class ProjSubspace:
     @classmethod
     def cut_by(cls, rows: Sequence[Sequence], ambient: int) -> "ProjSubspace":
         """Subspace annihilated by the given functionals (rows)."""
-        m = QMatrix.from_rows([list(r) for r in rows], cols=ambient + 1)
-        red, pivots = rref(m)
-        kept = QMatrix.from_rows(
-            [list(red.row(i)) for i in range(len(pivots))], cols=ambient + 1
-        )
-        return cls(ambient, kept, pivots)
+        red, pivots = rref_rows([list(r) for r in rows])
+        return cls(ambient, QMatrix.from_rows(red, cols=ambient + 1), pivots)
 
     @property
     def codim(self) -> int:

@@ -95,23 +95,24 @@ def membership(germ: CurveGerm, data: FatIdealData) -> bool:
 
 
 def u_at_zero(germ: CurveGerm, data: FatIdealData) -> Fraction:
-    """u(0) from f(h(y), y) = -y^m u(y); requires membership."""
-    if not membership(germ, data):
+    """u(0) from f(h(y), y) = -y^m u(y); requires membership.
+
+    Membership and u(0) are read from one expansion of f(h(y), y).
+    """
+    s = branch_restriction(germ, data)
+    if any(upoly_coeff(s, j) for j in range(data.mult)):
         raise ConfigError("the fat point scheme does not lie on the curve")
-    return -upoly_coeff(branch_restriction(germ, data), data.mult)
+    return -upoly_coeff(s, data.mult)
 
 
 def fat_ideal_free(germ: CurveGerm, data: FatIdealData) -> bool:
     """Whether the ideal of the fat point is free on the curve germ.
 
     Free exactly when the germ is regular or u(0) does not vanish; the
-    scheme must lie on the curve.
+    scheme must lie on the curve, else u_at_zero raises ConfigError.
     """
-    if not membership(germ, data):
-        raise ConfigError("the fat point scheme does not lie on the curve")
-    if is_regular(germ):
-        return True
-    return u_at_zero(germ, data) != 0
+    u0 = u_at_zero(germ, data)
+    return is_regular(germ) or u0 != 0
 
 
 def maximal_ideal_free(germ: CurveGerm) -> bool:

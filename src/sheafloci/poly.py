@@ -153,11 +153,8 @@ class HomPoly:
 
     def eval(self, pt: Sequence) -> Fraction:
         """Value at a coordinate representative (sum over monomials)."""
-        x0, x1, x2 = (Fraction(v) for v in pt)
         d = self.degree
-        p0 = _powers(x0, d)
-        p1 = _powers(x1, d)
-        p2 = _powers(x2, d)
+        p0, p1, p2 = (powers(Fraction(v), d) for v in pt)
         total = _ZERO
         for (a, b, c), k in zip(monomials(d), self.coeffs):
             if k != 0:
@@ -188,8 +185,9 @@ class HomPoly:
         )
 
 
-def _powers(x: Fraction, upto: int) -> list:
-    out = [_ONE]
+def powers(x, upto: int) -> list:
+    """[1, x, x^2, ..., x^upto]; ints stay ints, Fractions stay Fractions."""
+    out = [1]
     for _ in range(upto):
         out.append(out[-1] * x)
     return out
@@ -482,40 +480,37 @@ class LocalPoly:
 
 
 # ---------------------------------------------------------------------------
-# Univariate coefficient-list helpers (dense lists of Fractions, low first)
+# Univariate coefficient-list helpers (dense lists, low first; integer
+# lists stay integer)
 
 
 def upoly_trim(a: Sequence) -> list:
-    a = [Fraction(c) for c in a]
+    a = list(a)
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
 def upoly_add(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        va = a[i] if i < len(a) else _ZERO
-        vb = b[i] if i < len(b) else _ZERO
-        out.append(Fraction(va) + Fraction(vb))
-    return upoly_trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    return upoly_trim([va + vb for va, vb in zip(a, b)] + list(a[len(b):]))
 
 
 def upoly_mul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, va in enumerate(a):
         if va == 0:
             continue
         for j, vb in enumerate(b):
-            out[i + j] += Fraction(va) * Fraction(vb)
+            out[i + j] += va * vb
     return upoly_trim(out)
 
 
-def upoly_coeff(a: Sequence, k: int) -> Fraction:
-    return Fraction(a[k]) if k < len(a) else _ZERO
+def upoly_coeff(a: Sequence, k: int):
+    return a[k] if k < len(a) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ double point with ideal (x1^2, x2) in standard position.
 Membership of a degree-k form in the ideal sheaf contributes one linear
 condition (matrix row) per length unit: evaluation at a simple point;
 for a fat point the coefficients of y^0, ..., y^{m-1} of the pulled-back
-curve restricted to the parametrized branch x = h(y).
+curve restricted to the parametrized branch x = h(y).  Every row is
+built as a list of ints: a simple point is read through its integer
+coordinates, a fat point's branch polynomials over their common
+denominator.  Either is a positive rescaling of the rational row, which
+changes no rank, kernel or reduced echelon form.
 
 Multiplicities m >= 3 are accepted by the data model; the codimension
 assertions elsewhere in the package apply only to the generic stratum
@@ -24,15 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError
-from .exactalg import QMatrix, det as qdet, inverse, kernel, rank
+from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank
 from .poly import (
     HomPoly,
     monomial_count,
     monomials,
+    powers,
     upoly_coeff,
     upoly_mul,
     upoly_trim,
@@ -73,20 +78,18 @@ class SimplePoint:
         return tuple(Fraction(v) for v in self._primitive)
 
     @cached_property
+    def integer_coords(self) -> tuple:
+        """The coordinates times the lcm of their denominators, as ints."""
+        return tuple(integer_row(self.coords)[0])
+
+    @cached_property
     def _primitive(self) -> tuple:
         """canonical() as plain ints, computed once per point."""
-        denom_lcm = 1
-        for c in self.coords:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self.coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        ints = self.integer_coords
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return tuple(v // g for v in ints)
 
     def __eq__(self, other):
         if not isinstance(other, SimplePoint):
@@ -230,13 +233,9 @@ def length(cfg: PointConfig) -> int:
 
 
 def simple_point_row(p: SimplePoint, k: int) -> list:
-    """Evaluation of the degree-k monomials at p (one matrix row)."""
-    x0, x1, x2 = p.coords
-    pw = [[_ONE], [_ONE], [_ONE]]
-    for pw_i, x in zip(pw, (x0, x1, x2)):
-        for _ in range(k):
-            pw_i.append(pw_i[-1] * x)
-    return [pw[0][a] * pw[1][b] * pw[2][c] for (a, b, c) in monomials(k)]
+    """Evaluation of the degree-k monomials at p.integer_coords (one row)."""
+    p0, p1, p2 = (powers(x, k) for x in p.integer_coords)
+    return [p0[a] * p1[b] * p2[c] for (a, b, c) in monomials(k)]
 
 
 def fat_point_rows(fp: FatPoint, k: int, orders: Optional[Sequence[int]] = None) -> list:
@@ -244,17 +243,20 @@ def fat_point_rows(fp: FatPoint, k: int, orders: Optional[Sequence[int]] = None)
 
     Row for order j sends a degree-k form F to the coefficient of y^j in
     F(w(y)) where w parametrizes the branch (see branch_coordinates).
-    Defaults to orders 0..mult-1, the membership conditions.
+    Defaults to orders 0..mult-1, the membership conditions.  w is
+    first cleared over the common denominator of its three polynomials.
     """
     if orders is None:
         orders = range(fp.mult)
     orders = list(orders)
     w = fp.branch_coordinates()
+    common = lcm(*(c.denominator for wi in w for c in wi))
     pw = []
-    for i in range(3):
-        levels = [[_ONE]]
+    for wi in w:
+        wi = [c.numerator * (common // c.denominator) for c in wi]
+        levels = [[1]]
         for _ in range(k):
-            levels.append(upoly_mul(levels[-1], w[i]))
+            levels.append(upoly_mul(levels[-1], wi))
         pw.append(levels)
     rows = [[] for _ in orders]
     for (a, b, c) in monomials(k):

@@ -286,13 +286,14 @@ def resolution_to_dict(res: IdealResolution) -> dict:
         rows.append(
             [_triple_out(phi.entry(i, j).coeffs3()) for j in range(phi.ncols)]
         )
+    minors = maximal_minors(phi)
     return {
         "degree": res.degree,
         "phi": rows,
         "generators": [str(g) for g in res.generators],
-        "minors": [str(m) for m in maximal_minors(phi)],
+        "minors": [str(m) for m in minors],
         "injective": injectivity_check(phi),
-        "stable": stability_sufficient(phi),
+        "stable": stability_sufficient(minors),
     }
 
 

@@ -9,9 +9,11 @@ are the gradient at the support together with the order-m coefficient
 functional along the branch, again rank 2 modulo the fibre on the
 strata handled here.
 
-Every codimension goes through one block per point: _compressed_block
-compresses the point's conditions to the fibre's free coordinates and
-inserts them, as integer rows, into one integer echelon.  Its rows are
+The condition rows are integers from the start (see schemes): the
+gradient rows read the point's integer coordinates.  Every codimension
+goes through one block per point: _compressed_block compresses the
+point's conditions to the fibre's free coordinates and inserts them, as
+integer rows, into one integer echelon.  Its rows are
 a basis of the conditions modulo the fibre, so their count is the
 codimension of the point's locus in the fibre, and the codimension of
 an intersection is the rank of the stacked blocks.  locus_report,
@@ -27,7 +29,6 @@ have more than six rows, is ranked on the blocks themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import mul
@@ -36,7 +37,7 @@ from typing import Sequence
 from .errors import ConfigError, DegenerateError, NotInFibreError
 from .exactalg import QMatrix, insert_row, inverse, rank_of_rows, solve
 from .linsys import Fibre, separating_form
-from .poly import HomPoly, monomials, substitute_linear
+from .poly import HomPoly, monomials, powers, substitute_linear
 from .rng import SplitMix64
 from .schemes import (
     PointConfig,
@@ -46,24 +47,14 @@ from .schemes import (
     normalize,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def gradient_rows(p: SimplePoint, d: int) -> list:
-    """Three rows evaluating the partial derivatives of a degree-d form at p."""
-    x0, x1, x2 = p.coords
-    pw = []
-    for x in (x0, x1, x2):
-        levels = [_ONE]
-        for _ in range(d):
-            levels.append(levels[-1] * x)
-        pw.append(levels)
+    """Three rows evaluating a degree-d form's partials at p.integer_coords."""
+    p0, p1, p2 = (powers(x, d) for x in p.integer_coords)
     rows = [[], [], []]
     for (a, b, c) in monomials(d):
-        rows[0].append(a * pw[0][a - 1] * pw[1][b] * pw[2][c] if a else _ZERO)
-        rows[1].append(b * pw[0][a] * pw[1][b - 1] * pw[2][c] if b else _ZERO)
-        rows[2].append(c * pw[0][a] * pw[1][b] * pw[2][c - 1] if c else _ZERO)
+        rows[0].append(a * p0[a - 1] * p1[b] * p2[c] if a else 0)
+        rows[1].append(b * p0[a] * p1[b - 1] * p2[c] if b else 0)
+        rows[2].append(c * p0[a] * p1[b] * p2[c - 1] if c else 0)
     return rows
 
 

@@ -177,6 +177,16 @@ class TestVerifyRemark6:
         assert code == 1
         assert "FAIL: subset (1,2,3,4,5) codim 9" in out
 
+    @pytest.mark.parametrize("degree", [4, 7])
+    def test_other_degrees_are_rejected(self, capsys, tmp_path, degree):
+        cfg = tmp_path / "cfg.json"
+        run(capsys, "random", "--degree", str(degree), "--seed", "1", "--out", str(cfg))
+        code, out, err = run(capsys, "verify-remark6", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"has degree {degree}" in err
+
 
 class TestKronecker:
     def test_payload(self, capsys, tmp_path):
@@ -283,6 +293,51 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "kind", ["empty", "bad-json", "list", "missing-key", "wrong-type", "non-utf8"]
+    )
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("analyze", "--config"),
+            ("kronecker", "--config"),
+            ("verify-remark6", "--config"),
+            ("localfree", "--in"),
+        ],
+    )
+    def test_malformed_file_is_exit_one(self, capsys, tmp_path, command, flag, kind):
+        if flag == "--in":
+            missing = {"f": "x*y", "h": ["0"]}
+            wrong = {"f": "x*y", "h": ["0"], "mult": "two"}
+        else:
+            points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+            missing = {"degree": 4, "simple": points}
+            wrong = {"degree": "four", "simple": points, "fat": []}
+        content = {
+            "empty": b"",
+            "bad-json": b"{not json",
+            "list": b"[]",
+            "missing-key": json.dumps(missing).encode(),
+            "wrong-type": json.dumps(wrong).encode(),
+            "non-utf8": b"\xff\xfe{",
+        }[kind]
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_degree_is_exit_one(self, capsys):
+        code, out, err = run(capsys, "random", "--degree", "six", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "sheafloci random: error: argument --degree: invalid int value: 'six'"
+        ]
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

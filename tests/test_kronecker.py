@@ -89,7 +89,7 @@ class TestKroneckerModule:
             [row, row, [lin(0, 0, 1), lin(1, 1, 1)]]
         )
         assert resolution_check(phi)
-        assert not stability_sufficient(phi)
+        assert not stability_sufficient(maximal_minors(phi))
 
 
 class TestFromPoints:

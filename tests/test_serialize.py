@@ -10,7 +10,12 @@ from sheafloci.errors import ConfigError
 from sheafloci.exactalg import QMatrix
 from sheafloci.kronecker import kronecker_from_points, maximal_minors
 from sheafloci.linsys import fibre
-from sheafloci.localfree import CurveGerm, FatIdealData, random_membership_germ
+from sheafloci.localfree import (
+    CurveGerm,
+    FatIdealData,
+    branch_restriction,
+    random_membership_germ,
+)
 from sheafloci.poly import parse_homogeneous, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
@@ -131,6 +136,23 @@ class TestResolutionPayload:
         parsed = [parse_homogeneous(t) for t in d["minors"]]
         assert parsed == list(minors)
 
+    def test_minors_are_computed_once(self, monkeypatch):
+        import sheafloci.kronecker as kronecker
+        import sheafloci.serialize as serialize
+
+        res = kronecker_from_points(random_config(5, seed=2))
+        expected = resolution_to_dict(res)
+        calls = []
+
+        def counting(phi):
+            calls.append(phi)
+            return maximal_minors(phi)
+
+        monkeypatch.setattr(kronecker, "maximal_minors", counting)
+        monkeypatch.setattr(serialize, "maximal_minors", counting)
+        assert resolution_to_dict(res) == expected
+        assert len(calls) == 1
+
     def test_generators_parse_at_right_degree(self):
         cfg = random_config(5, seed=2)
         d = resolution_to_dict(kronecker_from_points(cfg))
@@ -187,6 +209,28 @@ class TestLocalFreePayloads:
         assert d["membership"] is False
         assert d["u_at_zero"] is None
         assert d["free"] is None and d["jet_free"] is None
+
+    @pytest.mark.parametrize(
+        "f,expected",
+        [
+            ("x^2 - y^3", {"free": False, "jet_free": False, "regular": False, "u_at_zero": "0"}),
+            ("x - y^2", {"free": True, "jet_free": True, "regular": True, "u_at_zero": "1"}),
+        ],
+        ids=["singular", "regular"],
+    )
+    def test_branch_is_expanded_at_most_four_times(self, monkeypatch, f, expected):
+        import sheafloci.localfree as localfree
+
+        calls = []
+
+        def counting(germ, data):
+            calls.append(germ)
+            return branch_restriction(germ, data)
+
+        monkeypatch.setattr(localfree, "branch_restriction", counting)
+        d = localfree_result_to_dict(CurveGerm(parse_local(f)), FatIdealData.of([0], 2))
+        assert d == {"f": f, "h": ["0"], "mult": 2, "membership": True, **expected}
+        assert len(calls) <= 4
 
     def test_result_text_round_trips(self):
         germ = CurveGerm(parse_local("x^2 - y^3 + 2*x*y^2"))

@@ -9,9 +9,19 @@ from sheafloci.exactalg import QMatrix, inverse, rank, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre
 from sheafloci.poly import HomPoly, monomial_index, monomials
 from sheafloci.rng import SplitMix64
-from sheafloci.schemes import PointConfig, SimplePoint, normalize, random_config
+from sheafloci.schemes import (
+    FatPoint,
+    PointConfig,
+    SimplePoint,
+    fat_point_rows,
+    normalize,
+    random_config,
+    simple_point_row,
+)
+from sheafloci.serialize import report_to_dict
 from sheafloci.singloci import (
     SingularLocusReport,
+    _compressed_block,
     asserted_violations,
     classify_curve,
     gradient_rows,
@@ -475,3 +485,60 @@ class TestAmbientOracle:
         assert got[(1, 2, 3, 4)] == 8 and got[(1, 2, 3, 4, 5)] == 9
         for ids in subsets:
             assert got[ids] == ambient_codim(fib, ids)
+
+
+SEEDED_D5_TO_D7 = [
+    (degree, stratum, seed)
+    for degree, seed in ((5, 1), (6, 2), (7, 3))
+    for stratum in ("generic", "double")
+]
+
+
+class TestIntegerRows:
+    """Condition rows are born as integers, and a point counts only up to scale."""
+
+    @pytest.mark.parametrize("degree,stratum,seed", SEEDED_D5_TO_D7)
+    def test_integral_inputs_give_int_rows(self, degree, stratum, seed):
+        cfg = random_config(degree, seed, stratum=stratum)
+        rows = []
+        for p in cfg.simple:
+            rows.append(simple_point_row(p, degree))
+            rows.extend(gradient_rows(p, degree))
+        for fp in cfg.fat:
+            rows.extend(fat_point_rows(fp, degree))
+            rows.extend(fat_point_rows(fp, degree, orders=[fp.mult]))
+        for pid in range(1, cfg.npoints + 1):
+            rows.extend(singular_conditions(cfg, pid).rows)
+        assert {type(a) for row in rows for a in row} == {int}
+
+    @pytest.mark.parametrize("degree,stratum,seed", SEEDED_D5_TO_D7)
+    def test_rational_coordinates_give_the_same_blocks_and_report(
+        self, degree, stratum, seed
+    ):
+        cfg = random_config(degree, seed, stratum=stratum)
+        rng = SplitMix64(seed)
+        # the same points and the same fat point, written with denominators
+        simple = []
+        for p in cfg.simple:
+            s = rng.randint(2, 9)
+            simple.append(SimplePoint(tuple(c / s for c in p.coords)))
+        fat = []
+        for fp in cfg.fat:
+            # q shares a factor with the support's leading coordinate, so the
+            # three branch polynomials get different denominators
+            lead = next(c for c in fp.support.canonical() if c)
+            q = rng.randint(2, 9) * abs(int(lead))
+            chart = QMatrix.from_rows([[q * a for a in fp.chart.row(i)] for i in range(3)])
+            fat.append(FatPoint.of(fp.support, chart, fp.h, fp.mult))
+        scaled = PointConfig.of(degree, simple, fat)
+        assert any(c.denominator > 1 for p in simple for c in p.coords)
+        for fp in fat:
+            branch = fp.branch_coordinates()
+            assert any(c.denominator > 1 for w in branch for c in w)
+
+        fib, fib_scaled = fibre(cfg), fibre(scaled)
+        assert fib_scaled.space == fib.space
+        for pid in range(1, cfg.npoints + 1):
+            assert _compressed_block(fib_scaled, pid) == _compressed_block(fib, pid)
+        reports = [locus_report(f, pairs=True, triples=True) for f in (fib, fib_scaled)]
+        assert report_to_dict(reports[1]) == report_to_dict(reports[0])
