@@ -33,7 +33,7 @@ from .kronecker import (
     resolution_check,
     stability_sufficient,
 )
-from .linsys import Fibre, ProjSubspace, fibre, separating_form
+from .linsys import Fibre, ProjSubspace, fibre
 from .localfree import (
     CurveGerm,
     FatIdealData,
@@ -51,7 +51,6 @@ from .schemes import (
     SimplePoint,
     expected_length,
     membership_conditions,
-    normalize,
     random_config,
 )
 from .singloci import (
@@ -105,7 +104,6 @@ __all__ = [
     "maximal_minors",
     "membership_conditions",
     "normal_space_dim",
-    "normalize",
     "pair_from_curve",
     "parse",
     "parse_homogeneous",
@@ -114,7 +112,6 @@ __all__ = [
     "rat_to_str",
     "random_config",
     "resolution_check",
-    "separating_form",
     "singular_conditions",
     "stability_sufficient",
     "u_at_zero",

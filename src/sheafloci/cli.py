@@ -110,7 +110,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--poly", help="curve germ, e.g. 'x^2 - y^3'")
     p.add_argument(
         "--h",
-        default="0",
         help="comma-separated coefficients of h(y) from y^0 (default 0)",
     )
     p.add_argument("--mult", type=int, help="multiplicity of the fat point")
@@ -176,6 +175,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify_remark6(args) -> int:
+    if args.config is not None and args.emit_config is not None:
+        raise SheafLociError("pass either --config or --emit-config, not both")
     if args.emit_config:
         cfg = _reference_config()
         _emit(args.emit_config, canonical_dumps(config_to_dict(cfg)))
@@ -226,8 +227,14 @@ def _cmd_kronecker(args) -> int:
 
 
 def _cmd_localfree(args) -> int:
-    if args.infile and args.poly:
-        raise SheafLociError("pass either --in or --poly, not both")
+    # the file holds the whole query, so flag data beside it would be ignored
+    given = [
+        flag
+        for flag, value in (("--poly", args.poly), ("--h", args.h), ("--mult", args.mult))
+        if value is not None
+    ]
+    if args.infile and given:
+        raise SheafLociError(f"pass either --in or {'/'.join(given)}, not both")
     if args.infile:
         query = _read_json(args.infile)
     else:
@@ -235,7 +242,7 @@ def _cmd_localfree(args) -> int:
             raise SheafLociError("--poly and --mult are required without --in")
         query = {
             "f": args.poly,
-            "h": [part.strip() for part in args.h.split(",")],
+            "h": [part.strip() for part in ("0" if args.h is None else args.h).split(",")],
             "mult": args.mult,
         }
     if args.truncation is not None:

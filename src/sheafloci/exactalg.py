@@ -100,10 +100,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
     def get(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 

@@ -16,18 +16,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ConfigError, DegenerateError, ShapeError
+from .errors import DegenerateError, ShapeError
 from .exactalg import QMatrix, integer_row, kernel, rref_rows
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
-from .schemes import (
-    PointConfig,
-    fat_point_rows,
-    length,
-    membership_conditions,
-    require_generic,
-    simple_point_row,
-)
+from .schemes import PointConfig, length, membership_conditions, require_generic
 
 _ZERO = Fraction(0)
 
@@ -188,13 +181,17 @@ class Fibre:
             )
         return self.space.contains(f.coeffs)
 
-    def random_element(self, rng: SplitMix64, bound: int = 9) -> HomPoly:
-        """Seeded member with integer free coordinates in [-bound, bound]."""
-        free = self.space.free_columns
-        while True:
-            coords = [Fraction(rng.randint(-bound, bound)) for _ in free]
-            if any(c != 0 for c in coords):
-                return self.element(coords)
+    def random_element(self, rng: SplitMix64) -> HomPoly:
+        """Seeded member with integer free coordinates in [-9, 9]."""
+        return self.element(random_weights(rng, len(self.space.free_columns)))
+
+
+def random_weights(rng: SplitMix64, n: int) -> list:
+    """n seeded integers in [-9, 9], redrawn while all of them are zero."""
+    while True:
+        weights = [rng.randint(-9, 9) for _ in range(n)]
+        if any(weights):
+            return weights
 
 
 def fibre(cfg: PointConfig) -> Fibre:
@@ -222,49 +219,3 @@ def fibre(cfg: PointConfig) -> Fibre:
             actual=space.proj_dim,
         )
     return Fibre(cfg, space)
-
-
-# ---------------------------------------------------------------------------
-# Separating forms
-
-
-def separating_form(cfg: PointConfig, point_id: int) -> HomPoly:
-    """Degree-(d-3) form through every point except the chosen simple one.
-
-    Precondition: the chosen point sits at (1:0:0), so the normalization
-    step has already run.  The form is unique up to scale and is returned
-    with coefficient 1 at x0^(d-3); in particular its value at the chosen
-    point is 1.
-    """
-    kind, data = cfg.point(point_id)
-    if kind != "simple":
-        raise ConfigError("separating forms are only built for simple points")
-    if data.canonical() != (1, 0, 0):
-        raise ConfigError(
-            "separating form needs the target point at (1:0:0); normalize first"
-        )
-    k = cfg.degree - 3
-    rows = []
-    for pid in range(1, cfg.npoints + 1):
-        if pid == point_id:
-            continue
-        other_kind, other = cfg.point(pid)
-        if other_kind == "simple":
-            rows.append(simple_point_row(other, k))
-        else:
-            rows.extend(fat_point_rows(other, k))
-    m = QMatrix.from_rows(rows, cols=monomial_count(k))
-    ker = kernel(m)
-    if ker.cols != 1:
-        raise DegenerateError(
-            f"residual scheme admits {ker.cols} independent degree-{k} "
-            f"curves, expected exactly one"
-        )
-    col = ker.col(0)
-    lead = col[0]
-    if lead == 0:
-        raise DegenerateError(
-            "separating form vanishes at the target point; configuration "
-            "is degenerate"
-        )
-    return HomPoly.from_coeffs(k, [c / lead for c in col])

@@ -233,31 +233,26 @@ class LinForm:
 # Determinants of polynomial matrices
 
 
-def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Optional[Sequence[int]] = None) -> HomPoly:
+def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Sequence[int]) -> HomPoly:
     """Determinant of a square matrix of homogeneous forms.
 
-    The degree shape must be consistent: every expansion term must have
-    the same total degree, which holds when each column (or each row, in
-    which case the matrix is transposed first) has entries of one fixed
-    degree.  Cofactor expansion proceeds row by row, memoized on the set
-    of still-available columns, so the work is O(2^n) sub-determinants
-    rather than O(n!).
+    Every entry of column j must have degree col_degrees[j], so that every
+    expansion term has the same total degree.  Cofactor expansion
+    proceeds row by row, memoized on the set of still-available columns,
+    so the work is O(2^n) sub-determinants rather than O(n!).
     """
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a nonempty square matrix")
-    if col_degrees is None:
-        mat, col_degrees = _infer_column_degrees(mat)
-    elif len(col_degrees) != n:
+    if len(col_degrees) != n:
         raise ShapeError("col_degrees length mismatch")
-    else:
-        for j in range(n):
-            for i in range(n):
-                if mat[i][j].degree != col_degrees[j]:
-                    raise ShapeError(
-                        f"entry ({i},{j}) has degree {mat[i][j].degree}, "
-                        f"expected column degree {col_degrees[j]}"
-                    )
+    for j in range(n):
+        for i in range(n):
+            if mat[i][j].degree != col_degrees[j]:
+                raise ShapeError(
+                    f"entry ({i},{j}) has degree {mat[i][j].degree}, "
+                    f"expected column degree {col_degrees[j]}"
+                )
     total_degree = sum(col_degrees)
 
     memo = {}
@@ -293,36 +288,6 @@ def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Optional[Sequ
             actual=result.degree,
         )
     return result
-
-
-def _infer_column_degrees(mat) -> tuple:
-    """(possibly transposed matrix, per-column degrees).
-
-    Accepts column-uniform degrees directly; a row-uniform matrix is
-    transposed (the determinant is unchanged).  Anything else is an
-    inconsistent degree shape.
-    """
-    n = len(mat)
-    col_deg = []
-    for j in range(n):
-        degs = {mat[i][j].degree for i in range(n)}
-        if len(degs) != 1:
-            break
-        col_deg.append(degs.pop())
-    else:
-        return mat, col_deg
-    row_deg = []
-    for i in range(n):
-        degs = {mat[i][j].degree for j in range(n)}
-        if len(degs) != 1:
-            raise ShapeError(
-                "inconsistent degree shape: neither the columns nor the rows "
-                f"of the {n}x{n} matrix carry uniform degrees (column degrees "
-                f"break at column {len(col_deg)}, row {i} mixes degrees {sorted(degs)})"
-            )
-        row_deg.append(degs.pop())
-    transposed = [[mat[i][j] for i in range(n)] for j in range(n)]
-    return transposed, row_deg
 
 
 # ---------------------------------------------------------------------------

@@ -301,12 +301,14 @@ def require_generic(cfg: PointConfig) -> None:
 
     The error carries that curve as its certificate; the fibre and the
     Kronecker resolution are built only for configurations off such curves.
+    The certified rank of not_on_curve_of_degree decides; the kernel that
+    gives the certificate is computed only when that rank falls short.
     """
     k = cfg.degree - 3
-    cert = low_degree_certificate(cfg, k)
-    if cert is not None:
+    if not not_on_curve_of_degree(cfg, k):
         raise GenericityError(
-            f"configuration lies on a degree-{k} curve", certificate=cert
+            f"configuration lies on a degree-{k} curve",
+            certificate=low_degree_certificate(cfg, k),
         )
 
 
@@ -327,53 +329,6 @@ def collinear(p: SimplePoint, q: SimplePoint, r: SimplePoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Normalization (moving a chosen point to standard position)
-
-
-def _completion_matrix(p: SimplePoint) -> QMatrix:
-    """Invertible matrix whose first column is p (canonical representative)."""
-    v = p.canonical()
-    k = next(i for i in range(3) if v[i] != 0)
-    cols = [list(v)]
-    for idx in ((k + 1) % 3, (k + 2) % 3):
-        e = [_ZERO, _ZERO, _ZERO]
-        e[idx] = _ONE
-        cols.append(e)
-    return QMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
-
-
-def normalize(cfg: PointConfig, target_id: int) -> tuple:
-    """Move the target point to (1:0:0); returns (new config, matrix g).
-
-    g maps the new coordinates to the old ones: substituting g into a
-    curve through the original scheme gives a curve through the
-    normalized scheme.  For a fat target the chart becomes the identity,
-    so the local ideal reads (x - h(y), y^m) literally in the affine
-    chart x = x2/x0, y = x1/x0.
-    """
-    kind, data = cfg.point(target_id)
-    if kind == "simple":
-        if data.canonical() == (1, 0, 0):
-            g = QMatrix.identity(3)
-        else:
-            g = _completion_matrix(data)
-    else:
-        g = inverse(data.chart)
-    ginv = inverse(g)
-    new_simple = [
-        SimplePoint(tuple(ginv.apply(p.coords))) for p in cfg.simple
-    ]
-    new_simple = [SimplePoint(p.canonical()) for p in new_simple]
-    new_fat = []
-    for fp in cfg.fat:
-        new_support = SimplePoint(tuple(ginv.apply(fp.support.coords)))
-        new_fat.append(
-            FatPoint.of(SimplePoint(new_support.canonical()), fp.chart @ g, fp.h, fp.mult)
-        )
-    return PointConfig.of(cfg.degree, new_simple, new_fat), g
-
-
-# ---------------------------------------------------------------------------
 # Seeded random configurations
 
 COORD_BOUND = 20
@@ -388,6 +343,18 @@ def _random_point(rng: SplitMix64) -> SimplePoint:
         coords = tuple(Fraction(rng.randint(-COORD_BOUND, COORD_BOUND)) for _ in range(3))
         if any(c != 0 for c in coords):
             return SimplePoint(coords)
+
+
+def _completion_matrix(p: SimplePoint) -> QMatrix:
+    """Invertible matrix whose first column is p (canonical representative)."""
+    v = p.canonical()
+    k = next(i for i in range(3) if v[i] != 0)
+    cols = [list(v)]
+    for idx in ((k + 1) % 3, (k + 2) % 3):
+        e = [_ZERO, _ZERO, _ZERO]
+        e[idx] = _ONE
+        cols.append(e)
+    return QMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
 def _random_double_point(rng: SplitMix64) -> FatPoint:

@@ -16,8 +16,9 @@ point's conditions to the fibre's free coordinates and inserts them, as
 integer rows, into one integer echelon.  Its rows are
 a basis of the conditions modulo the fibre, so their count is the
 codimension of the point's locus in the fibre, and the codimension of
-an intersection is the rank of the stacked blocks.  locus_report,
-normal_space_dim and impose_singularities all read these blocks.
+an intersection is the rank of the stacked blocks.  locus_report and
+normal_space_dim read these blocks, and impose_singularities builds its
+curves from the kernel of the stacked blocks of the requested points.
 
 locus_report first ranks a sketch of each subset: every block B is
 multiplied once by a fixed seeded integer matrix R with six columns, and
@@ -35,17 +36,11 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
-from .exactalg import QMatrix, insert_row, inverse, rank_of_rows, solve
-from .linsys import Fibre, separating_form
-from .poly import HomPoly, monomials, powers, substitute_linear
+from .exactalg import QMatrix, insert_row, kernel, rank_of_rows
+from .linsys import Fibre, random_weights
+from .poly import HomPoly, monomials, powers
 from .rng import SplitMix64
-from .schemes import (
-    PointConfig,
-    SimplePoint,
-    collinear,
-    fat_point_rows,
-    normalize,
-)
+from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
 
 def gradient_rows(p: SimplePoint, d: int) -> list:
     """Three rows evaluating a degree-d form's partials at p.integer_coords."""
@@ -146,35 +141,15 @@ def classify_curve(fib: Fibre, f: HomPoly) -> set:
 # Constructing curves with prescribed singular points
 
 
-def _correction_forms(fib: Fibre, point_id: int) -> tuple:
-    """Fibre members built from the point's separating form.
-
-    The first two have gradients at the point spanning its normal space;
-    the last two have zero gradient there but perturb the conditions at
-    the other points, which keeps the correction system surjective for
-    configurations where the first two alone line up degenerately.  All
-    four vanish on the whole configuration.
-    """
-    cfg = fib.config
-    norm_cfg, g = normalize(cfg, point_id)
-    q = separating_form(norm_cfg, point_id)
-    ginv = inverse(g)
-    out = []
-    for exp in ((2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2)):
-        c_norm = HomPoly.monomial(3, exp) * q
-        out.append(substitute_linear(c_norm, ginv))
-    return tuple(out)
-
-
 def impose_singularities(
-    fib: Fibre, point_ids: Sequence[int], rng: SplitMix64, attempts: int = 8
+    fib: Fibre, point_ids: Sequence[int], rng: SplitMix64
 ) -> HomPoly:
     """A curve in the fibre with singular sheaf at the given simple points.
 
-    Starts from a seeded fibre member and adds multiples of correction
-    forms attached to each requested point, solving one exact linear
-    system so that all gradient functionals at the chosen points vanish.
-    Generically the result is singular at exactly the requested points.
+    The fibre members singular at the points are the kernel of their
+    stacked blocks in the fibre's free coordinates; the result is a
+    seeded nonzero integer combination of that kernel's basis.
+    Generically it is singular at exactly the requested points.
     """
     ids = sorted(set(point_ids))
     if not ids:
@@ -186,58 +161,22 @@ def impose_singularities(
                 f"point {pid} is not simple; singularities are imposed at "
                 f"simple points only"
             )
-    free = fib.space.free_columns
-    blocks = {pid: _compressed_block(fib, pid) for pid in ids}
+    rows = []
     for pid in ids:
-        if len(blocks[pid]) != 2:
+        block = _compressed_block(fib, pid)
+        if len(block) != 2:
             raise DegenerateError(
                 f"normal space at point {pid} does not have dimension 2"
             )
-    corrections = []
-    for pid in ids:
-        corrections.extend(_correction_forms(fib, pid))
-
-    def free_coords(h: HomPoly) -> list:
-        return [h.coeffs[c] for c in free]
-
-    corr_free = [free_coords(c) for c in corrections]
-    eq_rows = []
-    for pid in ids:
-        for row in blocks[pid]:
-            eq_rows.append(
-                [
-                    sum(r * v for r, v in zip(row, cf))
-                    for cf in corr_free
-                ]
-            )
-    system = QMatrix.from_rows(eq_rows, cols=len(corrections))
-    for _ in range(attempts):
-        f0 = fib.random_element(rng)
-        f0_free = free_coords(f0)
-        rhs = []
-        for pid in ids:
-            for row in blocks[pid]:
-                rhs.append(-sum(r * v for r, v in zip(row, f0_free)))
-        sol = solve(system, rhs)
-        if sol is None:
-            continue
-        f = f0
-        for coeff, corr in zip(sol, corrections):
-            if coeff != 0:
-                f = f + corr.scale(coeff)
-        if f.is_zero():
-            continue
-        missed = sum(v != 0 for v in fib.space.functionals.apply(list(f.coeffs)))
-        if missed:
-            raise DegenerateError(
-                f"corrected curve violates {missed} membership conditions",
-                expected=0,
-                actual=missed,
-            )
-        return f
-    raise DegenerateError(
-        "could not cancel the gradient functionals; correction system "
-        "stayed singular over all seeds"
+        rows.extend(block)
+    ker = kernel(QMatrix.from_rows(rows))
+    if ker.cols == 0:
+        raise DegenerateError(
+            f"no curve in the fibre is singular at all of the points {ids}"
+        )
+    weights = random_weights(rng, ker.cols)
+    return fib.element(
+        [sum(map(mul, weights, ker.row(i))) for i in range(ker.rows)]
     )
 
 

@@ -1,6 +1,9 @@
-"""The public API: every exported name resolves, once, and removed names stay gone."""
+"""The public API: every exported name resolves, once, removed names stay gone,
+and no library module imports a name it does not use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,11 @@ REMOVED = [
     ("sheafloci.exactalg", "stack_rows"),
     ("sheafloci.exactalg", "QMatrix.stack"),
     ("sheafloci.exactalg", "QMatrix.transpose"),
+    ("sheafloci.singloci", "_correction_forms"),
+    ("sheafloci.linsys", "separating_form"),
+    ("sheafloci.schemes", "normalize"),
+    ("sheafloci.exactalg", "QMatrix.zeros"),
+    ("sheafloci.poly", "_infer_column_degrees"),
 ]
 
 
@@ -46,3 +54,21 @@ def test_removed_name_is_absent(module, path):
 
 def test_subspace_schema_is_gone():
     assert "subspace" not in SCHEMAS
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(Path(sheafloci.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

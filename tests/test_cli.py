@@ -177,6 +177,19 @@ class TestVerifyRemark6:
         assert code == 1
         assert "FAIL: subset (1,2,3,4,5) codim 9" in out
 
+    def test_config_and_emit_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        run(capsys, "random", "--degree", "6", "--seed", "1", "--out", str(cfg))
+        emitted = tmp_path / "ref.json"
+        code, out, err = run(
+            capsys, "verify-remark6", "--config", str(cfg), "--emit-config", str(emitted)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not both" in err
+        assert not emitted.exists()
+
     @pytest.mark.parametrize("degree", [4, 7])
     def test_other_degrees_are_rejected(self, capsys, tmp_path, degree):
         cfg = tmp_path / "cfg.json"
@@ -224,6 +237,16 @@ class TestLocalFree:
             capsys, "localfree", "--in", path, "--poly", "x*y"
         )
         assert code == 1 and "not both" in err
+
+    def test_file_route_rejects_flag_data(self, capsys, tmp_path):
+        path = write_json(tmp_path / "q.json", {"f": "x*y", "h": ["0"], "mult": 2})
+        code, out, err = run(
+            capsys, "localfree", "--in", path, "--mult", "3", "--h", "0,1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not both" in err and "--mult" in err and "--h" in err
 
     def test_missing_mult_rejected(self, capsys):
         code, _, err = run(capsys, "localfree", "--poly", "x*y")

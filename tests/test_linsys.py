@@ -1,22 +1,16 @@
-"""Projective subspaces, fibres of the singular-locus bundle, separating forms."""
+"""Projective subspaces and fibres of the singular-locus bundle."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafloci.errors import ConfigError, DegenerateError, GenericityError, ShapeError
+from sheafloci.errors import DegenerateError, GenericityError, ShapeError
 from sheafloci.exactalg import QMatrix, rank
-from sheafloci.linsys import Fibre, ProjSubspace, fibre, separating_form
+from sheafloci.linsys import Fibre, ProjSubspace, fibre
 from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
-from sheafloci.schemes import (
-    PointConfig,
-    SimplePoint,
-    membership_conditions,
-    normalize,
-    random_config,
-)
+from sheafloci.schemes import PointConfig, SimplePoint, random_config
 
 from conftest import REFERENCE_POINTS_D6, horner_eval
 
@@ -169,44 +163,3 @@ class TestFibre:
         with pytest.raises(DegenerateError) as info:
             fibre(ref_config())
         assert (info.value.expected, info.value.actual) == (11, 10)
-
-
-class TestSeparatingForm:
-    def test_d4_standard_is_x0(self):
-        q = separating_form(standard_d4_config(), 1)
-        assert q == parse_homogeneous("x0")
-
-    def test_reference_config_each_point(self):
-        cfg = ref_config()
-        for pid in (1, 3, 7, 10):
-            norm, _ = normalize(cfg, pid)
-            q = separating_form(norm, pid)
-            assert q.degree == 3
-            assert q.coefficient((3, 0, 0)) == 1
-            for other_id in range(1, 11):
-                value = horner_eval(q, norm.support_of(other_id).coords)
-                if other_id == pid:
-                    assert value == 1
-                else:
-                    assert value == 0
-
-    def test_requires_standard_position(self):
-        cfg = ref_config()
-        with pytest.raises(ConfigError, match="normalize"):
-            separating_form(cfg, 2)
-
-    def test_rejects_fat_target(self):
-        cfg = random_config(5, 11, stratum="double")
-        norm, _ = normalize(cfg, cfg.npoints)
-        with pytest.raises(ConfigError):
-            separating_form(norm, norm.npoints)
-
-    def test_double_stratum_simple_point(self):
-        cfg = random_config(5, 11, stratum="double")
-        norm, _ = normalize(cfg, 1)
-        q = separating_form(norm, 1)
-        m = membership_conditions(norm, 2)
-        # q vanishes on everything except point 1: drop the first row.
-        values = m.apply(q.coeffs)
-        assert values[0] == 1
-        assert all(v == 0 for v in values[1:])

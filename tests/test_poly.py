@@ -117,8 +117,8 @@ def test_det_poly_matrix_small():
     x0 = HomPoly.variable(0)
     x1 = HomPoly.variable(1)
     x2 = HomPoly.variable(2)
-    assert det_poly_matrix([[x0]]) == x0
-    d = det_poly_matrix([[x0, x1], [x2, x0]])
+    assert det_poly_matrix([[x0]], [1]) == x0
+    d = det_poly_matrix([[x0, x1], [x2, x0]], [1, 1])
     assert d == x0 * x0 - x1 * x2
     assert d.degree == 2
 
@@ -128,17 +128,8 @@ def test_det_poly_matrix_mixed_column_degrees():
     x0 = HomPoly.variable(0)
     x1 = HomPoly.variable(1)
     m = [[x0 * x0, x1], [x1 * x1, x0]]
-    d = det_poly_matrix(m)
+    d = det_poly_matrix(m, [2, 1])
     assert d.degree == 3
-    assert d == x0 * x0 * x0 - x1 * x1 * x1
-
-
-def test_det_poly_matrix_row_uniform_is_transposed():
-    x0 = HomPoly.variable(0)
-    x1 = HomPoly.variable(1)
-    # Rows carry uniform degrees (2,2) and (1,1); columns mix.
-    m = [[x0 * x0, x1 * x1], [x1, x0]]
-    d = det_poly_matrix(m)
     assert d == x0 * x0 * x0 - x1 * x1 * x1
 
 
@@ -146,7 +137,7 @@ def test_det_poly_matrix_rejects_inconsistent_shape():
     x0 = HomPoly.variable(0)
     q = x0 * x0
     with pytest.raises(ShapeError):
-        det_poly_matrix([[x0, q], [q, x0]])
+        det_poly_matrix([[x0, q], [q, x0]], [1, 2])
 
 
 def test_det_poly_matrix_matches_pointwise_determinant():
@@ -158,7 +149,7 @@ def test_det_poly_matrix_matches_pointwise_determinant():
         mat = [[
             HomPoly.from_coeffs(1, [rng.randint(-5, 5) for _ in range(3)])
             for _ in range(n)] for _ in range(n)]
-        dpoly = det_poly_matrix(mat)
+        dpoly = det_poly_matrix(mat, [1] * n)
         assert dpoly.degree == n
         pt = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
         pointwise = cofactor_det([[e.eval(pt) for e in row] for row in mat])

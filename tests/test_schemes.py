@@ -1,4 +1,4 @@
-"""Point configurations, membership rows, normalization, random sampling."""
+"""Point configurations, membership rows, genericity, random sampling."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafloci.errors import ConfigError
+from sheafloci.errors import ConfigError, GenericityError
 from sheafloci.exactalg import QMatrix, inverse, kernel, rank
 from sheafloci.poly import (
     HomPoly,
@@ -26,7 +26,6 @@ from sheafloci.schemes import (
     length,
     low_degree_certificate,
     membership_conditions,
-    normalize,
     not_on_curve_of_degree,
     random_config,
     simple_point_row,
@@ -258,6 +257,25 @@ class TestGenericity:
         assert cert.coefficient((0, 0, 1)) != 0
 
 
+    def test_require_generic_takes_a_kernel_only_off_generic(self, monkeypatch):
+        import sheafloci.schemes as schemes
+
+        calls = []
+
+        def counted_kernel(m):
+            calls.append(m.rows)
+            return kernel(m)
+
+        monkeypatch.setattr(schemes, "kernel", counted_kernel)
+        schemes.require_generic(ref_config())
+        assert calls == []
+        conic = PointConfig.of(5, [SimplePoint.of(1, t, t * t) for t in range(6)])
+        with pytest.raises(GenericityError) as info:
+            schemes.require_generic(conic)
+        assert calls == [6]
+        assert info.value.certificate == low_degree_certificate(conic, 2)
+
+
 class TestCollinear:
     def test_reference_examples(self):
         pts = [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6]
@@ -272,64 +290,6 @@ class TestCollinear:
         p = SimplePoint.of(1, 2, 3)
         with pytest.raises(ConfigError):
             collinear(p, SimplePoint.of(2, 4, 6), SimplePoint.of(0, 1, 0))
-
-
-class TestNormalize:
-    def test_simple_target_moves_to_standard_position(self):
-        cfg = ref_config()
-        for pid in range(1, 11):
-            new_cfg, g = normalize(cfg, pid)
-            assert new_cfg.support_of(pid) == SimplePoint.of(1, 0, 0)
-            assert length(new_cfg) == 10
-
-    def test_already_standard_gives_identity(self):
-        cfg = ref_config()
-        new_cfg, g = normalize(cfg, 1)
-        assert g == QMatrix.identity(3)
-        assert new_cfg == cfg
-
-    def test_g_translates_curves(self):
-        # substitute_linear(F, g) takes a form through the original scheme to
-        # one through the normalized scheme.
-        cfg = ref_config()
-        m = membership_conditions(cfg, 4)
-        ker = kernel(m)
-        f = HomPoly.from_coeffs(4, ker.col(0))
-        new_cfg, g = normalize(cfg, 7)
-        f_new = substitute_linear(f, g)
-        m_new = membership_conditions(new_cfg, 4)
-        assert all(v == 0 for v in m_new.apply(f_new.coeffs))
-
-    def test_rank_is_invariant(self):
-        cfg = ref_config()
-        base = rank(membership_conditions(cfg, 3))
-        for pid in (2, 5, 9):
-            new_cfg, _ = normalize(cfg, pid)
-            assert rank(membership_conditions(new_cfg, 3)) == base
-
-    def test_fat_target_gets_identity_chart(self):
-        d = 5
-        g0 = QMatrix.from_rows([[1, 0, 0], [2, 1, 0], [-1, 0, 1]])
-        support = SimplePoint(tuple(inverse(g0).apply((Fraction(1), Fraction(0), Fraction(0)))))
-        fp = FatPoint.of(support, g0, (Fraction(0), Fraction(1)), 2)
-        others = [
-            SimplePoint.of(0, 1, 0),
-            SimplePoint.of(0, 0, 1),
-            SimplePoint.of(1, 1, 1),
-            SimplePoint.of(1, 2, 3),
-        ]
-        cfg = PointConfig.of(d, others, [fp])
-        new_cfg, g = normalize(cfg, 5)
-        new_fp = new_cfg.fat[0]
-        assert new_fp.support == SimplePoint.of(1, 0, 0)
-        # chart is identity up to scale: chart of the new fat point composed
-        # with g reproduces the original chart.
-        assert new_fp.chart @ inverse(g) == g0
-        assert new_fp.h == fp.h
-        # Membership conditions transported by g agree in rank.
-        assert rank(membership_conditions(new_cfg, d)) == rank(
-            membership_conditions(cfg, d)
-        )
 
 
 class TestRandomConfig:

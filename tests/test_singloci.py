@@ -1,6 +1,7 @@
 """Singular-sheaf loci: codimensions, transversality, classification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,8 @@ from sheafloci.schemes import (
     FatPoint,
     PointConfig,
     SimplePoint,
+    collinear,
     fat_point_rows,
-    normalize,
     random_config,
     simple_point_row,
 )
@@ -332,6 +333,36 @@ class TestImpose:
             fib = fibre(cfg)
             f = impose_singularities(fib, [1, 2], SplitMix64(seed))
             assert classify_curve(fib, f) == {1, 2}
+
+
+class TestImposeKernel:
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_singular_exactly_at_requested_points(self, d):
+        cfg = random_config(d, 40 + d)
+        fib = fibre(cfg)
+        n = cfg.npoints
+        triple = next(
+            s
+            for s in combinations(range(1, n + 1), 3)
+            if not collinear(*(cfg.support_of(pid) for pid in s))
+        )
+        requests = [[1], [n], [1, n], [2, 3], list(triple)]
+        for k, ids in enumerate(requests):
+            f = impose_singularities(fib, ids, SplitMix64(1000 * d + k))
+            assert fib.contains(f)
+            for pid in ids:
+                for row in singular_conditions(cfg, pid).rows:
+                    assert sum(r * c for r, c in zip(row, f.coeffs)) == 0
+            assert classify_curve(fib, f) == set(ids)
+
+    def test_all_reference_points_leave_no_curve(self):
+        # The ten blocks have rank 18, every free coordinate of the fibre.
+        fib = fibre(ref_config())
+        ids = range(1, 11)
+        rows = [row for pid in ids for row in _compressed_block(fib, pid)]
+        assert rank_of_rows(rows) == len(fib.space.free_columns) == 18
+        with pytest.raises(DegenerateError, match="no curve"):
+            impose_singularities(fib, ids, SplitMix64(1))
 
 
 class TestReport:
