@@ -14,22 +14,25 @@ Matrices stay small (well under 50x50 for every supported degree), so a
 dense row-major layout is used.  Every elimination runs on one integer
 core, ``insert_row``: a row is cleared of denominators once, then reduced
 against the stored pivot rows by cross-multiplication, dividing out the
-gcd of its entries after each step to keep coefficients small.  rank
-counts the rows that survive; rref back-substitutes by inserting the
-echelon rows once more with the pivot columns reversed, and divides by
-each pivot only at the end (the reduced row echelon form is unique, so
-nothing depends on pivot order); kernel, solve and inverse read off the
-RREF; det tracks the row scalings, the cross-multiplication factors,
-the gcds and the pivot permutation.  The jet oracle in ``localfree``
-inserts its rows into the same core.
+gcd of its entries after each step to keep coefficients small.
+rank_of_rows counts the rows that survive; reduced_echelon
+back-substitutes by inserting the echelon rows once more with the pivot
+columns reversed, and leaves each row an integer multiple of its RREF
+row (the reduced row echelon form is unique, so nothing depends on
+pivot order); rref_rows divides by the pivots, and kernel, solve and
+inverse read off its RREF; det tracks the row scalings, the
+cross-multiplication factors, the gcds and the pivot permutation.  The
+fibre in ``linsys`` keeps reduced_echelon's integer rows, and the jet
+oracle in ``localfree`` inserts its rows into the same core.
 
-rank first reduces the integer rows modulo the prime P = 1073741789,
-the largest prime below 2^30.  Every minor mod P is the reduction of
-the integer minor, so a minor that is nonzero mod P is nonzero over Q
-and rank_P <= rank_Q.  Full row rank mod P therefore proves full row
-rank over Q, and rank returns the row count at once; only rows that
-turn out dependent mod P go on to the exact integer echelon.  The
-answer is exact either way; only the speed depends on the prime.
+rank_of_rows first reduces the integer rows modulo the prime
+P = 1073741789, the largest prime below 2^30.  Every minor mod P is the
+reduction of the integer minor, so a minor that is nonzero mod P is
+nonzero over Q and rank_P <= rank_Q.  Full row rank mod P therefore
+proves full row rank over Q, and the row count is returned at once;
+only rows that turn out dependent mod P go on to the exact integer
+echelon.  The answer is exact either way; only the speed depends on the
+prime.
 """
 
 from __future__ import annotations
@@ -184,46 +187,46 @@ def insert_row(pivots: dict, row: list) -> Optional[tuple]:
         num *= p
 
 
-def rref_rows(rows: Sequence) -> tuple:
-    """RREF of rows of ints or Fractions: (nonzero rows as Fractions, pivots).
+def reduced_echelon(rows: Sequence) -> dict:
+    """The RREF of rows of ints or Fractions, kept as integers.
 
+    Maps each pivot column to a primitive integer row that is a nonzero
+    multiple of the RREF row with that pivot: zero at the other pivot
+    columns, so dividing it by its own pivot entry gives the RREF row.
     The rows enter an integer echelon.  Its rows then enter a second
     echelon in decreasing pivot order, with the pivot columns moved to
     the front in reverse: each row is cleared against the later pivot
-    rows before reaching its own pivot, which is back-substitution.
-    Each row is divided by its pivot only at the end.  The RREF is
-    unique, so the row order does not matter.
+    rows before reaching its own pivot, which is back-substitution.  The
+    RREF is unique, so the row order does not matter.
     """
     echelon = {}
     for r in rows:
         insert_row(echelon, integer_row(r)[0])
     if not echelon:
-        return [], ()
+        return {}
     ncols = len(rows[0])
     cols = sorted(echelon, reverse=True)
     order = cols + [j for j in range(ncols) if j not in echelon]
     reduced = {}
     for c in cols:
         insert_row(reduced, [echelon[c][j] for j in order])
-    out = []
+    out = {}
     for k in range(len(cols) - 1, -1, -1):
-        moved = reduced[k]
         row = [0] * ncols
-        for j, a in zip(order, moved):
+        for j, a in zip(order, reduced[k]):
             row[j] = a
-        lead = moved[k]
-        out.append([Fraction(a, lead) if a else _ZERO for a in row])
-    return out, tuple(reversed(cols))
+        out[cols[k]] = row
+    return out
 
 
-def rref(m: QMatrix) -> tuple:
-    """Reduced row echelon form.  Returns (QMatrix, pivot column tuple).
-
-    The matrix keeps m.rows rows; zero rows sit at the bottom.
-    """
-    rows, pivots = rref_rows(m.row_lists())
-    rows.extend([_ZERO] * m.cols for _ in range(m.rows - len(rows)))
-    return QMatrix.from_rows(rows, cols=m.cols), pivots
+def rref_rows(rows: Sequence) -> tuple:
+    """RREF of rows of ints or Fractions: (nonzero rows as Fractions, pivots)."""
+    reduced = reduced_echelon(rows)
+    out = [
+        [Fraction(a, row[c]) if a else _ZERO for a in row]
+        for c, row in reduced.items()
+    ]
+    return out, tuple(reduced)
 
 
 def _independent_mod_p(rows: Sequence[list]) -> bool:
@@ -252,9 +255,8 @@ def _independent_mod_p(rows: Sequence[list]) -> bool:
     return True
 
 
-def _rank(rows: Iterable[Sequence]) -> int:
-    # shared by rank and rank_of_rows so that neither calls the other and
-    # a profile counts each public call once
+def rank_of_rows(rows: Sequence[Sequence]) -> int:
+    """Rank of a list of row vectors of ints or Fractions."""
     rows = [
         r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
     ]
@@ -263,15 +265,6 @@ def _rank(rows: Iterable[Sequence]) -> int:
         return len(rows)
     pivots = {}
     return sum(insert_row(pivots, r) is not None for r in rows)
-
-
-def rank(m: QMatrix) -> int:
-    return _rank(m.row_lists())
-
-
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank of a list of row vectors of ints or Fractions (no QMatrix needed)."""
-    return _rank(rows)
 
 
 def kernel(m: QMatrix) -> QMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DegenerateError, NotInFibreError, ShapeError
-from .exactalg import QMatrix, kernel, rank, solve
+from .exactalg import QMatrix, kernel, rank_of_rows, solve
 from .poly import HomPoly, LinForm, det_poly_matrix, monomial_count, monomials
 from .schemes import PointConfig, membership_conditions, require_generic
 
@@ -97,7 +97,7 @@ def kronecker_from_points(cfg: PointConfig) -> IdealResolution:
     require_generic(cfg)
     d = cfg.degree
     n = d - 1
-    ker = kernel(membership_conditions(cfg, d - 2))
+    ker = kernel(QMatrix.from_rows(membership_conditions(cfg, d - 2)))
     if ker.cols != n:
         raise DegenerateError(
             f"degree-{d - 2} curves through the configuration form a space "
@@ -218,7 +218,7 @@ def stability_sufficient(minors: Sequence[HomPoly]) -> bool:
     the degenerations that produce non-stable modules in this family;
     modules resolved from admissible point configurations pass.
     """
-    return rank(QMatrix.from_rows([list(p.coeffs) for p in minors])) == len(minors)
+    return rank_of_rows([p.coeffs for p in minors]) == len(minors)
 
 
 # ---------------------------------------------------------------------------

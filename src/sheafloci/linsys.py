@@ -3,8 +3,10 @@
 The curves of degree d through a suitable length-l scheme Z, with
 l = (d-1)(d-2)/2, form a projective-linear subspace of dimension
 3d - 1 inside the P_N of all degree-d curves, N = (d+2)(d+1)/2 - 1.
-This module represents such subspaces by reduced systems of linear
-functionals and provides the coordinate machinery used downstream:
+This module represents such a subspace as the graph of its pivot
+coordinates over its free ones: the reduced row echelon form of the
+cutting functionals, stored once as integers over one positive
+denominator.  It provides the coordinate machinery used downstream:
 the compressed (free-column) picture of extra functionals, in which
 codimensions inside the subspace become plain matrix ranks.
 """
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateError, ShapeError
-from .exactalg import QMatrix, integer_row, kernel, rref_rows
+from .exactalg import QMatrix, integer_row, kernel, reduced_echelon
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import PointConfig, length, membership_conditions, require_generic
@@ -27,71 +30,66 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class ProjSubspace:
-    """Projective-linear subspace cut out by a reduced system of functionals.
+    """Projective-linear subspace, the graph of its pivot coordinates.
 
-    ambient is the projective dimension of the surrounding space;
-    functionals is in reduced row echelon form with no zero rows, one row
-    per independent condition.
+    ambient is the projective dimension of the surrounding space.  Row i
+    of block and den give the reduced echelon row with pivot pivots[i]:
+    a vector lies in the subspace iff, for every i,
+    den * v[pivots[i]] + sum_k block[i][k] * v[free_columns[k]] = 0.
+    The entries of block and the positive den are ints, den the common
+    denominator of the reduced echelon form.
     """
 
     ambient: int
-    functionals: QMatrix
     pivots: tuple
-
-    def __post_init__(self):
-        if self.functionals.cols != self.ambient + 1:
-            raise ShapeError(
-                f"functionals have {self.functionals.cols} columns, "
-                f"ambient dimension {self.ambient} needs {self.ambient + 1}"
-            )
-
-    @classmethod
-    def whole(cls, ambient: int) -> "ProjSubspace":
-        return cls(ambient, QMatrix.from_rows([], cols=ambient + 1), ())
+    free_columns: tuple
+    block: tuple
+    den: int
 
     @classmethod
     def cut_by(cls, rows: Sequence[Sequence], ambient: int) -> "ProjSubspace":
-        """Subspace annihilated by the given functionals (rows)."""
-        red, pivots = rref_rows([list(r) for r in rows])
-        return cls(ambient, QMatrix.from_rows(red, cols=ambient + 1), pivots)
+        """Subspace annihilated by the given functionals (rows of ints or Fractions)."""
+        if any(len(r) != ambient + 1 for r in rows):
+            raise ShapeError(f"functionals need {ambient + 1} coordinates")
+        reduced = reduced_echelon(rows)
+        free = tuple(j for j in range(ambient + 1) if j not in reduced)
+        # a primitive reduced row is its RREF row times its pivot entry
+        den = lcm(*(abs(row[c]) for c, row in reduced.items()))
+        block = tuple(
+            tuple(row[j] * (den // row[c]) for j in free)
+            for c, row in reduced.items()
+        )
+        return cls(ambient, tuple(reduced), free, block, den)
 
     @property
     def codim(self) -> int:
-        return self.functionals.rows
+        return len(self.pivots)
 
     @property
     def proj_dim(self) -> int:
         return self.ambient - self.codim
-
-    @property
-    def free_columns(self) -> tuple:
-        piv = set(self.pivots)
-        return tuple(j for j in range(self.ambient + 1) if j not in piv)
 
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient + 1:
             raise ShapeError(
                 f"vector has {len(vec)} coordinates, expected {self.ambient + 1}"
             )
-        return all(v == 0 for v in self.functionals.apply(list(vec)))
+        free = [vec[j] for j in self.free_columns]
+        return all(
+            self.den * vec[p] + sum(map(mul, row, free)) == 0
+            for p, row in zip(self.pivots, self.block)
+        )
 
     def basis(self) -> QMatrix:
         """Columns spanning the subspace, one per free column."""
-        return kernel(self.functionals)
-
-    @cached_property
-    def _integer_functionals(self) -> tuple:
-        """(L, free columns, [(pivot, L * row at the free columns)]).
-
-        L is the common denominator of the functionals, whose pivot
-        columns hold only 0 and 1; computed once per subspace.
-        """
-        free = self.free_columns
-        k = len(free)
-        rows = self.functionals.row_lists()
-        flat, common = integer_row([r[j] for r in rows for j in free])
-        scaled = [(p, flat[i * k : (i + 1) * k]) for i, p in enumerate(self.pivots)]
-        return common, free, scaled
+        rows = []
+        for p, row in zip(self.pivots, self.block):
+            full = [0] * (self.ambient + 1)
+            full[p] = self.den
+            for j, a in zip(self.free_columns, row):
+                full[j] = a
+            rows.append(full)
+        return kernel(QMatrix.from_rows(rows, cols=self.ambient + 1))
 
     def compress_numerators(self, row: Sequence) -> tuple:
         """(numerators, den): compress_functional(row) is numerators / den.
@@ -104,13 +102,12 @@ class ProjSubspace:
                 f"functional has {len(row)} coordinates, expected {self.ambient + 1}"
             )
         ints, scale = integer_row(row)
-        common, free, scaled = self._integer_functionals
-        out = [common * ints[j] for j in free]
-        for p, m in scaled:
+        out = [self.den * ints[j] for j in self.free_columns]
+        for p, m in zip(self.pivots, self.block):
             c = ints[p]
             if c:
                 out = [a - c * b for a, b in zip(out, m)]
-        return out, scale * common
+        return out, scale * self.den
 
     def compress_functional(self, row: Sequence) -> list:
         """Coordinates of the restricted functional in the free-column basis.
@@ -118,9 +115,9 @@ class ProjSubspace:
         With b_j the basis column attached to free column j, entry j equals
         the value of the functional on b_j, which is the functional minus
         the combination of the cutting rows that clears its pivot columns,
-        read at column j.  With the cutting rows M/L over one denominator
-        and the functional R/s cleared of its own, entry j is
-        (L*R_j - sum_p R_p*M_pj) / (s*L), computed on integers by
+        read at column j.  With the reduced cutting rows block/den and the
+        functional R/s cleared of its own denominators, entry j is
+        (den*R_j - sum_p R_p*block_pj) / (s*den), computed on integers by
         compress_numerators.  Ranks of stacked compressed rows are
         codimensions inside the subspace.
         """
@@ -158,20 +155,17 @@ class Fibre:
 
     def element(self, free_coords: Sequence) -> HomPoly:
         """The member with the given coordinates at the free columns."""
-        free = self.space.free_columns
+        space = self.space
+        free = space.free_columns
         if len(free_coords) != len(free):
             raise ShapeError(
                 f"expected {len(free)} free coordinates, got {len(free_coords)}"
             )
-        n = self.space.ambient + 1
-        coeffs = [_ZERO] * n
+        coeffs = [_ZERO] * (space.ambient + 1)
         for j, c in zip(free, free_coords):
-            coeffs[j] = Fraction(c)
-        rows = self.space.functionals.row_lists()
-        for rr, p in zip(rows, self.space.pivots):
-            coeffs[p] = -sum(
-                rr[j] * coeffs[j] for j in free if rr[j] != 0
-            )
+            coeffs[j] = c
+        for p, row in zip(space.pivots, space.block):
+            coeffs[p] = Fraction(-sum(map(mul, row, free_coords)), space.den)
         return HomPoly.from_coeffs(self.degree, coeffs)
 
     def contains(self, f: HomPoly) -> bool:
@@ -203,8 +197,7 @@ def fibre(cfg: PointConfig) -> Fibre:
     """
     d = cfg.degree
     require_generic(cfg)
-    m = membership_conditions(cfg, d)
-    space = ProjSubspace.cut_by(m.row_lists(), monomial_count(d) - 1)
+    space = ProjSubspace.cut_by(membership_conditions(cfg, d), monomial_count(d) - 1)
     if space.codim != length(cfg):
         raise DegenerateError(
             f"membership conditions in degree {d} have rank {space.codim}, "

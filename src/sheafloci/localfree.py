@@ -11,6 +11,9 @@ The criterion is checked independently by a jet computation: inside the
 jet algebra k[x,y]/(m^N) the dimension of I/mI is found by exact
 linear algebra, and Nakayama's lemma says the ideal is principal (hence
 free, as it has finite colength) precisely when that dimension is one.
+Each row of that computation is a monomial shift of a generator's
+integer coefficients, so the oracle forms no polynomial product and
+never substitutes x = h(y), the step the criterion itself takes.
 """
 
 from __future__ import annotations
@@ -133,32 +136,37 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     on the germ's local ring, so its multiples cost nothing in I/mI).
     The dimension is the number of the two ideal generators that stay
     independent after eliminating everything in mI.
+
+    Each row is a monomial multiple x^i y^j g of a generator g, that is
+    g's integer coefficients moved to the shifted exponents and cut at
+    total degree trunc; g is cleared of denominators once.
     """
     mons = [(i, t - i) for t in range(trunc) for i in range(t + 1)]
     index = {m: k for k, m in enumerate(mons)}
 
-    def dense(p: LocalPoly) -> list:
-        row = [_ZERO] * len(mons)
-        for e, c in p.as_dict().items():
-            k = index.get(e)
-            if k is not None:
-                row[k] = c
-        return integer_row(row)[0]
+    def shifts(g: LocalPoly) -> list:
+        """The rows x^i y^j g of order below trunc, (i, j) in the order of mons."""
+        exps, coeffs = zip(*g.coeffs)
+        coeffs = integer_row(coeffs)[0]
+        top = trunc - g.order()
+        rows = []
+        for i, j in mons:
+            if i + j >= top:
+                break
+            row = [0] * len(mons)
+            for (a, b), c in zip(exps, coeffs):
+                k = index.get((a + i, b + j))
+                if k is not None:
+                    row[k] = c
+            rows.append(row)
+        return rows
 
-    multipliers = [(i + j, LocalPoly.from_dict({(i, j): _ONE})) for i, j in mons]
-    f = germ.f
-    f_ord = f.order()
-    gens = [data.x_minus_h(), data.y_power()]
     pivots = {}
-    for deg_g, g in multipliers:
-        if deg_g + f_ord < trunc:
-            insert_row(pivots, dense(g * f))
-    for gen in gens:
-        g_ord = gen.order()
-        for deg_g, g in multipliers:
-            if 1 <= deg_g and deg_g + g_ord < trunc:
-                insert_row(pivots, dense(g * gen))
-    return sum(insert_row(pivots, dense(gen)) is not None for gen in gens)
+    gens = [shifts(data.x_minus_h()), shifts(data.y_power())]
+    for row in shifts(germ.f) + gens[0][1:] + gens[1][1:]:
+        insert_row(pivots, row)
+    # rows[:1] is the generator itself, if its order is below trunc
+    return sum(insert_row(pivots, r) is not None for rows in gens for r in rows[:1])
 
 
 def default_truncation(germ: CurveGerm, data: FatIdealData) -> int:

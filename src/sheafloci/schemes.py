@@ -16,7 +16,8 @@ curve restricted to the parametrized branch x = h(y).  Every row is
 built as a list of ints: a simple point is read through its integer
 coordinates, a fat point's branch polynomials over their common
 denominator.  Either is a positive rescaling of the rational row, which
-changes no rank, kernel or reduced echelon form.
+changes no rank, kernel or reduced echelon form.  membership_conditions
+returns the rows as built, a list of int lists.
 
 Multiplicities m >= 3 are accepted by the data model; the codimension
 assertions elsewhere in the package apply only to the generic stratum
@@ -32,10 +33,9 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError
-from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank
+from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank_of_rows
 from .poly import (
     HomPoly,
-    monomial_count,
     monomials,
     powers,
     upoly_coeff,
@@ -266,16 +266,16 @@ def fat_point_rows(fp: FatPoint, k: int, orders: Optional[Sequence[int]] = None)
     return rows
 
 
-def membership_conditions(cfg: PointConfig, k: int) -> QMatrix:
-    """One row per length unit: the degree-k conditions for containing Z.
+def membership_conditions(cfg: PointConfig, k: int) -> list:
+    """One int row per length unit: the degree-k conditions for containing Z.
 
     A form f of degree k vanishes on the whole scheme (with
-    multiplicities) iff this matrix annihilates its coefficient vector.
+    multiplicities) iff every row annihilates its coefficient vector.
     """
     rows = [simple_point_row(p, k) for p in cfg.simple]
     for fp in cfg.fat:
         rows.extend(fat_point_rows(fp, k))
-    return QMatrix.from_rows(rows, cols=monomial_count(k))
+    return rows
 
 
 def not_on_curve_of_degree(cfg: PointConfig, k: int) -> bool:
@@ -285,12 +285,12 @@ def not_on_curve_of_degree(cfg: PointConfig, k: int) -> bool:
     l = (d-1)(d-2)/2, and independence says exactly that no nonzero
     degree-(d-3) curve passes through the whole scheme.
     """
-    return rank(membership_conditions(cfg, k)) == length(cfg)
+    return rank_of_rows(membership_conditions(cfg, k)) == length(cfg)
 
 
 def low_degree_certificate(cfg: PointConfig, k: int) -> Optional[HomPoly]:
     """A nonzero degree-k form through the whole scheme, if one exists."""
-    ker = kernel(membership_conditions(cfg, k))
+    ker = kernel(QMatrix.from_rows(membership_conditions(cfg, k)))
     if ker.cols == 0:
         return None
     return HomPoly.from_coeffs(k, ker.col(0))

@@ -155,10 +155,11 @@ def euler_relation_holds(p, pt):
 
 
 def _ambient_rows(fib, ids):
-    """The fibre's cutting rows followed by every condition row at ids."""
+    """The membership rows cutting the fibre, then every condition row at ids."""
+    from sheafloci.schemes import membership_conditions
     from sheafloci.singloci import singular_conditions
 
-    rows = fib.space.functionals.row_lists()
+    rows = membership_conditions(fib.config, fib.degree)
     for pid in ids:
         rows.extend(list(r) for r in singular_conditions(fib.config, pid).rows)
     return rows
@@ -167,10 +168,13 @@ def _ambient_rows(fib, ids):
 def ambient_codim(fib, ids):
     """Codimension in the fibre of the curves singular at every point of ids.
 
-    Ranks the ambient rows with naive_rank and subtracts the fibre's own
-    codimension; no compressed coordinates and no integer echelon.
+    Ranks the ambient rows with naive_rank and subtracts the scheme's
+    length, the fibre's codimension; no compressed coordinates and no
+    integer echelon.
     """
-    return naive_rank(_ambient_rows(fib, ids)) - fib.space.codim
+    from sheafloci.schemes import length
+
+    return naive_rank(_ambient_rows(fib, ids)) - length(fib.config)
 
 
 def ambient_singular_subspace(fib, pid):

@@ -25,7 +25,7 @@ from conftest import (
     zero_column_module,
 )
 
-from sheafloci.exactalg import kernel, rank_of_rows
+from sheafloci.exactalg import QMatrix, kernel, rank_of_rows
 from sheafloci.kronecker import (
     injectivity_check,
     kronecker_from_points,
@@ -197,7 +197,7 @@ def test_criterion_4_resolution_identity(line, resolutions):
             n = res.degree - 1
             minors = maximal_minors(res.phi)
             assert resolution_check(res.phi, generators=res.generators, minors=minors)
-            memb = membership_conditions(cfg, res.degree - 2)
+            memb = QMatrix.from_rows(membership_conditions(cfg, res.degree - 2))
             for m in minors:
                 assert all(v == 0 for v in memb.apply(m.coeffs))
             minor_rows = [list(m.coeffs) for m in minors]

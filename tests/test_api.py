@@ -29,6 +29,10 @@ REMOVED = [
     ("sheafloci.schemes", "normalize"),
     ("sheafloci.exactalg", "QMatrix.zeros"),
     ("sheafloci.poly", "_infer_column_degrees"),
+    ("sheafloci.exactalg", "rank"),
+    ("sheafloci.exactalg", "rref"),
+    ("sheafloci.linsys", "ProjSubspace.whole"),
+    ("sheafloci.linsys", "ProjSubspace._integer_functionals"),
 ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import DegenerateError, GenericityError, ShapeError
-from sheafloci.exactalg import QMatrix, rank
 from sheafloci.linsys import Fibre, ProjSubspace, fibre
 from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
@@ -27,7 +26,7 @@ def standard_d4_config():
 
 class TestProjSubspace:
     def test_whole_space(self):
-        s = ProjSubspace.whole(5)
+        s = ProjSubspace.cut_by([], 5)
         assert s.codim == 0
         assert s.proj_dim == 5
         assert s.free_columns == (0, 1, 2, 3, 4, 5)

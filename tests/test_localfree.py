@@ -164,34 +164,45 @@ class TestJetOracle:
 
     def test_sparse_elimination_matches_dense_ranks(self):
         # Recompute dim I/mI as a difference of two dense ranks, using the
-        # Fraction oracle rather than the integer core the jet check uses.
+        # Fraction oracle rather than the integer core the jet check uses,
+        # and rows built as LocalPoly products rather than monomial shifts.
+        # Criterion 6's canonical germs and seeded mult 1-3 germs, at
+        # truncations t and t+2.  In x - y^3 = x - y * y^2 the cofactor of
+        # y^2 vanishes at the origin, so only the multiples of y^2 put x
+        # into mI.
         from sheafloci.poly import LocalPoly
 
         rng = SplitMix64(90)
-        for _ in range(6):
-            mult = 1 + rng.below(2)
-            g, d = random_membership_germ(rng, mult, factor_degree=1)
-            trunc = 2 * d.mult + g.f.total_degree() + 2
-            mons = [(i, t - i) for t in range(trunc) for i in range(t + 1)]
-            index = {m: k for k, m in enumerate(mons)}
+        cases = [
+            (germ(text), double_point())
+            for text in ("x*y", "x^2 - y^2", "x - y^2", "x - y^3")
+        ]
+        cases += [
+            random_membership_germ(rng, 1 + k % 3, factor_degree=1) for k in range(6)
+        ]
+        for g, d in cases:
+            t = 2 * d.mult + g.f.total_degree() + 2
+            for trunc in (t, t + 2):
+                mons = [(i, s - i) for s in range(trunc) for i in range(s + 1)]
+                index = {m: n for n, m in enumerate(mons)}
 
-            def vec(p):
-                row = [Fraction(0)] * len(mons)
-                for e, c in p.as_dict().items():
-                    if e in index:
-                        row[index[e]] = c
-                return row
+                def vec(p):
+                    row = [Fraction(0)] * len(mons)
+                    for e, c in p.as_dict().items():
+                        if e in index:
+                            row[index[e]] = c
+                    return row
 
-            shared = []
-            for (i, j) in mons:
-                mono = LocalPoly.from_dict({(i, j): Fraction(1)})
-                shared.append(vec(mono * g.f))
-                if i + j >= 1:
-                    shared.append(vec(mono * d.x_minus_h()))
-                    shared.append(vec(mono * d.y_power()))
-            big = shared + [vec(d.x_minus_h()), vec(d.y_power())]
-            dense = naive_rank(big) - naive_rank(shared)
-            assert _nakayama_dim(g, d, trunc) == dense
+                shared = []
+                for (i, j) in mons:
+                    mono = LocalPoly.from_dict({(i, j): Fraction(1)})
+                    shared.append(vec(mono * g.f))
+                    if i + j >= 1:
+                        shared.append(vec(mono * d.x_minus_h()))
+                        shared.append(vec(mono * d.y_power()))
+                big = shared + [vec(d.x_minus_h()), vec(d.y_power())]
+                dense = naive_rank(big) - naive_rank(shared)
+                assert _nakayama_dim(g, d, trunc) == dense
 
     def test_branch_restriction(self):
         g = germ("x^2 - y^3")

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
-from sheafloci.exactalg import QMatrix, inverse, rank, rank_of_rows
+from sheafloci.exactalg import QMatrix, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre
 from sheafloci.poly import HomPoly, monomial_index, monomials
 from sheafloci.rng import SplitMix64
@@ -16,6 +16,7 @@ from sheafloci.schemes import (
     SimplePoint,
     collinear,
     fat_point_rows,
+    membership_conditions,
     random_config,
     simple_point_row,
 )
@@ -289,7 +290,7 @@ class TestClassify:
         fat_id = cfg.npoints
         sc = singular_conditions(cfg, fat_id)
         sub = ProjSubspace.cut_by(
-            fib.space.functionals.row_lists() + [list(r) for r in sc.rows[:3]],
+            membership_conditions(cfg, 5) + [list(r) for r in sc.rows[:3]],
             fib.space.ambient,
         )
         found = False
@@ -478,7 +479,7 @@ class TestAmbientOracle:
     """Every locus_report codimension against ambient_codim.
 
     The report ranks integer blocks compressed to the fibre; the oracle
-    ranks the fibre's own rows stacked with the ambient condition rows by
+    ranks the membership rows stacked with the ambient condition rows by
     first-nonzero Fraction elimination.
     """
 
@@ -540,7 +541,11 @@ class TestIntegerRows:
             rows.extend(fat_point_rows(fp, degree, orders=[fp.mult]))
         for pid in range(1, cfg.npoints + 1):
             rows.extend(singular_conditions(cfg, pid).rows)
+        rows.extend(membership_conditions(cfg, degree))
+        space = fibre(cfg).space
+        rows.extend(space.block)
         assert {type(a) for row in rows for a in row} == {int}
+        assert type(space.den) is int and space.den > 0
 
     @pytest.mark.parametrize("degree,stratum,seed", SEEDED_D5_TO_D7)
     def test_rational_coordinates_give_the_same_blocks_and_report(
