@@ -43,7 +43,7 @@ from .localfree import (
     maximal_ideal_free,
     u_at_zero,
 )
-from .poly import HomPoly, LinForm, LocalPoly, parse, parse_homogeneous, parse_local
+from .poly import HomPoly, LocalPoly, parse, parse_homogeneous, parse_local
 from .rng import SplitMix64
 from .schemes import (
     FatPoint,
@@ -74,7 +74,6 @@ __all__ = [
     "HomPoly",
     "IdealResolution",
     "KroneckerModule",
-    "LinForm",
     "LocalPoly",
     "NotInFibreError",
     "ParseError",

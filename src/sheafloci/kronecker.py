@@ -4,10 +4,16 @@ For a configuration Z of length (d-1)(d-2)/2 in general position the
 degree-(d-2) curves through Z form an n-dimensional space, n = d - 1,
 and the linear syzygies among n chosen generators form an
 (n-1)-dimensional space.  Writing the syzygies as columns gives an
-n x (n-1) matrix of linear forms, a Kronecker module.  Its maximal
-minors reproduce the generators, and bordering it with a column of
-quadratic forms produces the degree-d curves through Z as determinants:
-det [q | phi] = sum_i q_i m_i with m_i the signed maximal minors.
+n x (n-1) matrix of linear forms (degree-1 HomPolys), a Kronecker
+module.  Its maximal minors reproduce the generators, and bordering it
+with a column of quadratic forms produces the degree-d curves through Z
+as determinants: det [q | phi] = sum_i q_i m_i with m_i the signed
+maximal minors.
+
+Each linear system of the layer (the syzygies among the generators, the
+column syzygies of phi, the bordering column of a curve) asks for forms
+l_i of one degree with sum_i l_i * forms[i] given, and is built by
+_product_rows.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateError, NotInFibreError, ShapeError
 from .exactalg import QMatrix, kernel, rank_of_rows, solve
-from .poly import HomPoly, LinForm, det_poly_matrix, monomial_count, monomials
+from .poly import HomPoly, det_poly_matrix, monomials
 from .schemes import PointConfig, membership_conditions, require_generic
 
 
 @dataclass(frozen=True)
 class KroneckerModule:
-    """n x (n-1) matrix of linear forms, stored row-major."""
+    """n x (n-1) matrix of degree-1 forms, stored row-major."""
 
     entries: tuple
 
@@ -37,11 +43,11 @@ class KroneckerModule:
                     f"rows must have length {n - 1}, got {len(row)}"
                 )
             for e in row:
-                if not isinstance(e, LinForm):
+                if not isinstance(e, HomPoly) or e.degree != 1:
                     raise ShapeError("entries must be linear forms")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[LinForm]]) -> "KroneckerModule":
+    def from_rows(cls, rows: Sequence[Sequence[HomPoly]]) -> "KroneckerModule":
         return cls(tuple(tuple(r) for r in rows))
 
     @property
@@ -57,13 +63,13 @@ class KroneckerModule:
         """Degree d of the curves this module belongs to (d = nrows + 1)."""
         return self.nrows + 1
 
-    def entry(self, i: int, j: int) -> LinForm:
+    def entry(self, i: int, j: int) -> HomPoly:
         return self.entries[i][j]
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def with_column(self, j: int, col: Sequence[LinForm]) -> "KroneckerModule":
+    def with_column(self, j: int, col: Sequence[HomPoly]) -> "KroneckerModule":
         if len(col) != self.nrows:
             raise ShapeError(f"column must have length {self.nrows}")
         rows = [list(r) for r in self.entries]
@@ -104,28 +110,27 @@ def kronecker_from_points(cfg: PointConfig) -> IdealResolution:
             f"of dimension {ker.cols}, expected {n}"
         )
     gens = [HomPoly.from_coeffs(d - 2, ker.col(j)) for j in range(n)]
-    cols = []
-    for g in gens:
-        for v in range(3):
-            cols.append((HomPoly.variable(v) * g).coeffs)
-    system = QMatrix.from_rows(
-        [[cols[c][r] for c in range(3 * n)] for r in range(monomial_count(d - 1))],
-        cols=3 * n,
-    )
-    syz = kernel(system)
+    syz = kernel(QMatrix.from_rows(_product_rows(gens, 1)))
     if syz.cols != n - 1:
         raise DegenerateError(
             f"linear syzygies form a space of dimension {syz.cols}, "
             f"expected {n - 1}"
         )
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n - 1):
-            c = syz.col(j)
-            row.append(LinForm(c[3 * i], c[3 * i + 1], c[3 * i + 2]))
-        rows.append(row)
+    cols = [syz.col(j) for j in range(n - 1)]
+    rows = [[HomPoly(1, tuple(c[3 * i : 3 * i + 3])) for c in cols] for i in range(n)]
     return IdealResolution(KroneckerModule.from_rows(rows), tuple(gens))
+
+
+def _product_rows(forms: Sequence[HomPoly], k: int) -> list:
+    """Rows of the map (l_0, l_1, ...) -> sum_i l_i * forms[i], deg l_i = k.
+
+    The forms share one degree.  Column len(monomials(k)) * i + t holds
+    the coefficients of monomials(k)[t] * forms[i], so the unknowns are
+    the coefficients of l_0, then of l_1, and so on; row r is the
+    coefficient of the r-th monomial of the sum.
+    """
+    cols = [(HomPoly.monomial(k, t) * f).coeffs for f in forms for t in monomials(k)]
+    return [list(r) for r in zip(*cols)]
 
 
 def maximal_minors(phi: KroneckerModule) -> list:
@@ -133,11 +138,7 @@ def maximal_minors(phi: KroneckerModule) -> list:
     n = phi.nrows
     out = []
     for i in range(n):
-        sub = [
-            [phi.entry(r, c).to_hompoly() for c in range(n - 1)]
-            for r in range(n)
-            if r != i
-        ]
+        sub = [row for r, row in enumerate(phi.entries) if r != i]
         m = det_poly_matrix(sub, col_degrees=[1] * (n - 1))
         if i % 2 == 1:
             m = -m
@@ -159,45 +160,27 @@ def resolution_check(
     n = phi.nrows
     if minors is None:
         minors = maximal_minors(phi)
-    deg = phi.curve_degree - 2
-    for j in range(n - 1):
-        acc = HomPoly.zero(deg + 1)
-        for i in range(n):
-            term = minors[i] * phi.entry(i, j).to_hompoly()
-            acc = acc + term
-        if not acc.is_zero():
-            return False
+    vectors = [minors]
     if generators is not None:
         if len(generators) != n:
             raise ShapeError(f"expected {n} generators, got {len(generators)}")
-        for j in range(n - 1):
-            acc = HomPoly.zero(deg + 1)
-            for i in range(n):
-                acc = acc + generators[i] * phi.entry(i, j).to_hompoly()
-            if not acc.is_zero():
-                return False
-    return True
+        vectors.append(generators)
+    zero = HomPoly.zero(phi.curve_degree - 1)
+    return all(
+        sum((g * e for g, e in zip(forms, phi.column(j))), zero).is_zero()
+        for forms in vectors
+        for j in range(n - 1)
+    )
 
 
-def injectivity_system(phi: KroneckerModule) -> QMatrix:
-    """Linear system whose kernel is the space of linear column syzygies.
+def injectivity_system(phi: KroneckerModule) -> list:
+    """Rows of the system whose kernel is the space of linear column syzygies.
 
     Unknowns are the 3(n-1) coefficients of linear forms l_0, ..., l_{n-2};
     the equations say sum_j phi[i][j] l_j = 0 for every row i, expanded
     into the 6 quadratic monomial coordinates each.
     """
-    n = phi.nrows
-    quad_count = monomial_count(2)
-    rows = []
-    for i in range(n):
-        cols = []
-        for j in range(n - 1):
-            e = phi.entry(i, j).to_hompoly()
-            for v in range(3):
-                cols.append((HomPoly.variable(v) * e).coeffs)
-        for r in range(quad_count):
-            rows.append([cols[c][r] for c in range(3 * (n - 1))])
-    return QMatrix.from_rows(rows, cols=3 * (n - 1))
+    return [r for row in phi.entries for r in _product_rows(row, 1)]
 
 
 def injectivity_check(phi: KroneckerModule) -> bool:
@@ -208,7 +191,7 @@ def injectivity_check(phi: KroneckerModule) -> bool:
     scalar dependencies among the columns are caught too, as their
     coordinate multiples.  True means no such syzygy exists.
     """
-    return kernel(injectivity_system(phi)).cols == 0
+    return rank_of_rows(injectivity_system(phi)) == 3 * phi.ncols
 
 
 def stability_sufficient(minors: Sequence[HomPoly]) -> bool:
@@ -254,10 +237,7 @@ def curve_from_pair(quad: Sequence[HomPoly], phi: KroneckerModule) -> HomPoly:
     n = phi.nrows
     if len(quad) != n:
         raise ShapeError(f"quadratic column must have length {n}")
-    mat = [
-        [quad[i]] + [phi.entry(i, j).to_hompoly() for j in range(n - 1)]
-        for i in range(n)
-    ]
+    mat = [[q, *row] for q, row in zip(quad, phi.entries)]
     f = det_poly_matrix(mat, col_degrees=[2] + [1] * (n - 1))
     if f.is_zero():
         raise DegenerateError("bordered determinant vanishes identically")
@@ -272,27 +252,14 @@ def pair_from_curve(phi: KroneckerModule, f: HomPoly) -> SheafMatrix:
     which for point-derived modules means f does not pass through the
     configuration.
     """
-    n = phi.nrows
     d = phi.curve_degree
     if f.degree != d:
         raise ShapeError(f"curve has degree {f.degree}, module expects {d}")
-    minors = maximal_minors(phi)
-    quad_monos = monomials(2)
-    cols = []
-    for m in minors:
-        for t in quad_monos:
-            cols.append((HomPoly.monomial(2, t) * m).coeffs)
-    system = QMatrix.from_rows(
-        [[cols[c][r] for c in range(6 * n)] for r in range(monomial_count(d))],
-        cols=6 * n,
-    )
+    system = QMatrix.from_rows(_product_rows(maximal_minors(phi), 2))
     sol = solve(system, list(f.coeffs))
     if sol is None:
         raise NotInFibreError(
             "curve is not a quadratic combination of the maximal minors"
         )
-    quad = []
-    for i in range(n):
-        coeffs = sol[6 * i : 6 * (i + 1)]
-        quad.append(HomPoly.from_coeffs(2, coeffs))
+    quad = [HomPoly.from_coeffs(2, sol[6 * i : 6 * i + 6]) for i in range(phi.nrows)]
     return SheafMatrix(tuple(quad), phi)

@@ -13,7 +13,9 @@ linear algebra, and Nakayama's lemma says the ideal is principal (hence
 free, as it has finite colength) precisely when that dimension is one.
 Each row of that computation is a monomial shift of a generator's
 integer coefficients, so the oracle forms no polynomial product and
-never substitutes x = h(y), the step the criterion itself takes.
+never substitutes x = h(y), the step the criterion itself takes.  One
+elimination at N + 2, with columns ordered by degree, gives the
+dimension at both N and N + 2.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ def maximal_ideal_free(germ: CurveGerm) -> bool:
 # Independent jet-algebra check
 
 
-def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
-    """dim I/mI computed inside k[x,y]/(m^trunc).
+def _nakayama_dims(germ: CurveGerm, data: FatIdealData, trunc: int) -> tuple:
+    """dim I/mI inside k[x,y]/(m^trunc) and inside k[x,y]/(m^(trunc+2)).
 
     I is generated by x - h(y), y^m and the curve equation; mI replaces
     the two ideal generators by their products with the maximal ideal
@@ -139,16 +141,23 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
 
     Each row is a monomial multiple x^i y^j g of a generator g, that is
     g's integer coefficients moved to the shifted exponents and cut at
-    total degree trunc; g is cleared of denominators once.
+    total degree trunc + 2; g is cleared of denominators once.
+
+    Both levels come from that one elimination.  The columns run by
+    degree, so cutting at trunc projects onto the first trunc(trunc+1)/2
+    columns, where the rows of order trunc or more vanish.  In an echelon
+    the rows pivoting in that prefix span the projection, so an ideal
+    generator counts at trunc too when its stored pivot lies there.
     """
-    mons = [(i, t - i) for t in range(trunc) for i in range(t + 1)]
+    high = trunc + 2
+    mons = [(i, t - i) for t in range(high) for i in range(t + 1)]
     index = {m: k for k, m in enumerate(mons)}
 
     def shifts(g: LocalPoly) -> list:
-        """The rows x^i y^j g of order below trunc, (i, j) in the order of mons."""
+        """The rows x^i y^j g of order below trunc + 2, (i, j) in the order of mons."""
         exps, coeffs = zip(*g.coeffs)
         coeffs = integer_row(coeffs)[0]
-        top = trunc - g.order()
+        top = high - g.order()
         rows = []
         for i, j in mons:
             if i + j >= top:
@@ -165,8 +174,11 @@ def _nakayama_dim(germ: CurveGerm, data: FatIdealData, trunc: int) -> int:
     gens = [shifts(data.x_minus_h()), shifts(data.y_power())]
     for row in shifts(germ.f) + gens[0][1:] + gens[1][1:]:
         insert_row(pivots, row)
-    # rows[:1] is the generator itself, if its order is below trunc
-    return sum(insert_row(pivots, r) is not None for rows in gens for r in rows[:1])
+    # rows[0] is the generator itself, if its order is below trunc + 2
+    kept = [insert_row(pivots, rows[0]) for rows in gens if rows]
+    kept = [k for k in kept if k is not None]
+    prefix = trunc * (trunc + 1) // 2
+    return sum(k[0] < prefix for k in kept), len(kept)
 
 
 def default_truncation(germ: CurveGerm, data: FatIdealData) -> int:
@@ -179,17 +191,17 @@ def jet_principality_oracle(
 ) -> bool:
     """Principality of the fat-point ideal on the curve, via jets.
 
-    Computes dim I/mI at the default truncation 2m + deg f + 2 and again
-    two orders higher; the two must agree, otherwise the truncation was
-    too small and DegenerateError is raised.  By Nakayama the ideal is
-    principal, equivalently free here, exactly when the dimension is 1.
+    Computes dim I/mI at the default truncation 2m + deg f + 2 and two
+    orders higher, from one elimination; the two must agree, otherwise
+    the truncation was too small and DegenerateError is raised.  By
+    Nakayama the ideal is principal, equivalently free here, exactly when
+    the dimension is 1.
     """
     if not membership(germ, data):
         raise ConfigError("the fat point scheme does not lie on the curve")
     if truncation is None:
         truncation = default_truncation(germ, data)
-    dim = _nakayama_dim(germ, data, truncation)
-    dim_again = _nakayama_dim(germ, data, truncation + 2)
+    dim, dim_again = _nakayama_dims(germ, data, truncation)
     if dim != dim_again:
         raise DegenerateError(
             f"jet dimension did not stabilize: {dim} at truncation "

@@ -1,4 +1,4 @@
-"""Polynomials: homogeneous ternary forms, plane germs, linear forms.
+"""Polynomials: homogeneous ternary forms and plane germs.
 
 Monomial order.  The degree-d monomials in x0, x1, x2 are ordered
 lexicographically with the exponent of x0 decreasing first and the
@@ -191,42 +191,6 @@ def powers(x, upto: int) -> list:
     for _ in range(upto):
         out.append(out[-1] * x)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Linear forms
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """Linear form a0*x0 + a1*x1 + a2*x2."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-
-    @classmethod
-    def of(cls, a0, a1, a2) -> "LinForm":
-        return cls(Fraction(a0), Fraction(a1), Fraction(a2))
-
-    @classmethod
-    def zero(cls) -> "LinForm":
-        return cls(_ZERO, _ZERO, _ZERO)
-
-    def coeffs3(self) -> tuple:
-        return (self.a0, self.a1, self.a2)
-
-    def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0 and self.a2 == 0
-
-    def to_hompoly(self) -> HomPoly:
-        return HomPoly(1, (self.a0, self.a1, self.a2))
-
-    def eval(self, pt: Sequence) -> Fraction:
-        return self.a0 * Fraction(pt[0]) + self.a1 * Fraction(pt[1]) + self.a2 * Fraction(pt[2])
-
-    def __str__(self) -> str:
-        return str(self.to_hompoly())
 
 
 # ---------------------------------------------------------------------------

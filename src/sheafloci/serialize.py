@@ -284,7 +284,7 @@ def resolution_to_dict(res: IdealResolution) -> dict:
     rows = []
     for i in range(phi.nrows):
         rows.append(
-            [_triple_out(phi.entry(i, j).coeffs3()) for j in range(phi.ncols)]
+            [_triple_out(phi.entry(i, j).coeffs) for j in range(phi.ncols)]
         )
     minors = maximal_minors(phi)
     return {

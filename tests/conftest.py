@@ -6,8 +6,8 @@ library's integer echelon core, cofactor expansion instead of
 elimination, Horner evaluation instead of monomial sums) so that
 cross-checks exercise independent code paths:
 
-- naive_rank, naive_det, cofactor_det: first-nonzero Fraction
-  elimination and cofactor expansion.
+- naive_echelon, naive_rank, rank_modulo, naive_det, cofactor_det:
+  first-nonzero Fraction elimination and cofactor expansion.
 - degree_monomials, evaluation_rows, horner_eval: monomial order and
   evaluation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
@@ -19,6 +19,7 @@ cross-checks exercise independent code paths:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 # Reference configuration: ten points in the plane, degree 6, used for the
@@ -38,12 +39,17 @@ REFERENCE_POINTS_D6 = [
 ]
 
 
-def naive_rank(rows):
-    """Gaussian elimination with first-nonzero pivoting; returns the rank."""
+def naive_echelon(rows):
+    """Gauss-Jordan elimination with first-nonzero pivoting.
+
+    Returns a (column, row) pair per pivot row; every other pivot row is
+    zero in that column.
+    """
     rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
+    cols = []
     r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -56,8 +62,31 @@ def naive_rank(rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        cols.append(c)
         r += 1
-    return r
+    return list(zip(cols, rows))
+
+
+def naive_rank(rows):
+    """Gaussian elimination with first-nonzero pivoting; returns the rank."""
+    return len(naive_echelon(rows))
+
+
+def rank_modulo(echelon, rows):
+    """Rank of rows modulo the span of a naive_echelon.
+
+    Each row is cleared at the echelon's pivots and the remainders are
+    ranked with naive_rank; rank(E + rows) = len(E) + rank_modulo(E, rows).
+    """
+    rest = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for c, p in echelon:
+            if row[c]:
+                f = row[c] / p[c]
+                row = [a - f * b for a, b in zip(row, p)]
+        rest.append(row)
+    return naive_rank(rest)
 
 
 def naive_det(rows):
@@ -165,16 +194,28 @@ def _ambient_rows(fib, ids):
     return rows
 
 
+@lru_cache(maxsize=8)
+def _membership_echelon(cfg):
+    from sheafloci.schemes import membership_conditions
+
+    return naive_echelon(membership_conditions(cfg, cfg.degree))
+
+
 def ambient_codim(fib, ids):
     """Codimension in the fibre of the curves singular at every point of ids.
 
-    Ranks the ambient rows with naive_rank and subtracts the scheme's
-    length, the fibre's codimension; no compressed coordinates and no
-    integer echelon.
+    The ambient rank of the membership rows M stacked with the singular
+    rows S is rank(M) + rank(S mod M), with M reduced once per
+    configuration by naive_echelon.  Subtracts the scheme's length, the
+    fibre's codimension; no compressed coordinates and no integer
+    echelon.
     """
     from sheafloci.schemes import length
+    from sheafloci.singloci import singular_conditions
 
-    return naive_rank(_ambient_rows(fib, ids)) - length(fib.config)
+    echelon = _membership_echelon(fib.config)
+    rows = [r for pid in ids for r in singular_conditions(fib.config, pid).rows]
+    return len(echelon) + rank_modulo(echelon, rows) - length(fib.config)
 
 
 def ambient_singular_subspace(fib, pid):
@@ -190,10 +231,9 @@ def zero_column_module(phi, col=0):
     The vector with x0 in slot col and zeros elsewhere is then a linear
     column syzygy, so the module cannot define an injective sheaf map.
     """
-    from sheafloci.poly import LinForm
+    from sheafloci.poly import HomPoly
 
-    zero = LinForm.zero()
-    return phi.with_column(col, [zero] * phi.nrows)
+    return phi.with_column(col, [HomPoly.zero(1)] * phi.nrows)
 
 
 def proportional_pair_module(phi, l1, l2, scalars):
@@ -202,13 +242,5 @@ def proportional_pair_module(phi, l1, l2, scalars):
     Column 0 becomes (c_i * l2) and column 1 becomes (-c_i * l1), so
     (l1, l2, 0, ...) is a linear column syzygy.
     """
-    from fractions import Fraction as F
-
-    from sheafloci.poly import LinForm
-
-    def scaled(lin, c):
-        return LinForm(lin.a0 * c, lin.a1 * c, lin.a2 * c)
-
-    cs = [F(c) for c in scalars]
-    out = phi.with_column(0, [scaled(l2, c) for c in cs])
-    return out.with_column(1, [scaled(l1, -c) for c in cs])
+    out = phi.with_column(0, [l2.scale(c) for c in scalars])
+    return out.with_column(1, [l1.scale(-c) for c in scalars])

@@ -40,7 +40,7 @@ from sheafloci.localfree import (
     jet_principality_oracle,
     random_membership_germ,
 )
-from sheafloci.poly import LinForm, parse_local
+from sheafloci.poly import HomPoly, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
     PointConfig,
@@ -211,7 +211,7 @@ def test_criterion_5_injectivity(line, resolutions):
     with criterion(line, 5, "injectivity holds on 150 built modules, fails on both families"):
         for _cfg, res in resolutions:
             assert injectivity_check(res.phi)
-        l1, l2 = LinForm.of(1, 2, -1), LinForm.of(3, 0, 1)
+        l1, l2 = HomPoly.from_coeffs(1, (1, 2, -1)), HomPoly.from_coeffs(1, (3, 0, 1))
         for _cfg, res in resolutions:
             phi = res.phi
             assert not injectivity_check(zero_column_module(phi))

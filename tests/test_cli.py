@@ -1,5 +1,6 @@
 """End-to-end command behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -211,6 +212,23 @@ class TestKronecker:
         assert payload["injective"] is True and payload["stable"] is True
         assert len(payload["phi"]) == 4
         assert all(len(row) == 3 for row in payload["phi"])
+
+    @pytest.mark.parametrize(
+        "make_config,digest",
+        [
+            (("verify-remark6", "--emit-config"), "cd4856405cf367db"),
+            (
+                ("random", "--degree", "5", "--seed", "21", "--stratum", "double", "--out"),
+                "3e26049a9aa24d26",
+            ),
+        ],
+    )
+    def test_payload_bytes_are_pinned(self, capsys, tmp_path, make_config, digest):
+        cfg = str(tmp_path / "cfg.json")
+        run(capsys, *make_config, cfg)
+        code, out, _ = run(capsys, "kronecker", "--config", cfg)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 class TestLocalFree:

@@ -7,7 +7,6 @@ import pytest
 from sheafloci.errors import DegenerateError, NotInFibreError, ShapeError
 from sheafloci.exactalg import QMatrix, kernel, rank_of_rows
 from sheafloci.kronecker import (
-    IdealResolution,
     KroneckerModule,
     SheafMatrix,
     curve_from_pair,
@@ -20,7 +19,7 @@ from sheafloci.kronecker import (
     stability_sufficient,
 )
 from sheafloci.linsys import fibre
-from sheafloci.poly import HomPoly, LinForm, monomial_count, parse_homogeneous
+from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
     PointConfig,
@@ -31,7 +30,6 @@ from sheafloci.schemes import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
-    horner_eval,
     proportional_pair_module,
     zero_column_module,
 )
@@ -48,7 +46,7 @@ def standard_d4_config():
 
 
 def lin(a, b, c):
-    return LinForm.of(a, b, c)
+    return HomPoly.from_coeffs(1, (a, b, c))
 
 
 class TestKroneckerModule:
@@ -59,6 +57,8 @@ class TestKroneckerModule:
             KroneckerModule.from_rows(
                 [[lin(1, 0, 0), lin(0, 1, 0)], [lin(0, 0, 1), lin(1, 1, 1)]]
             )
+        with pytest.raises(ShapeError):
+            KroneckerModule.from_rows([[lin(1, 0, 0)], [parse_homogeneous("x0*x1")]])
 
     def test_two_row_minors(self):
         # Column (x0, x1): the signed minors are (x1, -x0).
@@ -134,8 +134,7 @@ class TestInjectivity:
             cfg = random_config(d, seed)
             res = kronecker_from_points(cfg)
             assert injectivity_check(res.phi)
-            sys = injectivity_system(res.phi)
-            assert rank_of_rows(sys.row_lists()) == 3 * (d - 2)
+            assert rank_of_rows(injectivity_system(res.phi)) == 3 * (d - 2)
 
     def test_zero_column_defeats_injectivity(self):
         for d, seed in ((4, 4), (6, 9)):
@@ -152,14 +151,14 @@ class TestInjectivity:
                 res.phi, lin(1, 2, 0), lin(0, 1, -1), scalars
             )
             assert not injectivity_check(broken)
-            ker = kernel(injectivity_system(broken))
+            ker = kernel(QMatrix.from_rows(injectivity_system(broken)))
             assert ker.cols >= 1
 
     def test_witness_for_zero_column(self):
         # x0 placed in the zeroed slot solves the syzygy system.
         res = kronecker_from_points(standard_d4_config())
         broken = zero_column_module(res.phi, col=1)
-        sys = injectivity_system(broken)
+        sys = QMatrix.from_rows(injectivity_system(broken))
         witness = [Fraction(0)] * (3 * broken.ncols)
         witness[3 * 1 + 0] = Fraction(1)
         assert all(v == 0 for v in sys.apply(witness))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import DegenerateError, GenericityError, ShapeError
-from sheafloci.linsys import Fibre, ProjSubspace, fibre
-from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
+from sheafloci.linsys import ProjSubspace, fibre
+from sheafloci.poly import monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import PointConfig, SimplePoint, random_config
 

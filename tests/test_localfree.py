@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from sheafloci.errors import ConfigError
+from sheafloci.errors import ConfigError, DegenerateError
 from sheafloci.linsys import fibre
 from sheafloci.localfree import (
     CurveGerm,
     FatIdealData,
-    _nakayama_dim,
+    _nakayama_dims,
     branch_restriction,
     fat_ideal_free,
     germ_at_fat_point,
@@ -25,7 +25,7 @@ from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
 from sheafloci.singloci import classify_curve
 
-from conftest import ambient_singular_subspace, naive_rank
+from conftest import ambient_singular_subspace, naive_echelon, rank_modulo
 
 
 def germ(text):
@@ -151,9 +151,14 @@ class TestMaximalIdeal:
 class TestJetOracle:
     def test_nakayama_dims(self):
         d = double_point()
-        assert _nakayama_dim(germ("x*y"), d, 8) == 2
-        assert _nakayama_dim(germ("x^2 - y^2"), d, 8) == 1
-        assert _nakayama_dim(germ("x - y^2"), d, 8) == 1
+        assert _nakayama_dims(germ("x*y"), d, 8) == (2, 2)
+        assert _nakayama_dims(germ("x^2 - y^2"), d, 8) == (1, 1)
+        assert _nakayama_dims(germ("x - y^2"), d, 8) == (1, 1)
+
+    def test_unstable_truncation_is_refused(self):
+        # Below order 2 the node x*y leaves no row and y^2 no generator.
+        with pytest.raises(DegenerateError, match="1 at truncation 2, 2 at 4"):
+            jet_principality_oracle(germ("x*y"), double_point(), truncation=2)
 
     def test_truncation_choice_does_not_matter(self):
         g = germ("x^2 - y^3")
@@ -163,14 +168,37 @@ class TestJetOracle:
         )
 
     def test_sparse_elimination_matches_dense_ranks(self):
-        # Recompute dim I/mI as a difference of two dense ranks, using the
-        # Fraction oracle rather than the integer core the jet check uses,
-        # and rows built as LocalPoly products rather than monomial shifts.
+        # Recompute dim I/mI as the dense rank of the two generators modulo
+        # the rows of mI, using the Fraction oracle rather than the integer
+        # core the jet check uses, and rows built as LocalPoly products
+        # rather than monomial shifts.
         # Criterion 6's canonical germs and seeded mult 1-3 germs, at
-        # truncations t and t+2.  In x - y^3 = x - y * y^2 the cofactor of
-        # y^2 vanishes at the origin, so only the multiples of y^2 put x
-        # into mI.
+        # truncations 1-6, where the two levels often differ, and t; each
+        # call answers for trunc and trunc + 2.  In x - y^3 = x - y * y^2
+        # the cofactor of y^2 vanishes at the origin, so only the
+        # multiples of y^2 put x into mI.
         from sheafloci.poly import LocalPoly
+
+        def dense_dim(g, d, trunc):
+            mons = [(i, s - i) for s in range(trunc) for i in range(s + 1)]
+            index = {m: n for n, m in enumerate(mons)}
+
+            def vec(p):
+                row = [Fraction(0)] * len(mons)
+                for e, c in p.as_dict().items():
+                    if e in index:
+                        row[index[e]] = c
+                return row
+
+            shared = []
+            for (i, j) in mons:
+                mono = LocalPoly.from_dict({(i, j): Fraction(1)})
+                shared.append(vec(mono * g.f))
+                if i + j >= 1:
+                    shared.append(vec(mono * d.x_minus_h()))
+                    shared.append(vec(mono * d.y_power()))
+            gens = [vec(d.x_minus_h()), vec(d.y_power())]
+            return rank_modulo(naive_echelon(shared), gens)
 
         rng = SplitMix64(90)
         cases = [
@@ -182,27 +210,9 @@ class TestJetOracle:
         ]
         for g, d in cases:
             t = 2 * d.mult + g.f.total_degree() + 2
-            for trunc in (t, t + 2):
-                mons = [(i, s - i) for s in range(trunc) for i in range(s + 1)]
-                index = {m: n for n, m in enumerate(mons)}
-
-                def vec(p):
-                    row = [Fraction(0)] * len(mons)
-                    for e, c in p.as_dict().items():
-                        if e in index:
-                            row[index[e]] = c
-                    return row
-
-                shared = []
-                for (i, j) in mons:
-                    mono = LocalPoly.from_dict({(i, j): Fraction(1)})
-                    shared.append(vec(mono * g.f))
-                    if i + j >= 1:
-                        shared.append(vec(mono * d.x_minus_h()))
-                        shared.append(vec(mono * d.y_power()))
-                big = shared + [vec(d.x_minus_h()), vec(d.y_power())]
-                dense = naive_rank(big) - naive_rank(shared)
-                assert _nakayama_dim(g, d, trunc) == dense
+            dense = {k: dense_dim(g, d, k) for k in {*range(1, 9), t, t + 2}}
+            for trunc in (1, 2, 3, 4, 5, 6, t):
+                assert _nakayama_dims(g, d, trunc) == (dense[trunc], dense[trunc + 2])
 
     def test_branch_restriction(self):
         g = germ("x^2 - y^3")

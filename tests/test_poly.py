@@ -9,7 +9,6 @@ from sheafloci.errors import ParseError, ShapeError
 from sheafloci.exactalg import QMatrix
 from sheafloci.poly import (
     HomPoly,
-    LinForm,
     LocalPoly,
     det_poly_matrix,
     monomial_count,
@@ -194,15 +193,6 @@ def test_substitute_linear_compatible_with_evaluation():
     for _ in range(5):
         v = [rng.randint(-5, 5) for _ in range(3)]
         assert q.eval(v) == p.eval(g.apply(v))
-
-
-def test_linform_conversions():
-    lf = LinForm.of(1, 0, -2)
-    assert str(lf) == "x0 - 2*x2"
-    assert lf.to_hompoly().degree == 1
-    assert lf.eval((2, 5, 1)) == 0
-    assert not lf.is_zero()
-    assert LinForm.zero().is_zero()
 
 
 def test_parse_homogeneous_example():

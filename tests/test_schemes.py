@@ -13,7 +13,6 @@ from sheafloci.poly import (
     monomial_count,
     monomial_index,
     monomials,
-    parse_homogeneous,
     substitute_linear,
 )
 from sheafloci.schemes import (
