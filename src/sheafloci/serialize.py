@@ -2,11 +2,12 @@
 
 All rational numbers travel as strings like "3/4" or "-7"; polynomials
 travel in the canonical text form produced by their str() and accepted
-by the parser.  SCHEMAS is the contract for every payload.  Input is
-validated where it enters, in config_from_dict and germ_query_from_dict,
-which also enforce the input ceilings; the payloads the builders emit
-are checked against their schemas by a test, not at run time, so
-jsonschema is imported only when input is read.  canonical_dumps renders
+by the parser.  SCHEMAS is the contract for every payload, written in
+JSON Schema (draft 2020-12); _schema_errors interprets the keywords it
+uses with the standard library alone.  Input is validated where it
+enters, in config_from_dict and germ_query_from_dict, which also enforce
+the input ceilings; the payloads the builders emit are checked against
+their schemas by a test, not at run time.  canonical_dumps renders
 objects deterministically (sorted keys, two-space indent, trailing
 newline).
 
@@ -19,8 +20,8 @@ be "0".
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from functools import cache
 from typing import Optional
 
 from .errors import ConfigError
@@ -204,29 +205,73 @@ SCHEMAS = {
 }
 
 
-@cache
-def _validator(kind: str):
-    """The named schema's validator, its schema checked once on first use."""
-    import jsonschema
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # bool is an int subclass, and an integral float is not an integer here
+    "integer": lambda x: type(x) is int,
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+}
 
-    schema = SCHEMAS[kind]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _schema_errors(obj, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way obj breaks schema, this node first.
+
+    Interprets exactly the keywords SCHEMAS uses, each applied as JSON
+    Schema applies it (pattern only to strings, minimum only to numbers,
+    ...), with the usual JSON Schema validator messages.  A value of the
+    wrong type yields only its type error.
+    """
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_TYPES[name](obj) for name in names):
+            yield path, f"{obj!r} is not of type {', '.join(map(repr, names))}"
+            return
+    if "enum" in schema and obj not in schema["enum"]:
+        yield path, f"{obj!r} is not one of {schema['enum']!r}"
+    if isinstance(obj, str) and "pattern" in schema and not re.search(schema["pattern"], obj):
+        yield path, f"{obj!r} does not match {schema['pattern']!r}"
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        if "minimum" in schema and obj < schema["minimum"]:
+            yield path, f"{obj!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and obj > schema["maximum"]:
+            yield path, f"{obj!r} is greater than the maximum of {schema['maximum']!r}"
+    if isinstance(obj, list):
+        if "minItems" in schema and len(obj) < schema["minItems"]:
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield path, f"{obj!r} {short}"
+        if "maxItems" in schema and len(obj) > schema["maxItems"]:
+            long = "is expected to be empty" if schema["maxItems"] == 0 else "is too long"
+            yield path, f"{obj!r} {long}"
+        if "items" in schema:
+            for i, item in enumerate(obj):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    if isinstance(obj, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in obj:
+                yield path, f"{key!r} is a required property"
+        extras = sorted(key for key in obj if key not in properties)
+        if schema.get("additionalProperties") is False and extras:
+            verb = "was" if len(extras) == 1 else "were"
+            listed = ", ".join(map(repr, extras))
+            yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        for key, sub in properties.items():
+            if key in obj:
+                yield from _schema_errors(obj[key], sub, path + (key,))
 
 
 def validate_payload(obj: dict, kind: str) -> None:
     """Check a payload against the named schema; ConfigError on mismatch.
 
-    Reports the same error jsonschema.validate would raise: the best
-    match among all the errors.
+    Reports the first error _schema_errors finds, so an error in a
+    value comes before any error inside it.
     """
-    import jsonschema
-
-    e = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
-    if e is not None:
-        path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"invalid {kind} payload at {path}: {e.message}") from e
+    for path, message in _schema_errors(obj, SCHEMAS[kind]):
+        where = "/".join(map(str, path)) or "(root)"
+        raise ConfigError(f"invalid {kind} payload at {where}: {message}")
 
 
 def canonical_dumps(obj: dict) -> str:

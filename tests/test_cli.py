@@ -371,6 +371,35 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command,flag,field,value",
+        [
+            ("localfree", "--in", "mult", 2.0),
+            ("localfree", "--in", "truncation", 4.0),
+            ("localfree", "--in", "mult", True),
+            ("analyze", "--config", "degree", 6.0),
+        ],
+        ids=["float-mult", "float-truncation", "bool-mult", "float-degree"],
+    )
+    def test_non_int_integer_field_is_exit_one(
+        self, capsys, tmp_path, command, flag, field, value
+    ):
+        # JSON Schema counts 2.0 as an integer, but the code behind it needs an int
+        if flag == "--in":
+            payload = {"f": "x^2 - y^3", "h": ["0"], "mult": 2}
+        else:
+            cfg = tmp_path / "cfg.json"
+            run(capsys, "random", "--degree", "6", "--seed", "1", "--out", str(cfg))
+            payload = json.loads(cfg.read_text())
+        assert run(capsys, command, flag, write_json(tmp_path / "ok.json", payload))[0] == 0
+        payload[field] = value
+        code, out, err = run(capsys, command, flag, write_json(tmp_path / "in.json", payload))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at {field}: {value!r} is not of type 'integer'" in err
+
     def test_non_integer_degree_is_exit_one(self, capsys):
         code, out, err = run(capsys, "random", "--degree", "six", "--seed", "1")
         assert code == 1
@@ -415,22 +444,31 @@ class TestInputCeilings:
         assert "ceiling" in err or "maximum" in err
 
 
-def test_output_only_commands_never_import_jsonschema():
+def test_no_command_imports_jsonschema(tmp_path):
     # other tests import jsonschema into this process, so ask a fresh one
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    cfg, query, bad = tmp_path / "cfg.json", tmp_path / "query.json", tmp_path / "bad.json"
+    write_json(query, {"f": "x^2 - y^3", "h": ["0"], "mult": 2})
+    write_json(bad, {"degree": 5, "simple": []})
     script = (
         "import sys\n"
         "from sheafloci.cli import console_main\n"
-        "assert console_main(['random', '--degree', '4', '--seed', '1']) == 0\n"
+        "cfg, query, bad = sys.argv[1:]\n"
+        "assert console_main(['random', '--degree', '5', '--seed', '1', '--out', cfg]) == 0\n"
         "assert console_main(['verify-remark6']) == 0\n"
+        "assert console_main(['analyze', '--config', cfg]) == 0\n"
+        "assert console_main(['kronecker', '--config', cfg]) == 0\n"
+        "assert console_main(['localfree', '--in', query]) == 0\n"
+        "assert console_main(['localfree', '--poly', 'x^2 - y^3', '--mult', '2']) == 0\n"
+        "assert console_main(['analyze', '--config', bad]) == 1\n"
         "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", script, str(cfg), str(query), str(bad)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

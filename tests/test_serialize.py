@@ -1,7 +1,10 @@
 """JSON round trips, canonical rendering, and schema rejection paths."""
 
+import copy
 import json
+import re
 
+import jsonschema
 import pytest
 
 from conftest import REFERENCE_POINTS_D6
@@ -21,6 +24,7 @@ from sheafloci.rng import SplitMix64
 from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
 from sheafloci.singloci import locus_report
 from sheafloci.serialize import (
+    RATIONAL_PATTERN,
     SCHEMAS,
     canonical_dumps,
     config_from_dict,
@@ -261,6 +265,187 @@ class TestValidatePayload:
         with pytest.raises(ConfigError, match="simple/3/1"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "kind,payload,expected",
+        [
+            ("config", {"degree": 6, "simple": [["1", "half", "0"]], "fat": []},
+             f"at simple/0/1: 'half' does not match {RATIONAL_PATTERN!r}"),
+            ("localfree_query", {"f": "x*y", "h": ["0"]},
+             "at (root): 'mult' is a required property"),
+            ("config", {"degree": 11, "simple": [], "fat": []},
+             "at degree: 11 is greater than the maximum of 10"),
+            ("localfree_query", {"f": "x*y", "h": ["0"], "mult": 0},
+             "at mult: 0 is less than the minimum of 1"),
+            ("config", {"degree": 6, "simple": [["1", "0"]], "fat": []},
+             "at simple/0: ['1', '0'] is too short"),
+            ("config", {"degree": 6, "simple": [], "fat": [], "b": 1, "a": 2},
+             "at (root): Additional properties are not allowed ('a', 'b' were unexpected)"),
+            ("report", {"degree": 4, "stratum": "flat", "fibre_dim": 0, "points": [],
+                        "pairs": [], "triples": [], "subsets": [], "violations": []},
+             "at stratum: 'flat' is not one of ['generic', 'double', 'deep']"),
+            ("localfree_result", {"f": "x", "h": ["0"], "mult": 1, "membership": False,
+                                  "regular": True, "u_at_zero": 0, "free": None,
+                                  "jet_free": None},
+             "at u_at_zero: 0 is not of type 'string', 'null'"),
+            # JSON Schema's "integer" admits 2.0; the checker, like the code
+            # that reads the payload, takes only int, and never bool
+            ("localfree_query", {"f": "x*y", "h": ["0"], "mult": 2.0},
+             "at mult: 2.0 is not of type 'integer'"),
+            ("localfree_query", {"f": "x*y", "h": ["0"], "mult": True},
+             "at mult: True is not of type 'integer'"),
+        ],
+        ids=["pattern", "required", "maximum", "minimum", "minItems",
+             "additionalProperties", "enum", "type-list", "integral-float", "bool"],
+    )
+    def test_messages_use_json_schema_wording(self, kind, payload, expected):
+        with pytest.raises(ConfigError) as info:
+            validate_payload(payload, kind)
+        assert str(info.value) == f"invalid {kind} payload {expected}"
+
+
+
+# The JSON Schema keywords and type names the checker interprets.
+CHECKED_KEYWORDS = {
+    "type", "enum", "pattern", "minimum", "maximum", "minItems", "maxItems",
+    "items", "required", "properties", "additionalProperties",
+}
+CHECKED_TYPES = {"object", "array", "string", "integer", "boolean", "null"}
+
+
+def subschemas(schema: dict):
+    yield schema
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+
+
+def test_schemas_are_valid_and_use_only_checked_keywords():
+    """A keyword the checker does not know must fail here, not be ignored."""
+    for kind, schema in SCHEMAS.items():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        for sub in subschemas(schema):
+            assert set(sub) <= CHECKED_KEYWORDS, (kind, set(sub) - CHECKED_KEYWORDS)
+            types = sub.get("type", [])
+            assert set([types] if isinstance(types, str) else types) <= CHECKED_TYPES, kind
+            assert sub.get("additionalProperties", False) is False, kind
+            # the checker compares enum members with ==, under which True == 1
+            assert all(isinstance(v, str) for v in sub.get("enum", [])), kind
+
+
+MUTANT_VALUES = [
+    "0", "-7", "+3/4", "1/0", "1/02", "half", "", "3\n", "x^2 - y^3", "generic",
+    0, 1, 2, 3, 4, 6, 10, 11, -1, 2.5, 2.0, 6.0, 0.0, float("nan"),
+    True, False, None, [], {}, ["0"], ["1", "2", "3"], {"a": 1},
+]
+MUTANT_KEYS = ["extra", "degree", "simple", "fat", "mult", "h", "truncation", "chart", "f"]
+
+
+def containers(obj):
+    """obj and every list or dict inside it."""
+    if isinstance(obj, (list, dict)):
+        yield obj
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from containers(value)
+
+
+def pick(rng: SplitMix64, seq):
+    return seq[rng.below(len(seq))]
+
+
+def mutate(obj, rng: SplitMix64):
+    """Replace an entry, delete a key, add a key, append an item, or,
+    when the drawn edit has no place to go, replace the whole payload.
+
+    Half of the replacements take a value of the old one's type from the
+    payload itself, or the old integer as a float, so that many mutants
+    stay valid and some differ from a valid payload only by 2.0 for 2.
+    """
+    nodes = [node for node in containers(obj) if node]
+    dicts = [node for node in containers(obj) if isinstance(node, dict)]
+    lists = [node for node in containers(obj) if isinstance(node, list)]
+    own = [v for node in nodes for v in (node.values() if isinstance(node, dict) else node)]
+    value = copy.deepcopy(pick(rng, MUTANT_VALUES))
+    op = rng.below(5)
+    if op == 0 and nodes:
+        node = pick(rng, nodes)
+        key = pick(rng, list(node) if isinstance(node, dict) else range(len(node)))
+        old = node[key]
+        alike = [v for v in own if type(v) is type(old)]
+        if type(old) is int:
+            alike.append(float(old))
+        node[key] = copy.deepcopy(pick(rng, alike)) if rng.below(2) else value
+    elif op == 1 and any(dicts):
+        node = pick(rng, [node for node in dicts if node])
+        del node[pick(rng, list(node))]
+    elif op == 2 and dicts:
+        pick(rng, dicts)[pick(rng, MUTANT_KEYS)] = value
+    elif op == 3 and lists:
+        node = pick(rng, lists)
+        node.append(copy.deepcopy(pick(rng, node)) if node and rng.below(2) else value)
+    else:
+        return copy.deepcopy(pick(rng, MUTANT_VALUES + [[obj]]))
+    return obj
+
+
+def reported(kind: str, payload) -> "tuple | None":
+    """(path, message) of validate_payload's error, or None if it accepts."""
+    try:
+        validate_payload(payload, kind)
+    except ConfigError as e:
+        m = re.fullmatch(rf"invalid {kind} payload at (\S+): (.*)", str(e))
+        assert m, str(e)
+        return m.group(1), m.group(2)
+    return None
+
+
+def value_at(payload, path: str):
+    for key in path.split("/") if path != "(root)" else ():
+        payload = payload[int(key)] if isinstance(payload, list) else payload[key]
+    return payload
+
+
+def test_checker_agrees_with_jsonschema_on_mutated_payloads():
+    """Same verdict as jsonschema, and an error jsonschema also reports.
+
+    The one documented difference: an integral float such as 2.0 is a
+    JSON Schema integer, but not an integer to the checker.
+    """
+    bases = [("config", config_to_dict(random_config(d, seed=40 + d, stratum=s)))
+             for d in (4, 5) for s in ("generic", "double")]
+    bases += [
+        ("localfree_query", {"f": "x^2 - y^3", "h": ["0", "1/2"], "mult": 2}),
+        ("localfree_query", {"f": "x*y", "h": [], "mult": 1, "truncation": 6}),
+    ]
+    validators = {
+        kind: jsonschema.validators.validator_for(SCHEMAS[kind])(SCHEMAS[kind])
+        for kind in ("config", "localfree_query")
+    }
+    rng = SplitMix64(2020_12)
+    outcomes = {"accepted": 0, "rejected": 0, "stricter": 0}
+    for case in range(1000):
+        kind, base = bases[case % len(bases)]
+        payload = copy.deepcopy(base)
+        for _ in range(1 + rng.below(2)):
+            payload = mutate(payload, rng)
+        expected = {
+            ("/".join(map(str, e.absolute_path)) or "(root)", e.message)
+            for e in validators[kind].iter_errors(payload)
+        }
+        got = reported(kind, payload)
+        if got is None:
+            assert not expected, (case, payload, expected)
+            outcomes["accepted"] += 1
+        elif got in expected:
+            outcomes["rejected"] += 1
+        else:
+            path, message = got
+            value = value_at(payload, path)
+            assert type(value) is float and value.is_integer(), (case, payload, got, expected)
+            assert message == f"{value!r} is not of type 'integer'"
+            outcomes["stricter"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
 
 def test_every_output_payload_conforms_to_its_schema():
     """The builders are not checked at run time; this is their contract."""
@@ -299,3 +484,4 @@ def test_every_output_payload_conforms_to_its_schema():
     assert kinds == set(SCHEMAS) - {"localfree_query"}
     for kind, payload in payloads:
         validate_payload(payload, kind)
+        jsonschema.validate(payload, SCHEMAS[kind])
