@@ -7,111 +7,83 @@ singular at a prescribed point, their codimensions and intersections,
 the Kronecker-module (linear syzygy) resolution machinery behind them,
 and local-freeness tests for ideals of simple and fat curvilinear
 points on curve germs.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562).  Every
+``sheafloci`` command is a fresh process that compiles the modules it
+loads, so a command pays only for the modules it runs.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    GenericityError,
-    NotInFibreError,
-    ParseError,
-    ShapeError,
-    SheafLociError,
-)
-from .exactalg import QMatrix, Rational, rat_from_str, rat_to_str
-from .kronecker import (
-    IdealResolution,
-    KroneckerModule,
-    SheafMatrix,
-    curve_from_pair,
-    injectivity_check,
-    kronecker_from_points,
-    maximal_minors,
-    pair_from_curve,
-    resolution_check,
-    stability_sufficient,
-)
-from .linsys import Fibre, ProjSubspace, fibre
-from .localfree import (
-    CurveGerm,
-    FatIdealData,
-    fat_ideal_free,
-    germ_at_fat_point,
-    jet_principality_oracle,
-    maximal_ideal_free,
-    u_at_zero,
-)
-from .poly import HomPoly, LocalPoly, parse, parse_homogeneous, parse_local
-from .rng import SplitMix64
-from .schemes import (
-    FatPoint,
-    PointConfig,
-    SimplePoint,
-    expected_length,
-    membership_conditions,
-    random_config,
-)
-from .singloci import (
-    SingularLocusReport,
-    asserted_violations,
-    classify_curve,
-    impose_singularities,
-    locus_report,
-    normal_space_dim,
-    singular_conditions,
-)
+# public name -> the module that defines it
+_EXPORTS = {
+    "ConfigError": "errors",
+    "DegenerateError": "errors",
+    "GenericityError": "errors",
+    "NotInFibreError": "errors",
+    "ParseError": "errors",
+    "ShapeError": "errors",
+    "SheafLociError": "errors",
+    "QMatrix": "exactalg",
+    "Rational": "exactalg",
+    "rat_from_str": "exactalg",
+    "rat_to_str": "exactalg",
+    "IdealResolution": "kronecker",
+    "KroneckerModule": "kronecker",
+    "SheafMatrix": "kronecker",
+    "curve_from_pair": "kronecker",
+    "injectivity_check": "kronecker",
+    "kronecker_from_points": "kronecker",
+    "maximal_minors": "kronecker",
+    "pair_from_curve": "kronecker",
+    "resolution_check": "kronecker",
+    "stability_sufficient": "kronecker",
+    "Fibre": "linsys",
+    "ProjSubspace": "linsys",
+    "fibre": "linsys",
+    "CurveGerm": "localfree",
+    "FatIdealData": "localfree",
+    "fat_ideal_free": "localfree",
+    "germ_at_fat_point": "localfree",
+    "jet_principality_oracle": "localfree",
+    "maximal_ideal_free": "localfree",
+    "u_at_zero": "localfree",
+    "HomPoly": "poly",
+    "LocalPoly": "poly",
+    "parse": "poly",
+    "parse_homogeneous": "poly",
+    "parse_local": "poly",
+    "SplitMix64": "rng",
+    "FatPoint": "schemes",
+    "PointConfig": "schemes",
+    "SimplePoint": "schemes",
+    "expected_length": "schemes",
+    "membership_conditions": "schemes",
+    "random_config": "schemes",
+    "SingularLocusReport": "singloci",
+    "asserted_violations": "singloci",
+    "classify_curve": "singloci",
+    "impose_singularities": "singloci",
+    "locus_report": "singloci",
+    "normal_space_dim": "singloci",
+    "singular_conditions": "singloci",
+}
 
-__all__ = [
-    "CurveGerm",
-    "ConfigError",
-    "DegenerateError",
-    "FatIdealData",
-    "FatPoint",
-    "Fibre",
-    "GenericityError",
-    "HomPoly",
-    "IdealResolution",
-    "KroneckerModule",
-    "LocalPoly",
-    "NotInFibreError",
-    "ParseError",
-    "PointConfig",
-    "ProjSubspace",
-    "QMatrix",
-    "Rational",
-    "ShapeError",
-    "SheafLociError",
-    "SheafMatrix",
-    "SimplePoint",
-    "SingularLocusReport",
-    "SplitMix64",
-    "asserted_violations",
-    "classify_curve",
-    "curve_from_pair",
-    "expected_length",
-    "fat_ideal_free",
-    "fibre",
-    "germ_at_fat_point",
-    "impose_singularities",
-    "injectivity_check",
-    "jet_principality_oracle",
-    "kronecker_from_points",
-    "locus_report",
-    "maximal_ideal_free",
-    "maximal_minors",
-    "membership_conditions",
-    "normal_space_dim",
-    "pair_from_curve",
-    "parse",
-    "parse_homogeneous",
-    "parse_local",
-    "rat_from_str",
-    "rat_to_str",
-    "random_config",
-    "resolution_check",
-    "singular_conditions",
-    "stability_sufficient",
-    "u_at_zero",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # imported here so that the package namespace holds only public names
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,6 +11,13 @@ Exit codes: 0 success, 1 usage/parse/configuration errors, 2 genericity
 failure (a certificate payload is printed on stdout), 3 deep stratum
 (the analysis is still emitted, but codimension expectations are not
 asserted there).
+
+Every command is a fresh process that compiles each package module it
+imports, and start-up outweighs the algebra of most commands.  So this
+module imports only argparse, json, sys and the error classes; each
+``_cmd_*`` handler imports the modules it runs, and ``analyze`` checks
+``--degree`` before it loads the fibre and locus code.  README
+("Start-up") lists what each command loads.
 """
 
 from __future__ import annotations
@@ -21,20 +28,6 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError, SheafLociError
-from .kronecker import kronecker_from_points
-from .linsys import fibre
-from .schemes import PointConfig, SimplePoint, random_config
-from .serialize import (
-    canonical_dumps,
-    config_from_dict,
-    config_to_dict,
-    genericity_error_to_dict,
-    germ_query_from_dict,
-    localfree_result_to_dict,
-    report_to_dict,
-    resolution_to_dict,
-)
-from .singloci import locus_report
 
 # ten points in the plane, four of them on a line and three on another,
 # used by verify-remark6; the expected codimensions are hard checks
@@ -128,6 +121,14 @@ def _read_json(path: str) -> dict:
         raise SheafLociError(
             f"{path} is not UTF-8 text: {e.reason} at byte {e.start}"
         ) from None
+    except json.JSONDecodeError:
+        # a ValueError too, reported by console_main as invalid JSON
+        raise
+    except ValueError as e:
+        # an integer literal over Python's digit limit for int conversion
+        raise SheafLociError(f"{path} holds a number too long to read: {e}") from None
+    except RecursionError:
+        raise SheafLociError(f"{path} nests arrays or objects too deeply to read") from None
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -148,11 +149,16 @@ def _parse_ids(text: str) -> tuple:
     return ids
 
 
-def _reference_config() -> PointConfig:
+def _reference_config():
+    """The ten-point degree-6 reference as a schemes.PointConfig."""
+    from .schemes import PointConfig, SimplePoint
+
     return PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6])
 
 
 def _cmd_analyze(args) -> int:
+    from .serialize import canonical_dumps, config_from_dict, report_to_dict
+
     cfg = config_from_dict(_read_json(args.config))
     if args.degree is not None and args.degree != cfg.degree:
         print(
@@ -161,6 +167,9 @@ def _cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return 1
+    from .linsys import fibre
+    from .singloci import locus_report
+
     fib = fibre(cfg)
     subsets = [_parse_ids(s) for s in (args.subset or [])]
     rep = locus_report(fib, pairs=True, triples=args.triples, extra_subsets=subsets)
@@ -178,10 +187,14 @@ def _cmd_verify_remark6(args) -> int:
     if args.config is not None and args.emit_config is not None:
         raise SheafLociError("pass either --config or --emit-config, not both")
     if args.emit_config:
+        from .serialize import canonical_dumps, config_to_dict
+
         cfg = _reference_config()
         _emit(args.emit_config, canonical_dumps(config_to_dict(cfg)))
         return 0
     if args.config:
+        from .serialize import config_from_dict
+
         cfg = config_from_dict(_read_json(args.config))
         if cfg.degree != 6:
             raise ConfigError(
@@ -190,6 +203,9 @@ def _cmd_verify_remark6(args) -> int:
             )
     else:
         cfg = _reference_config()
+    from .linsys import fibre
+    from .singloci import locus_report
+
     fib = fibre(cfg)
     rep = locus_report(
         fib, pairs=True, extra_subsets=sorted(_REFERENCE_SUBSET_CODIMS)
@@ -214,12 +230,18 @@ def _cmd_verify_remark6(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .schemes import random_config
+    from .serialize import canonical_dumps, config_to_dict
+
     cfg = random_config(args.degree, seed=args.seed, stratum=args.stratum)
     _emit(args.out, canonical_dumps(config_to_dict(cfg)))
     return 0
 
 
 def _cmd_kronecker(args) -> int:
+    from .kronecker import kronecker_from_points
+    from .serialize import canonical_dumps, config_from_dict, resolution_to_dict
+
     cfg = config_from_dict(_read_json(args.config))
     res = kronecker_from_points(cfg)
     _emit(args.out, canonical_dumps(resolution_to_dict(res)))
@@ -227,6 +249,12 @@ def _cmd_kronecker(args) -> int:
 
 
 def _cmd_localfree(args) -> int:
+    from .serialize import (
+        canonical_dumps,
+        germ_query_from_dict,
+        localfree_result_to_dict,
+    )
+
     # the file holds the whole query, so flag data beside it would be ignored
     given = [
         flag
@@ -260,6 +288,8 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except GenericityError as e:
+        from .serialize import canonical_dumps, genericity_error_to_dict
+
         payload = genericity_error_to_dict(str(e), e.certificate)
         sys.stdout.write(canonical_dumps(payload))
         return 2

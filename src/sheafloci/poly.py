@@ -476,6 +476,17 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _integer(digits: str, pos: int) -> int:
+    """int(digits), or ParseError past Python's int conversion digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(digits)} digits at position {pos} is too long to read",
+            position=pos,
+        ) from None
+
+
 def _parse_terms(text: str) -> list:
     """List of (coefficient, {var_name: exponent}) from the shared grammar."""
     tokens = _tokenize(text)
@@ -507,12 +518,12 @@ def _parse_terms(text: str) -> list:
             kind, value, pos = tokens[i]
             if kind == "number":
                 if "/" in value:
-                    num, den = value.split("/")
-                    if int(den) == 0:
+                    num, den = (_integer(part, pos) for part in value.split("/"))
+                    if den == 0:
                         raise ParseError(f"zero denominator at position {pos}", position=pos)
-                    coeff *= Fraction(int(num), int(den))
+                    coeff *= Fraction(num, den)
                 else:
-                    coeff *= int(value)
+                    coeff *= _integer(value, pos)
                 i += 1
                 saw_factor = True
             elif kind == "var":
@@ -524,7 +535,7 @@ def _parse_terms(text: str) -> list:
                     if i >= n or tokens[i][0] != "number" or "/" in tokens[i][1]:
                         where = tokens[i][2] if i < n else len(text)
                         raise ParseError(f"expected integer exponent at position {where}", position=where)
-                    exp = int(tokens[i][1])
+                    exp = _integer(tokens[i][1], tokens[i][2])
                     i += 1
                 exps[var] = exps.get(var, 0) + exp
                 saw_factor = True

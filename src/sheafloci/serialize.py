@@ -11,6 +11,11 @@ their schemas by a test, not at run time.  canonical_dumps renders
 objects deterministically (sorted keys, two-space indent, trailing
 newline).
 
+The payload functions import kronecker, localfree and singloci when they
+run, not with this module, so a command that writes only configurations
+never loads them (see cli).  Their argument types are named in docstrings,
+since an annotation must resolve in this module's namespace.
+
 Convention note: in configuration files the fat-point entry "h" lists
 the coefficients of h(y) from y^1 upward, since h(0) = 0 always; in the
 local-freeness query format "h" starts at y^0 and its first entry must
@@ -26,25 +31,8 @@ from typing import Optional
 
 from .errors import ConfigError
 from .exactalg import QMatrix, rat_from_str, rat_to_str
-from .kronecker import (
-    IdealResolution,
-    injectivity_check,
-    maximal_minors,
-    stability_sufficient,
-)
-from .localfree import (
-    CurveGerm,
-    FatIdealData,
-    default_truncation,
-    fat_ideal_free,
-    is_regular,
-    jet_principality_oracle,
-    membership,
-    u_at_zero,
-)
 from .poly import parse_local
 from .schemes import MAX_DEGREE, FatPoint, PointConfig, SimplePoint
-from .singloci import SingularLocusReport, asserted_violations
 
 RATIONAL_PATTERN = r"^[+-]?\d+(/[1-9]\d*)?$"
 
@@ -304,18 +292,33 @@ def config_to_dict(cfg: PointConfig) -> dict:
     }
 
 
+def _rational(text: str) -> Fraction:
+    """rat_from_str for input text that passed RATIONAL_PATTERN.
+
+    The pattern admits any number of digits, but Python converts at most
+    sys.get_int_max_str_digits() (4300 by default) into an int.
+    """
+    try:
+        return rat_from_str(text)
+    except ValueError:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ConfigError(
+            f"rational {shown!r} ({len(text)} characters) is too long to read"
+        ) from None
+
+
 def config_from_dict(d: dict) -> PointConfig:
     validate_payload(d, "config")
     simple = [
-        SimplePoint(tuple(rat_from_str(c) for c in t)) for t in d["simple"]
+        SimplePoint(tuple(_rational(c) for c in t)) for t in d["simple"]
     ]
     fat = []
     for entry in d["fat"]:
         chart = QMatrix.from_rows(
-            [[rat_from_str(c) for c in row] for row in entry["chart"]]
+            [[_rational(c) for c in row] for row in entry["chart"]]
         )
-        support = SimplePoint(tuple(rat_from_str(c) for c in entry["support"]))
-        h = (Fraction(0),) + tuple(rat_from_str(c) for c in entry["h"])
+        support = SimplePoint(tuple(_rational(c) for c in entry["support"]))
+        h = (Fraction(0),) + tuple(_rational(c) for c in entry["h"])
         fat.append(FatPoint.of(support, chart, h, entry["mult"]))
     return PointConfig.of(d["degree"], simple, fat)
 
@@ -324,7 +327,10 @@ def config_from_dict(d: dict) -> PointConfig:
 # Resolutions
 
 
-def resolution_to_dict(res: IdealResolution) -> dict:
+def resolution_to_dict(res) -> dict:
+    """Payload of a kronecker.IdealResolution, with its minors and checks."""
+    from .kronecker import injectivity_check, maximal_minors, stability_sufficient
+
     phi = res.phi
     rows = []
     for i in range(phi.nrows):
@@ -346,7 +352,10 @@ def resolution_to_dict(res: IdealResolution) -> dict:
 # Reports
 
 
-def report_to_dict(report: SingularLocusReport) -> dict:
+def report_to_dict(report) -> dict:
+    """Payload of a singloci.SingularLocusReport, with its violations."""
+    from .singloci import asserted_violations
+
     return {
         "degree": report.degree,
         "stratum": report.stratum,
@@ -386,8 +395,10 @@ def germ_query_from_dict(d: dict):
     The multiplicity, the germ's degree and the jet truncation, given or
     derived, are held to MAX_MULT, MAX_GERM_DEGREE and MAX_TRUNCATION.
     """
+    from .localfree import CurveGerm, FatIdealData, default_truncation
+
     validate_payload(d, "localfree_query")
-    h = [rat_from_str(c) for c in d["h"]]
+    h = [_rational(c) for c in d["h"]]
     if h and h[0] != 0:
         raise ConfigError('the first entry of "h" must be "0" in queries')
     germ = CurveGerm(parse_local(d["f"]))
@@ -402,10 +413,19 @@ def germ_query_from_dict(d: dict):
     return germ, data, truncation
 
 
-def localfree_result_to_dict(
-    germ: CurveGerm, data: FatIdealData, truncation: Optional[int] = None
-) -> dict:
-    """Run the freeness criterion and the jet oracle, as one payload."""
+def localfree_result_to_dict(germ, data, truncation: Optional[int] = None) -> dict:
+    """Run the freeness criterion and the jet oracle, as one payload.
+
+    germ is a localfree.CurveGerm and data a localfree.FatIdealData.
+    """
+    from .localfree import (
+        fat_ideal_free,
+        is_regular,
+        jet_principality_oracle,
+        membership,
+        u_at_zero,
+    )
+
     member = membership(germ, data)
     return {
         "f": str(germ.f),

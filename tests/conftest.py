@@ -16,10 +16,17 @@ cross-checks exercise independent code paths:
   coordinates.
 - zero_column_module, proportional_pair_module: Kronecker modules
   broken on purpose.
+
+run_fresh_python runs a script in a new interpreter, for checks on what
+a process imports: the test process itself has loaded every module.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 
 # Reference configuration: ten points in the plane, degree 6, used for the
@@ -244,3 +251,14 @@ def proportional_pair_module(phi, l1, l2, scalars):
     """
     out = phi.with_column(0, [l2.scale(c) for c in scalars])
     return out.with_column(1, [l1.scale(-c) for c in scalars])
+
+
+def run_fresh_python(script, *args):
+    """Run `python -c script args...` with this checkout's src/ on the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )

@@ -1,13 +1,18 @@
 """The public API: every exported name resolves, once, removed names stay gone,
-and no library or test module imports a name it does not use."""
+the package namespace loads its modules only on first use, every annotation
+resolves, and no library or test module imports a name it does not use."""
 
 import ast
 import importlib
+import inspect
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import sheafloci
+from conftest import run_fresh_python
 from sheafloci.serialize import SCHEMAS
 
 # (module, attribute path) of helpers removed from the library
@@ -55,6 +60,63 @@ def test_removed_name_is_absent(module, path):
     assert not hasattr(obj, name)
     assert name not in sheafloci.__all__
     assert not hasattr(sheafloci, name)
+
+
+def test_import_loads_no_submodule():
+    script = (
+        "import sys, sheafloci\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sheafloci.')))\n"
+    )
+    proc = run_fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_dir_lists_every_exported_name():
+    assert set(sheafloci.__all__) <= set(dir(sheafloci))
+
+
+@pytest.mark.parametrize("name", sheafloci.__all__)
+def test_exported_name_is_its_home_module_object(name):
+    home = importlib.import_module(f"sheafloci.{sheafloci._EXPORTS[name]}")
+    assert getattr(sheafloci, name) is getattr(home, name)
+
+
+def _library_callables():
+    """(qualified name, object) of every function, class and method the
+    package's modules define, properties and class/static methods included."""
+    found = []
+    for path in sorted(Path(sheafloci.__file__).parent.glob("*.py")):
+        name = "sheafloci" if path.stem == "__init__" else f"sheafloci.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isfunction(obj):
+                found.append((f"{name}.{obj.__qualname__}", obj))
+            elif inspect.isclass(obj):
+                found.append((f"{name}.{obj.__qualname__}", obj))
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, cached_property):
+                        member = member.func
+                    if inspect.isfunction(member):
+                        found.append((f"{name}.{obj.__qualname__}.{attr}", member))
+    return found
+
+
+def test_annotations_resolve():
+    # an annotation naming a class imported only inside a function fails here
+    failures = []
+    for qualname, obj in _library_callables():
+        try:
+            typing.get_type_hints(obj)
+        except Exception as e:  # NameError, AttributeError, TypeError, ...
+            failures.append(f"{qualname}: {type(e).__name__}: {e}")
+    assert failures == []
 
 
 def test_subspace_schema_is_gone():

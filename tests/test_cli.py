@@ -2,13 +2,10 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh_python
 from sheafloci.cli import console_main
 from sheafloci.poly import parse_homogeneous
 from sheafloci.schemes import MAX_DEGREE
@@ -336,7 +333,18 @@ class TestUsageErrors:
         assert "UTF-8" in err
 
     @pytest.mark.parametrize(
-        "kind", ["empty", "bad-json", "list", "missing-key", "wrong-type", "non-utf8"]
+        "kind",
+        [
+            "empty",
+            "bad-json",
+            "list",
+            "missing-key",
+            "wrong-type",
+            "non-utf8",
+            "long-rational",
+            "long-integer",
+            "deep",
+        ],
     )
     @pytest.mark.parametrize(
         "command,flag",
@@ -348,13 +356,19 @@ class TestUsageErrors:
         ],
     )
     def test_malformed_file_is_exit_one(self, capsys, tmp_path, command, flag, kind):
+        # schema-valid, but past Python's 4300-digit limit on int conversion
+        huge = "1" + "0" * 4300
         if flag == "--in":
             missing = {"f": "x*y", "h": ["0"]}
             wrong = {"f": "x*y", "h": ["0"], "mult": "two"}
+            long_rational = {"f": "x*y", "h": ["0", huge], "mult": 2}
+            long_integer = '{"f": "x*y", "h": ["0"], "mult": %s}' % huge
         else:
             points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
             missing = {"degree": 4, "simple": points}
             wrong = {"degree": "four", "simple": points, "fat": []}
+            long_rational = {"degree": 6, "simple": [[huge, "0", "1"]] + points, "fat": []}
+            long_integer = '{"degree": %s, "simple": [], "fat": []}' % huge
         content = {
             "empty": b"",
             "bad-json": b"{not json",
@@ -362,6 +376,9 @@ class TestUsageErrors:
             "missing-key": json.dumps(missing).encode(),
             "wrong-type": json.dumps(wrong).encode(),
             "non-utf8": b"\xff\xfe{",
+            "long-rational": json.dumps(long_rational).encode(),
+            "long-integer": long_integer.encode(),
+            "deep": b"[" * 100000 + b"]" * 100000,
         }[kind]
         path = tmp_path / "input.json"
         path.write_bytes(content)
@@ -399,6 +416,23 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"at {field}: {value!r} is not of type 'integer'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localfree", "--poly", "x - y^2", "--h", "0," + "1" * 4301, "--mult", "2"],
+            ["localfree", "--poly", "1" * 4301 + "*x - y^2", "--mult", "2"],
+            ["localfree", "--poly", "x - y^" + "1" * 4301, "--mult", "2"],
+        ],
+        ids=["h-rational", "poly-coefficient", "poly-exponent"],
+    )
+    def test_over_long_number_in_a_flag_is_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too long to read" in err
 
     def test_non_integer_degree_is_exit_one(self, capsys):
         code, out, err = run(capsys, "random", "--degree", "six", "--seed", "1")
@@ -446,11 +480,6 @@ class TestInputCeilings:
 
 def test_no_command_imports_jsonschema(tmp_path):
     # other tests import jsonschema into this process, so ask a fresh one
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
     cfg, query, bad = tmp_path / "cfg.json", tmp_path / "query.json", tmp_path / "bad.json"
     write_json(query, {"f": "x^2 - y^3", "h": ["0"], "mult": 2})
     write_json(bad, {"degree": 5, "simple": []})
@@ -467,8 +496,53 @@ def test_no_command_imports_jsonschema(tmp_path):
         "assert console_main(['analyze', '--config', bad]) == 1\n"
         "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(cfg), str(query), str(bad)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_fresh_python(script, cfg, query, bad)
     assert proc.returncode == 0, proc.stderr
+
+
+# the sheafloci.* modules each command loads; every command loads these
+_BASE = {"cli", "errors", "exactalg", "poly", "rng", "schemes"}
+ROUTE_MODULES = {
+    "random": (["random", "--degree", "5", "--seed", "2"], 0, _BASE | {"serialize"}),
+    "verify-remark6": (["verify-remark6"], 0, _BASE | {"linsys", "singloci"}),
+    "analyze": (
+        ["analyze", "--config", "{cfg}", "--subset", "1,2,3"],
+        0,
+        _BASE | {"serialize", "linsys", "singloci"},
+    ),
+    "analyze-bad-degree": (
+        ["analyze", "--config", "{cfg}", "--degree", "6"],
+        1,
+        _BASE | {"serialize"},
+    ),
+    "kronecker": (["kronecker", "--config", "{cfg}"], 0, _BASE | {"serialize", "kronecker"}),
+    "localfree-in": (["localfree", "--in", "{query}"], 0, _BASE | {"serialize", "localfree"}),
+    "localfree-poly": (
+        ["localfree", "--poly", "x^2 - y^3", "--mult", "2"],
+        0,
+        _BASE | {"serialize", "localfree"},
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_MODULES))
+def test_each_command_loads_only_what_it_runs(capsys, tmp_path, route):
+    # a fresh process per route, since this one has imported every module
+    argv, want_code, want_modules = ROUTE_MODULES[route]
+    cfg, query, loaded = tmp_path / "cfg.json", tmp_path / "query.json", tmp_path / "loaded.json"
+    run(capsys, "random", "--degree", "5", "--seed", "1", "--out", str(cfg))
+    write_json(query, {"f": "x^2 - y^3", "h": ["0"], "mult": 2})
+    argv = [arg.format(cfg=cfg, query=query) for arg in argv]
+    script = (
+        "import json, sys\n"
+        "from sheafloci.cli import console_main\n"
+        "code = console_main(sys.argv[2:])\n"
+        "names = sorted(m[len('sheafloci.'):] for m in sys.modules if m.startswith('sheafloci.'))\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    json.dump({'code': code, 'modules': names}, fh)\n"
+    )
+    proc = run_fresh_python(script, loaded, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(loaded.read_text())
+    assert result["code"] == want_code
+    assert set(result["modules"]) == want_modules

@@ -142,7 +142,6 @@ class TestResolutionPayload:
 
     def test_minors_are_computed_once(self, monkeypatch):
         import sheafloci.kronecker as kronecker
-        import sheafloci.serialize as serialize
 
         res = kronecker_from_points(random_config(5, seed=2))
         expected = resolution_to_dict(res)
@@ -152,8 +151,8 @@ class TestResolutionPayload:
             calls.append(phi)
             return maximal_minors(phi)
 
+        # resolution_to_dict looks maximal_minors up in kronecker when it runs
         monkeypatch.setattr(kronecker, "maximal_minors", counting)
-        monkeypatch.setattr(serialize, "maximal_minors", counting)
         assert resolution_to_dict(res) == expected
         assert len(calls) == 1
 
