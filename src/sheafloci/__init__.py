@@ -47,11 +47,9 @@ _EXPORTS = {
     "fat_ideal_free": "localfree",
     "germ_at_fat_point": "localfree",
     "jet_principality_oracle": "localfree",
-    "maximal_ideal_free": "localfree",
     "u_at_zero": "localfree",
     "HomPoly": "poly",
     "LocalPoly": "poly",
-    "parse": "poly",
     "parse_homogeneous": "poly",
     "parse_local": "poly",
     "SplitMix64": "rng",

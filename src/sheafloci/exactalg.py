@@ -115,19 +115,6 @@ class QMatrix:
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
 
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), _ZERO))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        return self.matmul(other)
-
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product."""
         if len(vec) != self.cols:

@@ -69,14 +69,6 @@ class KroneckerModule:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def with_column(self, j: int, col: Sequence[HomPoly]) -> "KroneckerModule":
-        if len(col) != self.nrows:
-            raise ShapeError(f"column must have length {self.nrows}")
-        rows = [list(r) for r in self.entries]
-        for i in range(self.nrows):
-            rows[i][j] = col[i]
-        return KroneckerModule.from_rows(rows)
-
 
 @dataclass(frozen=True)
 class IdealResolution:

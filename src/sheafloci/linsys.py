@@ -175,10 +175,6 @@ class Fibre:
             )
         return self.space.contains(f.coeffs)
 
-    def random_element(self, rng: SplitMix64) -> HomPoly:
-        """Seeded member with integer free coordinates in [-9, 9]."""
-        return self.element(random_weights(rng, len(self.space.free_columns)))
-
 
 def random_weights(rng: SplitMix64, n: int) -> list:
     """n seeded integers in [-9, 9], redrawn while all of them are zero."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError
@@ -88,9 +89,15 @@ def is_regular(germ: CurveGerm) -> bool:
     return any(c != 0 for c in germ.f.linear_part())
 
 
-def branch_restriction(germ: CurveGerm, data: FatIdealData) -> list:
-    """Coefficients of f(h(y), y) from y^0 up."""
-    return germ.f.substitute_x(list(data.h))
+@lru_cache(maxsize=1)
+def branch_restriction(germ: CurveGerm, data: FatIdealData) -> tuple:
+    """Coefficients of f(h(y), y) from y^0 up.
+
+    Membership, u(0), the criterion and the oracle's membership gate all
+    read this expansion; the latest result is cached, so one query
+    expands f(h(y), y) once.
+    """
+    return tuple(germ.f.substitute_x(data.h))
 
 
 def membership(germ: CurveGerm, data: FatIdealData) -> bool:
@@ -118,11 +125,6 @@ def fat_ideal_free(germ: CurveGerm, data: FatIdealData) -> bool:
     """
     u0 = u_at_zero(germ, data)
     return is_regular(germ) or u0 != 0
-
-
-def maximal_ideal_free(germ: CurveGerm) -> bool:
-    """Freeness of the maximal ideal, the multiplicity-1 degeneration."""
-    return fat_ideal_free(germ, FatIdealData.of((), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -98,15 +98,6 @@ class HomPoly:
         v[monomial_index(degree, exp)] = Fraction(coeff)
         return cls(degree, tuple(v))
 
-    @classmethod
-    def variable(cls, var: int) -> "HomPoly":
-        exp = [0, 0, 0]
-        exp[var] = 1
-        return cls.monomial(1, exp)
-
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.coeffs[monomial_index(self.degree, exp)]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -150,33 +141,6 @@ class HomPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def eval(self, pt: Sequence) -> Fraction:
-        """Value at a coordinate representative (sum over monomials)."""
-        d = self.degree
-        p0, p1, p2 = (powers(Fraction(v), d) for v in pt)
-        total = _ZERO
-        for (a, b, c), k in zip(monomials(d), self.coeffs):
-            if k != 0:
-                total += k * p0[a] * p1[b] * p2[c]
-        return total
-
-    def partial(self, var: int) -> "HomPoly":
-        """Partial derivative with respect to x0, x1 or x2 (degree drops by 1)."""
-        if var not in (0, 1, 2):
-            raise ValueError("variable index must be 0, 1 or 2")
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a degree-0 form within homogeneous degrees")
-        d = self.degree
-        out = [_ZERO] * monomial_count(d - 1)
-        for exp, k in self.terms():
-            e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            out[monomial_index(d - 1, new)] += k * e
-        return HomPoly(d - 1, tuple(out))
 
     def __str__(self) -> str:
         return _format_terms(
@@ -261,8 +225,8 @@ def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Sequence[int]
 def substitute_linear(p: HomPoly, g: QMatrix) -> HomPoly:
     """The form v -> p(g*v); an invertible 3x3 substitution.
 
-    This is a right action: substitute_linear(p, g @ h) equals
-    substitute_linear(substitute_linear(p, g), h).
+    This is a right action: for the matrix product gh,
+    substitute_linear(p, gh) equals substitute_linear(substitute_linear(p, g), h).
     """
     if g.rows != 3 or g.cols != 3:
         raise ValueError("substitution matrix must be 3x3")
@@ -309,18 +273,6 @@ class LocalPoly:
     @classmethod
     def zero(cls) -> "LocalPoly":
         return cls(())
-
-    @classmethod
-    def variable(cls, name: str) -> "LocalPoly":
-        if name == "x":
-            return cls.from_dict({(1, 0): 1})
-        if name == "y":
-            return cls.from_dict({(0, 1): 1})
-        raise ValueError("local variables are 'x' and 'y'")
-
-    @classmethod
-    def constant(cls, value) -> "LocalPoly":
-        return cls.from_dict({(0, 0): Fraction(value)})
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -396,10 +348,6 @@ class LocalPoly:
             term = [v * c for c in hpows[i]]
             out = upoly_add(out, [_ZERO] * j + term)
         return upoly_trim(out)
-
-    def eval(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return sum((v * x**i * y**j for (i, j), v in self.coeffs), _ZERO)
 
     def __str__(self) -> str:
         return _format_terms(
@@ -614,21 +562,6 @@ def parse_local(text: str) -> LocalPoly:
         k = (exps.get("x", 0), exps.get("y", 0))
         d[k] = d.get(k, _ZERO) + coeff
     return LocalPoly.from_dict(d)
-
-
-def parse(text: str):
-    """Parse either family, dispatching on the variables present.
-
-    Input using x0/x1/x2 gives a HomPoly, input using x/y a LocalPoly;
-    pure constants are returned as a LocalPoly.
-    """
-    terms = _parse_terms(text)
-    hom, loc = _term_families(terms)
-    if hom and loc:
-        raise ParseError("cannot mix homogeneous variables x0,x1,x2 with local x,y")
-    if hom:
-        return parse_homogeneous(text)
-    return parse_local(text)
 
 
 def _monomial_text(exps_or_tuple, names) -> str:

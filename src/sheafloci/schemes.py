@@ -218,6 +218,15 @@ class PointConfig:
             return "double"
         return "deep"
 
+    @cached_property
+    def admissible(self) -> bool:
+        """Whether no nonzero curve of degree d - 3 passes through the scheme.
+
+        Ranked once per configuration: random_config accepts a candidate
+        by it, and require_generic reads the same verdict.
+        """
+        return not_on_curve_of_degree(self, self.degree - 3)
+
 
 def length_of(simple: Sequence, fat: Sequence) -> int:
     return len(simple) + sum(f.mult for f in fat)
@@ -301,11 +310,11 @@ def require_generic(cfg: PointConfig) -> None:
 
     The error carries that curve as its certificate; the fibre and the
     Kronecker resolution are built only for configurations off such curves.
-    The certified rank of not_on_curve_of_degree decides; the kernel that
+    The certified rank behind cfg.admissible decides; the kernel that
     gives the certificate is computed only when that rank falls short.
     """
     k = cfg.degree - 3
-    if not not_on_curve_of_degree(cfg, k):
+    if not cfg.admissible:
         raise GenericityError(
             f"configuration lies on a degree-{k} curve",
             certificate=low_degree_certificate(cfg, k),
@@ -392,7 +401,7 @@ def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
                 )
         except ConfigError:
             continue
-        if not_on_curve_of_degree(cfg, d - 3):
+        if cfg.admissible:
             return cfg
     raise GenericityError(
         f"no generic configuration found after {MAX_REJECTIONS} attempts "

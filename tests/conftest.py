@@ -8,9 +8,10 @@ cross-checks exercise independent code paths:
 
 - naive_echelon, naive_rank, rank_modulo, naive_det, cofactor_det:
   first-nonzero Fraction elimination and cofactor expansion.
-- degree_monomials, evaluation_rows, horner_eval: monomial order and
-  evaluation computed afresh.
+- degree_monomials, evaluation_rows, horner_eval, partial: monomial
+  order, evaluation and differentiation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
+- matrix_product: the product of two matrices given as row lists.
 - ambient_codim, ambient_singular_subspace: singular loci cut out in
   the ambient space of all curves, never in the fibre's compressed
   coordinates.
@@ -157,8 +158,8 @@ def evaluation_rows(points, k):
 def horner_eval(poly, pt):
     """Evaluate a homogeneous polynomial by nested Horner recursion.
 
-    Independent of HomPoly.eval: groups coefficients by the x0 exponent,
-    then applies Horner in x0 with inner Horner evaluations in x1.
+    Groups coefficients by the x0 exponent, then applies Horner in x0
+    with inner Horner evaluations in x1.
     """
     x0, x1, x2 = (Fraction(v) for v in pt)
     d = poly.degree
@@ -181,13 +182,33 @@ def horner_eval(poly, pt):
     return acc
 
 
+def partial(p, var):
+    """Partial derivative of a form of positive degree in x0, x1 or x2."""
+    from sheafloci.poly import HomPoly
+
+    d = p.degree
+    index = {exp: i for i, exp in enumerate(degree_monomials(d - 1))}
+    out = [Fraction(0)] * len(index)
+    for exp, coeff in zip(degree_monomials(d), p.coeffs):
+        if exp[var]:
+            lower = list(exp)
+            lower[var] -= 1
+            out[index[tuple(lower)]] += exp[var] * coeff
+    return HomPoly.from_coeffs(d - 1, out)
+
+
 def euler_relation_holds(p, pt):
     """x0*d0p + x1*d1p + x2*d2p = deg(p) * p, checked at a point by Horner."""
     if p.degree == 0:
         return True
     pt = [Fraction(v) for v in pt]
-    lhs = sum(pt[v] * horner_eval(p.partial(v), pt) for v in range(3))
+    lhs = sum(pt[v] * horner_eval(partial(p, v), pt) for v in range(3))
     return lhs == p.degree * horner_eval(p, pt)
+
+
+def matrix_product(a, b):
+    """Row lists of the product of the matrices with row lists a and b."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _ambient_rows(fib, ids):
@@ -232,6 +253,17 @@ def ambient_singular_subspace(fib, pid):
     return ProjSubspace.cut_by(_ambient_rows(fib, [pid]), fib.space.ambient)
 
 
+def _with_columns(phi, columns):
+    """Copy of a Kronecker module with column j replaced by columns[j]."""
+    from sheafloci.kronecker import KroneckerModule
+
+    rows = [list(r) for r in phi.entries]
+    for j, col in columns.items():
+        for row, entry in zip(rows, col):
+            row[j] = entry
+    return KroneckerModule.from_rows(rows)
+
+
 def zero_column_module(phi, col=0):
     """Copy of a Kronecker module with one column zeroed out.
 
@@ -240,7 +272,7 @@ def zero_column_module(phi, col=0):
     """
     from sheafloci.poly import HomPoly
 
-    return phi.with_column(col, [HomPoly.zero(1)] * phi.nrows)
+    return _with_columns(phi, {col: [HomPoly.zero(1)] * phi.nrows})
 
 
 def proportional_pair_module(phi, l1, l2, scalars):
@@ -249,8 +281,9 @@ def proportional_pair_module(phi, l1, l2, scalars):
     Column 0 becomes (c_i * l2) and column 1 becomes (-c_i * l1), so
     (l1, l2, 0, ...) is a linear column syzygy.
     """
-    out = phi.with_column(0, [l2.scale(c) for c in scalars])
-    return out.with_column(1, [l1.scale(-c) for c in scalars])
+    return _with_columns(
+        phi, {0: [l2.scale(c) for c in scalars], 1: [l1.scale(-c) for c in scalars]}
+    )
 
 
 def run_fresh_python(script, *args):

@@ -21,6 +21,7 @@ import pytest
 from conftest import (
     REFERENCE_POINTS_D6,
     horner_eval,
+    partial,
     proportional_pair_module,
     zero_column_module,
 )
@@ -248,7 +249,7 @@ def test_criterion_6_local_freeness_criterion_vs_oracle(line):
 
 def _gradient_oracle_ids(cfg, f):
     """Points where all three partials vanish, evaluated independently."""
-    parts = [f.partial(v) for v in range(3)]
+    parts = [partial(f, v) for v in range(3)]
     out = set()
     for pid in range(1, cfg.npoints + 1):
         _kind, p = cfg.point(pid)

@@ -1,11 +1,13 @@
 """The public API: every exported name resolves, once, removed names stay gone,
 the package namespace loads its modules only on first use, every annotation
-resolves, and no library or test module imports a name it does not use."""
+resolves, no library or test module imports a name it does not use, and
+every library function, class and method has a caller in the library."""
 
 import ast
 import importlib
 import inspect
 import typing
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -39,7 +41,42 @@ REMOVED = [
     ("sheafloci.linsys", "ProjSubspace.whole"),
     ("sheafloci.linsys", "ProjSubspace._integer_functionals"),
     ("sheafloci.poly", "LinForm"),
+    ("sheafloci.poly", "HomPoly.variable"),
+    ("sheafloci.poly", "HomPoly.coefficient"),
+    ("sheafloci.poly", "HomPoly.eval"),
+    ("sheafloci.poly", "HomPoly.partial"),
+    ("sheafloci.poly", "LocalPoly.variable"),
+    ("sheafloci.poly", "LocalPoly.constant"),
+    ("sheafloci.poly", "LocalPoly.eval"),
+    ("sheafloci.poly", "parse"),
+    ("sheafloci.exactalg", "QMatrix.matmul"),
+    ("sheafloci.exactalg", "QMatrix.__matmul__"),
+    ("sheafloci.kronecker", "KroneckerModule.with_column"),
+    ("sheafloci.localfree", "maximal_ideal_free"),
+    ("sheafloci.linsys", "Fibre.random_element"),
 ]
+
+# library names that no other library code refers to, each with the reason
+# it stays
+KEPT = {
+    "linsys.ProjSubspace.compress_functional": (
+        "the benchmark tracer's linsys.compress target"
+    ),
+    "linsys.Fibre.basis_forms": (
+        "through ProjSubspace.basis, linsys's only use of kernel, which the "
+        "benchmark's tracer test reads"
+    ),
+    "kronecker.SheafMatrix.curve": "the curve of a bordered matrix",
+    "kronecker.pair_from_curve": "the paper's curve-to-sheaf direction",
+    "kronecker.resolution_check": "the determinantal identities of a resolution",
+    "localfree.germ_at_fat_point": "a projective curve's germ at a fat point",
+    "localfree.random_membership_germ": "seeded germs of criterion 6 and the cli workload",
+    "singloci.classify_curve": "the singular points of one curve's sheaf",
+    "singloci.normal_space_dim": "the codimension of one singular locus",
+    "singloci.impose_singularities": "curves singular at chosen points",
+    "poly.parse_homogeneous": "reads forms such as genericity certificates",
+    "cli._Parser.error": "argparse's hook for usage errors",
+}
 
 
 def test_every_exported_name_resolves():
@@ -140,3 +177,50 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of the module-level functions and
+    classes and of the classes' methods, dunder names left out."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_dunder(node.name):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(node):
+    """Names the code refers to: variables, attributes and imported names,
+    an imported name under its own name too when bound with "as"."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_library_name_has_a_src_caller():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(sheafloci.__file__).parent.glob("*.py"))
+    }
+    everywhere = Counter(name for tree in trees.values() for name in _references(tree))
+    defined, uncalled = set(), []
+    for module, tree in trees.items():
+        for qualname, name, node in _definitions(tree):
+            key = f"{module}.{qualname}"
+            defined.add(key)
+            # references inside the definition itself do not count
+            if everywhere[name] == Counter(_references(node))[name] and key not in KEPT:
+                uncalled.append(key)
+    assert uncalled == []
+    assert set(KEPT) <= defined

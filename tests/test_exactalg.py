@@ -23,6 +23,7 @@ from conftest import (
     REFERENCE_POINTS_D6,
     cofactor_det,
     evaluation_rows,
+    matrix_product,
     naive_det,
     naive_rank,
 )
@@ -128,7 +129,7 @@ def test_solve_zero_rows():
 def test_inverse_round_trip():
     m = QMatrix.from_rows([[2, 1, 0], [0, 1, 0], [1, 0, 1]])
     inv = inverse(m)
-    assert m @ inv == QMatrix.identity(3)
+    assert matrix_product(m.row_lists(), inv.row_lists()) == QMatrix.identity(3).row_lists()
     with pytest.raises(ValueError):
         inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
 
@@ -241,13 +242,6 @@ def test_rank_skips_exact_elimination_only_for_full_row_rank(monkeypatch):
 )
 def test_rank_of_rows_near_the_prime_matches_naive_rank(rows):
     assert rank_of_rows(rows) == naive_rank(rows)
-
-
-def test_matmul_shape_error():
-    a = QMatrix.from_rows([[1, 2]])
-    b = QMatrix.from_rows([[3, 4], [5, 6]])
-    with pytest.raises(ValueError):
-        b.matmul(a)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import DegenerateError, GenericityError, ShapeError
-from sheafloci.linsys import ProjSubspace, fibre
+from sheafloci.linsys import ProjSubspace, fibre, random_weights
 from sheafloci.poly import monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import PointConfig, SimplePoint, random_config
@@ -115,8 +115,8 @@ class TestFibre:
 
     def test_random_element_is_member_and_deterministic(self):
         fib = fibre(ref_config())
-        a = fib.random_element(SplitMix64(5))
-        b = fib.random_element(SplitMix64(5))
+        a = fib.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
+        b = fib.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
         assert a == b
         assert fib.contains(a)
         assert not a.is_zero()

@@ -30,7 +30,7 @@ from sheafloci.schemes import (
     simple_point_row,
 )
 
-from conftest import REFERENCE_POINTS_D6, evaluation_rows, horner_eval
+from conftest import REFERENCE_POINTS_D6, evaluation_rows, horner_eval, matrix_product
 
 
 def ref_config():
@@ -215,7 +215,8 @@ class TestMembershipRows:
         g = QMatrix.from_rows([[1, 2, -1], [0, 1, 3], [0, 0, 1]])
         fp_std = standard_double_point()
         support = SimplePoint(tuple(inverse(g).apply(fp_std.support.coords)))
-        fp_moved = FatPoint.of(support, fp_std.chart @ g, fp_std.h, 2)
+        chart = QMatrix.from_rows(matrix_product(fp_std.chart.row_lists(), g.row_lists()))
+        fp_moved = FatPoint.of(support, chart, fp_std.h, 2)
         rows_std = QMatrix.from_rows(fat_point_rows(fp_std, d))
         rows_moved = QMatrix.from_rows(fat_point_rows(fp_moved, d))
         # Pull back: f in ideal at moved point iff f(g^{-1} .) in ideal at std.
@@ -252,7 +253,7 @@ class TestGenericity:
         cfg = PointConfig.of(4, pts)
         cert = low_degree_certificate(cfg, 1)
         assert cert is not None
-        assert cert.coefficient((0, 0, 1)) != 0
+        assert cert.coeffs[monomial_index(1, (0, 0, 1))] != 0
 
 
     def test_require_generic_takes_a_kernel_only_off_generic(self, monkeypatch):
@@ -272,6 +273,23 @@ class TestGenericity:
             schemes.require_generic(conic)
         assert calls == [6]
         assert info.value.certificate == low_degree_certificate(conic, 2)
+
+    def test_random_config_and_fibre_rank_the_gate_once(self, monkeypatch):
+        import sheafloci.schemes as schemes
+        from sheafloci.linsys import fibre
+
+        calls = []
+
+        def counted(cfg, k):
+            calls.append(k)
+            return not_on_curve_of_degree(cfg, k)
+
+        monkeypatch.setattr(schemes, "not_on_curve_of_degree", counted)
+        fibre(random_config(7, 8001))
+        assert calls == [4]
+        # a configuration built afresh is ranked by the fibre's own gate
+        fibre(ref_config())
+        assert calls == [4, 3]
 
 
 class TestCollinear:

@@ -19,7 +19,7 @@ from sheafloci.localfree import (
     branch_restriction,
     random_membership_germ,
 )
-from sheafloci.poly import parse_homogeneous, parse_local
+from sheafloci.poly import LocalPoly, parse_homogeneous, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
 from sheafloci.singloci import locus_report
@@ -222,18 +222,20 @@ class TestLocalFreePayloads:
         ids=["singular", "regular"],
     )
     def test_branch_is_expanded_at_most_four_times(self, monkeypatch, f, expected):
-        import sheafloci.localfree as localfree
-
+        # four readers of f(h(y), y) (membership, u(0), the criterion and the
+        # oracle's membership gate) share a single expansion
         calls = []
+        expand = LocalPoly.substitute_x
 
-        def counting(germ, data):
-            calls.append(germ)
-            return branch_restriction(germ, data)
+        def counting(poly, h):
+            calls.append(poly)
+            return expand(poly, h)
 
-        monkeypatch.setattr(localfree, "branch_restriction", counting)
+        monkeypatch.setattr(LocalPoly, "substitute_x", counting)
+        branch_restriction.cache_clear()
         d = localfree_result_to_dict(CurveGerm(parse_local(f)), FatIdealData.of([0], 2))
         assert d == {"f": f, "h": ["0"], "mult": 2, "membership": True, **expected}
-        assert len(calls) <= 4
+        assert len(calls) == 1
 
     def test_result_text_round_trips(self):
         germ = CurveGerm(parse_local("x^2 - y^3 + 2*x*y^2"))
