@@ -26,7 +26,6 @@ _EXPORTS = {
     "ShapeError": "errors",
     "SheafLociError": "errors",
     "QMatrix": "exactalg",
-    "Rational": "exactalg",
     "rat_from_str": "exactalg",
     "rat_to_str": "exactalg",
     "IdealResolution": "kronecker",

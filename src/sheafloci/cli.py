@@ -8,9 +8,7 @@ Subcommands:
   localfree      local freeness of a curvilinear ideal on a curve germ
 
 Exit codes: 0 success, 1 usage/parse/configuration errors, 2 genericity
-failure (a certificate payload is printed on stdout), 3 deep stratum
-(the analysis is still emitted, but codimension expectations are not
-asserted there).
+failure (a certificate payload is printed on stdout).
 
 Every command is a fresh process that compiles each package module it
 imports, and start-up outweighs the algebra of most commands.  So this
@@ -174,12 +172,6 @@ def _cmd_analyze(args) -> int:
     subsets = [_parse_ids(s) for s in (args.subset or [])]
     rep = locus_report(fib, pairs=True, triples=args.triples, extra_subsets=subsets)
     _emit(args.out, canonical_dumps(report_to_dict(rep)))
-    if cfg.stratum() == "deep":
-        print(
-            "deep stratum: codimensions are reported, not asserted",
-            file=sys.stderr,
-        )
-        return 3
     return 0
 
 

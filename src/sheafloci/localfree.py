@@ -26,10 +26,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError
-from .exactalg import insert_row, integer_row, inverse
+from .exactalg import insert_row, integer_row
 from .poly import HomPoly, LocalPoly, substitute_linear, upoly_coeff
 from .rng import SplitMix64
-from .schemes import FatPoint
+from .schemes import FatPoint, branch_polynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,20 +58,10 @@ class FatIdealData:
     def __post_init__(self):
         if self.mult < 1:
             raise ConfigError("multiplicity must be at least 1")
-        if self.h and self.h[0] != 0:
-            raise ConfigError("h(0) must vanish")
-        if len(self.h) > self.mult:
-            raise ConfigError(
-                f"deg h = {len(self.h) - 1} must stay below the "
-                f"multiplicity {self.mult}"
-            )
 
     @classmethod
     def of(cls, h: Sequence, mult: int) -> "FatIdealData":
-        h = tuple(Fraction(c) for c in h)
-        while h and h[-1] == 0:
-            h = h[:-1]
-        return cls(h, mult)
+        return cls(branch_polynomial(h, mult), mult)
 
     def x_minus_h(self) -> LocalPoly:
         d = {(1, 0): _ONE}
@@ -223,7 +213,7 @@ def germ_at_fat_point(f: HomPoly, fp: FatPoint) -> tuple:
     local x the third chart coordinate and local y the second, matching
     the membership rows of the configuration machinery.
     """
-    moved = substitute_linear(f, inverse(fp.chart))
+    moved = substitute_linear(f, fp.frame)
     local = {}
     for (a, b, c), coeff in moved.terms():
         local[(c, b)] = local.get((c, b), _ZERO) + coeff

@@ -19,9 +19,11 @@ denominator.  Either is a positive rescaling of the rational row, which
 changes no rank, kernel or reduced echelon form.  membership_conditions
 returns the rows as built, a list of int lists.
 
-Multiplicities m >= 3 are accepted by the data model; the codimension
-assertions elsewhere in the package apply only to the generic stratum
-(all points simple) and the one-double-point stratum.
+The codimension assertions elsewhere in the package hold for every
+curvilinear configuration, whatever its number of fat points and their
+multiplicities.  Non-curvilinear fat points, such as the square of a
+maximal ideal, are outside this data model, so the paper's claim is not
+checked for them.
 """
 
 from __future__ import annotations
@@ -100,13 +102,31 @@ class SimplePoint:
         return hash(self._primitive)
 
 
+def branch_polynomial(h: Sequence, mult: int) -> tuple:
+    """h(y)'s coefficients from y^0 as Fractions, trailing zeros trimmed.
+
+    Raises ConfigError unless h(0) = 0, so that the ideal (x - h(y), y^mult)
+    is supported at the origin, and deg h < mult, so that h is reduced
+    modulo y^mult.  FatPoint.of and localfree.FatIdealData.of both read
+    their branch data through it.
+    """
+    h = tuple(Fraction(c) for c in h)
+    while h and h[-1] == 0:
+        h = h[:-1]
+    if h and h[0] != 0:
+        raise ConfigError("h(0) must vanish")
+    if len(h) > mult:
+        raise ConfigError(f"deg h = {len(h) - 1} must stay below the multiplicity {mult}")
+    return h
+
+
 @dataclass(frozen=True)
 class FatPoint:
     """Curvilinear fat point: support, chart, branch data h, multiplicity.
 
     chart is a 3x3 invertible matrix with chart @ support proportional to
     (1,0,0); h is the univariate coefficient tuple of h(y) from y^0 up,
-    with h(0) = 0 and deg h < mult.
+    with h(0) = 0 and deg h < mult (see branch_polynomial).
     """
 
     support: SimplePoint
@@ -124,20 +144,15 @@ class FatPoint:
         image = self.chart.apply(self.support.coords)
         if image[1] != 0 or image[2] != 0 or image[0] == 0:
             raise ConfigError("chart must move the support to (1:0:0)")
-        h = self.h
-        if h and h[0] != 0:
-            raise ConfigError("h(0) must vanish")
-        if len(h) > self.mult:
-            raise ConfigError(
-                f"deg h = {len(h) - 1} must stay below the multiplicity {self.mult}"
-            )
 
     @classmethod
     def of(cls, support: SimplePoint, chart: QMatrix, h: Sequence, mult: int) -> "FatPoint":
-        h = tuple(Fraction(c) for c in h)
-        while h and h[-1] == 0:
-            h = h[:-1]
-        return cls(support, chart, h, mult)
+        return cls(support, chart, branch_polynomial(h, mult), mult)
+
+    @cached_property
+    def frame(self) -> QMatrix:
+        """chart^{-1}, inverted once per fat point: chart coordinates to plane ones."""
+        return inverse(self.chart)
 
     def branch_coordinates(self) -> tuple:
         """Three univariate polynomials w(y) with w = chart^{-1} (1, y, h(y)).
@@ -146,7 +161,7 @@ class FatPoint:
         divisible by y^mult: this parametrizes the curvilinear branch in
         the original coordinates.
         """
-        cinv = inverse(self.chart)
+        cinv = self.frame
         h = list(self.h)
         out = []
         for i in range(3):
@@ -366,39 +381,41 @@ def _completion_matrix(p: SimplePoint) -> QMatrix:
     return QMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
-def _random_double_point(rng: SplitMix64) -> FatPoint:
+def _random_fat_point(rng: SplitMix64, mult: int) -> FatPoint:
+    """A fat point at a random support with h(y) = c1 y + ... + c_{m-1} y^{m-1}."""
     support = _random_point(rng)
     chart = inverse(_completion_matrix(support))
-    slope = Fraction(rng.randint(-5, 5))
-    return FatPoint.of(support, chart, (_ZERO, slope), 2)
+    h = [_ZERO] + [Fraction(rng.randint(-5, 5)) for _ in range(mult - 1)]
+    return FatPoint.of(support, chart, h, mult)
+
+
+# the multiplicities of the fat points random_config draws in each stratum
+_STRATUM_FAT_MULTS = {"generic": (), "double": (2,)}
 
 
 def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
     """Seeded random configuration of length (d-1)(d-2)/2.
 
     stratum "generic": all points simple.  stratum "double": one double
-    point plus l-2 simple points.  Coordinates are integers in
-    [-20, 20] drawn from SplitMix64(seed); candidates are rejected until
-    no degree-(d-3) curve passes through the scheme, with a hard cap of
-    10^4 rejections.
+    point plus l-2 simple points.  The fat points are drawn first, then
+    the simple points.  Coordinates are integers in [-20, 20] drawn from
+    SplitMix64(seed); candidates are rejected until no degree-(d-3)
+    curve passes through the scheme, with a hard cap of 10^4 rejections.
     """
     if d < 4:
         raise ConfigError("degree must be at least 4")
     if d > MAX_DEGREE:
         raise ConfigError(f"degree {d} is above the ceiling {MAX_DEGREE}")
-    if stratum not in ("generic", "double"):
+    if stratum not in _STRATUM_FAT_MULTS:
         raise ConfigError(f"unknown stratum {stratum!r}")
+    mults = _STRATUM_FAT_MULTS[stratum]
     rng = SplitMix64(seed)
     l = expected_length(d)
     for _ in range(MAX_REJECTIONS):
         try:
-            if stratum == "generic":
-                cfg = PointConfig.of(d, [_random_point(rng) for _ in range(l)])
-            else:
-                fp = _random_double_point(rng)
-                cfg = PointConfig.of(
-                    d, [_random_point(rng) for _ in range(l - 2)], [fp]
-                )
+            fat = [_random_fat_point(rng, m) for m in mults]
+            simple = [_random_point(rng) for _ in range(l - sum(mults))]
+            cfg = PointConfig.of(d, simple, fat)
         except ConfigError:
             continue
         if cfg.admissible:

@@ -6,8 +6,7 @@ of the fibre: at a simple point the conditions are the vanishing of the
 three partial derivatives (rank 2 modulo the fibre, by the Euler
 relation); at a curvilinear fat point of multiplicity m the conditions
 are the gradient at the support together with the order-m coefficient
-functional along the branch, again rank 2 modulo the fibre on the
-strata handled here.
+functional along the branch, again rank 2 modulo the fibre.
 
 The condition rows are integers from the start (see schemes): the
 gradient rows read the point's integer coordinates.  Every codimension
@@ -53,17 +52,8 @@ def gradient_rows(p: SimplePoint, d: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class SingConditions:
-    """Ambient linear functionals cutting out sheaf singularity at one point."""
-
-    point_id: int
-    kind: str
-    rows: tuple
-
-
-def singular_conditions(cfg: PointConfig, point_id: int) -> SingConditions:
-    """Functionals whose common vanishing marks the sheaf singular at the point.
+def singular_conditions(cfg: PointConfig, point_id: int) -> tuple:
+    """Rows of the functionals whose common vanishing marks the sheaf singular.
 
     Simple point: the three partial derivatives at the point.  Fat point:
     the three partial derivatives at the support plus the order-m
@@ -77,7 +67,7 @@ def singular_conditions(cfg: PointConfig, point_id: int) -> SingConditions:
     else:
         rows = gradient_rows(data.support, d)
         rows.extend(fat_point_rows(data, d, orders=[data.mult]))
-    return SingConditions(point_id, kind, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def _compressed_block(fib: Fibre, point_id: int) -> list:
@@ -87,7 +77,7 @@ def _compressed_block(fib: Fibre, point_id: int) -> list:
     codimension of the singular locus of this point inside the fibre.
     """
     echelon = {}
-    for r in singular_conditions(fib.config, point_id).rows:
+    for r in singular_conditions(fib.config, point_id):
         insert_row(echelon, fib.space.compress_numerators(r)[0])
     return list(echelon.values())
 
@@ -110,7 +100,7 @@ def normal_space_dim(fib: Fibre, point_id: int) -> int:
                 expected=3,
                 actual=ambient,
             )
-    if k != 2 and fib.config.stratum() != "deep":
+    if k != 2:
         raise DegenerateError(
             f"normal space at {kind} point {point_id} has dimension {k}, "
             f"expected 2",
@@ -129,9 +119,9 @@ def classify_curve(fib: Fibre, f: HomPoly) -> set:
     out = set()
     coeffs = list(f.coeffs)
     for pid in range(1, fib.config.npoints + 1):
-        sc = singular_conditions(fib.config, pid)
         if all(
-            sum(r * c for r, c in zip(row, coeffs)) == 0 for row in sc.rows
+            sum(r * c for r, c in zip(row, coeffs)) == 0
+            for row in singular_conditions(fib.config, pid)
         ):
             out.add(pid)
     return out
@@ -144,7 +134,7 @@ def classify_curve(fib: Fibre, f: HomPoly) -> set:
 def impose_singularities(
     fib: Fibre, point_ids: Sequence[int], rng: SplitMix64
 ) -> HomPoly:
-    """A curve in the fibre with singular sheaf at the given simple points.
+    """A curve in the fibre with singular sheaf at the given points.
 
     The fibre members singular at the points are the kernel of their
     stacked blocks in the fibre's free coordinates; the result is a
@@ -154,13 +144,6 @@ def impose_singularities(
     ids = sorted(set(point_ids))
     if not ids:
         raise ConfigError("need at least one point to impose a singularity")
-    for pid in ids:
-        kind, _ = fib.config.point(pid)
-        if kind != "simple":
-            raise ConfigError(
-                f"point {pid} is not simple; singularities are imposed at "
-                f"simple points only"
-            )
     rows = []
     for pid in ids:
         block = _compressed_block(fib, pid)

@@ -17,6 +17,8 @@ cross-checks exercise independent code paths:
   coordinates.
 - zero_column_module, proportional_pair_module: Kronecker modules
   broken on purpose.
+- random_fat_config: seeded configurations with any fat multiplicities,
+  past the two strata random_config draws.
 
 run_fresh_python runs a script in a new interpreter, for checks on what
 a process imports: the test process itself has loaded every module.
@@ -218,7 +220,7 @@ def _ambient_rows(fib, ids):
 
     rows = membership_conditions(fib.config, fib.degree)
     for pid in ids:
-        rows.extend(list(r) for r in singular_conditions(fib.config, pid).rows)
+        rows.extend(list(r) for r in singular_conditions(fib.config, pid))
     return rows
 
 
@@ -242,8 +244,38 @@ def ambient_codim(fib, ids):
     from sheafloci.singloci import singular_conditions
 
     echelon = _membership_echelon(fib.config)
-    rows = [r for pid in ids for r in singular_conditions(fib.config, pid).rows]
+    rows = [r for pid in ids for r in singular_conditions(fib.config, pid)]
     return len(echelon) + rank_modulo(echelon, rows) - length(fib.config)
+
+
+def random_fat_config(d, seed, mults):
+    """Seeded configuration with one fat point per entry of mults.
+
+    Draws like schemes.random_config: the fat points first through
+    schemes._random_fat_point, then the simple points, rejecting a
+    candidate until no degree-(d-3) curve passes through the scheme.
+    """
+    from sheafloci.errors import ConfigError
+    from sheafloci.rng import SplitMix64
+    from sheafloci.schemes import (
+        MAX_REJECTIONS,
+        PointConfig,
+        _random_fat_point,
+        _random_point,
+        expected_length,
+    )
+
+    rng = SplitMix64(seed)
+    for _ in range(MAX_REJECTIONS):
+        try:
+            fat = [_random_fat_point(rng, m) for m in mults]
+            simple = [_random_point(rng) for _ in range(expected_length(d) - sum(mults))]
+            cfg = PointConfig.of(d, simple, fat)
+        except ConfigError:
+            continue
+        if cfg.admissible:
+            return cfg
+    raise AssertionError(f"no admissible configuration for {d}, {seed}, {mults}")
 
 
 def ambient_singular_subspace(fib, pid):

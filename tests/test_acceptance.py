@@ -183,7 +183,7 @@ def test_criterion_3_double_point_codimensions(line, double_data):
                 # the double point needs the unit functional: its gradient
                 # conditions alone only cut codimension 1 in the fibre
                 fat_id = cfg.npoints
-                rows = singular_conditions(cfg, fat_id).rows
+                rows = singular_conditions(cfg, fat_id)
                 compressed = [fib.space.compress_functional(r) for r in rows]
                 assert rank_of_rows(compressed[:3]) == 1
                 assert rank_of_rows(compressed) == 2

@@ -1,7 +1,8 @@
 """The public API: every exported name resolves, once, removed names stay gone,
 the package namespace loads its modules only on first use, every annotation
 resolves, no library or test module imports a name it does not use, and
-every library function, class and method has a caller in the library."""
+every library function, class, method and module-level alias has a caller
+in the library."""
 
 import ast
 import importlib
@@ -54,6 +55,7 @@ REMOVED = [
     ("sheafloci.kronecker", "KroneckerModule.with_column"),
     ("sheafloci.localfree", "maximal_ideal_free"),
     ("sheafloci.linsys", "Fibre.random_element"),
+    ("sheafloci.exactalg", "Rational"),
 ]
 
 # library names that no other library code refers to, each with the reason
@@ -183,10 +185,25 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _alias(node):
+    """The name a module-level `Name = Name` assignment binds, else None."""
+    if (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Name)
+    ):
+        return node.targets[0].id
+    return None
+
+
 def _definitions(tree):
-    """(qualified name, name, node) of the module-level functions and
-    classes and of the classes' methods, dunder names left out."""
+    """(qualified name, name, node) of the module-level functions, classes
+    and aliases and of the classes' methods, dunder names left out."""
     for node in tree.body:
+        alias = _alias(node)
+        if alias is not None and not _is_dunder(alias):
+            yield alias, alias, node
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_dunder(node.name):
             continue
         yield node.name, node.name, node

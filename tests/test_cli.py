@@ -141,14 +141,20 @@ class TestGenericityExit:
 
 
 class TestDeepStratumExit:
-    def test_triple_point_exits_three_with_report(self, capsys, tmp_path):
+    def test_triple_point_exits_zero_with_report(self, capsys, tmp_path):
+        from sheafloci.linsys import fibre
+        from sheafloci.serialize import canonical_dumps, config_from_dict, report_to_dict
+        from sheafloci.singloci import locus_report
+
         cfg = write_json(tmp_path / "deep.json", DEEP_D6)
         code, out, err = run(capsys, "analyze", "--config", cfg)
-        assert code == 3
+        assert (code, err) == (0, "")
+        rep = locus_report(fibre(config_from_dict(DEEP_D6)), pairs=True)
+        assert out == canonical_dumps(report_to_dict(rep))
         report = json.loads(out)
         assert report["stratum"] == "deep"
         assert report["points"][-1]["kind"] == "fat"
-        assert "not asserted" in err
+        assert report["violations"] == []
 
 
 class TestVerifyRemark6:

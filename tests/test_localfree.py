@@ -24,7 +24,7 @@ from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
 from sheafloci.singloci import classify_curve
 
-from conftest import ambient_singular_subspace, naive_echelon, rank_modulo
+from conftest import ambient_singular_subspace, naive_echelon, random_fat_config, rank_modulo
 
 
 def germ(text):
@@ -267,24 +267,26 @@ class TestGlobalBridge:
         assert fat_ideal_free(g, d)
 
     def test_classification_agrees_with_local_freeness(self):
-        cfg = random_config(5, 11, stratum="double")
-        fib = fibre(cfg)
-        fat_id = cfg.npoints
-        fp = cfg.fat[0]
-        sub = ambient_singular_subspace(fib, fat_id)
-        basis = sub.basis()
-        checked = 0
-        for j in range(basis.cols):
-            f = HomPoly.from_coeffs(5, basis.col(j))
-            if f.is_zero():
-                continue
-            g, d = germ_at_fat_point(f, fp)
-            assert not fat_ideal_free(g, d)
-            assert fat_id in classify_curve(fib, f)
-            checked += 1
-        assert checked > 0
-        rng = SplitMix64(15)
-        for _ in range(5):
-            f = fib.element(random_weights(rng, fib.proj_dim + 1))
-            g, d = germ_at_fat_point(f, fp)
-            assert fat_ideal_free(g, d) == (fat_id not in classify_curve(fib, f))
+        # a double point, then a triple point
+        for cfg in (random_config(5, 11, stratum="double"), random_fat_config(6, 3, (3,))):
+            fib = fibre(cfg)
+            fat_id = cfg.npoints
+            fp = cfg.fat[0]
+            sub = ambient_singular_subspace(fib, fat_id)
+            basis = sub.basis()
+            checked = 0
+            for j in range(basis.cols):
+                f = HomPoly.from_coeffs(cfg.degree, basis.col(j))
+                if f.is_zero():
+                    continue
+                g, d = germ_at_fat_point(f, fp)
+                assert d.mult == fp.mult
+                assert not fat_ideal_free(g, d)
+                assert fat_id in classify_curve(fib, f)
+                checked += 1
+            assert checked > 0
+            rng = SplitMix64(15)
+            for _ in range(5):
+                f = fib.element(random_weights(rng, fib.proj_dim + 1))
+                g, d = germ_at_fat_point(f, fp)
+                assert fat_ideal_free(g, d) == (fat_id not in classify_curve(fib, f))

@@ -30,7 +30,13 @@ from sheafloci.schemes import (
     simple_point_row,
 )
 
-from conftest import REFERENCE_POINTS_D6, evaluation_rows, horner_eval, matrix_product
+from conftest import (
+    REFERENCE_POINTS_D6,
+    evaluation_rows,
+    horner_eval,
+    matrix_product,
+    random_fat_config,
+)
 
 
 def ref_config():
@@ -291,6 +297,22 @@ class TestGenericity:
         fibre(ref_config())
         assert calls == [4, 3]
 
+    def test_chart_is_inverted_once_per_fat_point(self, monkeypatch):
+        import sheafloci.schemes as schemes
+        from sheafloci.linsys import fibre
+        from sheafloci.singloci import locus_report
+
+        calls = []
+
+        def counted(m):
+            calls.append(m.rows)
+            return inverse(m)
+
+        monkeypatch.setattr(schemes, "inverse", counted)
+        locus_report(fibre(random_config(7, 3, "double")))
+        # one inverse builds the chart, one gives the fat point's frame
+        assert calls == [3, 3]
+
 
 class TestCollinear:
     def test_reference_examples(self):
@@ -332,6 +354,13 @@ class TestRandomConfig:
             assert cfg.fat[0].mult == 2
             assert length(cfg) == expected_length(d)
             assert not_on_curve_of_degree(cfg, d - 3)
+
+    @pytest.mark.parametrize(
+        "stratum,mults", [("generic", ()), ("double", (2,))], ids=["generic", "double"]
+    )
+    def test_random_fat_config_draws_like_random_config(self, stratum, mults):
+        for d, seed in ((4, 9), (6, 7), (7, 3)):
+            assert random_fat_config(d, seed, mults) == random_config(d, seed, stratum)
 
     def test_unknown_stratum_rejected(self):
         with pytest.raises(ConfigError):

@@ -39,6 +39,7 @@ from conftest import (
     ambient_singular_subspace,
     horner_eval,
     partial,
+    random_fat_config,
 )
 
 
@@ -142,15 +143,11 @@ class TestGradientRows:
 class TestSingularConditions:
     def test_simple_point_has_three_rows(self):
         cfg = ref_config()
-        sc = singular_conditions(cfg, 1)
-        assert sc.kind == "simple"
-        assert len(sc.rows) == 3
+        assert len(singular_conditions(cfg, 1)) == 3
 
     def test_fat_point_has_four_rows(self):
         cfg = random_config(5, 11, stratum="double")
-        sc = singular_conditions(cfg, cfg.npoints)
-        assert sc.kind == "fat"
-        assert len(sc.rows) == 4
+        assert len(singular_conditions(cfg, cfg.npoints)) == 4
 
     def test_standard_position_span(self):
         # Modulo the fibre, the conditions at (1:0:0) coincide with the
@@ -158,7 +155,7 @@ class TestSingularConditions:
         cfg = standard_d4_config()
         fib = fibre(cfg)
         sc = singular_conditions(cfg, 1)
-        block = [fib.space.compress_functional(list(r)) for r in sc.rows]
+        block = [fib.space.compress_functional(list(r)) for r in sc]
         n_mono = len(monomials(4))
         indicators = []
         for exp in ((3, 1, 0), (3, 0, 1)):
@@ -220,9 +217,9 @@ class TestCodimensions:
         cfg = random_config(5, 11, stratum="double")
         fib = fibre(cfg)
         sc = singular_conditions(cfg, cfg.npoints)
-        grad_only = [fib.space.compress_functional(list(r)) for r in sc.rows[:3]]
+        grad_only = [fib.space.compress_functional(list(r)) for r in sc[:3]]
         assert rank_of_rows(grad_only) == 1
-        full = [fib.space.compress_functional(list(r)) for r in sc.rows]
+        full = [fib.space.compress_functional(list(r)) for r in sc]
         assert rank_of_rows(full) == 2
 
     def test_singular_subspace_dimensions(self):
@@ -291,12 +288,12 @@ class TestClassify:
         fat_id = cfg.npoints
         sc = singular_conditions(cfg, fat_id)
         sub = ProjSubspace.cut_by(
-            membership_conditions(cfg, 5) + [list(r) for r in sc.rows[:3]],
+            membership_conditions(cfg, 5) + [list(r) for r in sc[:3]],
             fib.space.ambient,
         )
         found = False
         basis = sub.basis()
-        u_row = list(sc.rows[3])
+        u_row = list(sc[3])
         for j in range(basis.cols):
             f = HomPoly.from_coeffs(5, basis.col(j))
             if f.is_zero():
@@ -318,11 +315,18 @@ class TestImpose:
         b = impose_singularities(fib, [3, 6], SplitMix64(9))
         assert a == b
 
-    def test_rejects_fat_targets(self):
-        cfg = random_config(5, 11, stratum="double")
+    @pytest.mark.parametrize(
+        "degree,seed,mults", [(5, 11, (2,)), (6, 3, (3,))], ids=["double", "triple"]
+    )
+    def test_imposes_at_fat_points(self, degree, seed, mults):
+        cfg = random_fat_config(degree, seed, mults)
         fib = fibre(cfg)
-        with pytest.raises(ConfigError):
-            impose_singularities(fib, [cfg.npoints], SplitMix64(1))
+        fat_id = cfg.npoints
+        for ids in ([fat_id], [1, fat_id]):
+            f = impose_singularities(fib, ids, SplitMix64(fat_id))
+            got = classify_curve(fib, f)
+            assert got == set(ids)
+            assert got == oracle_classify(cfg, f)
 
     def test_rejects_empty(self):
         fib = fibre(ref_config())
@@ -353,7 +357,7 @@ class TestImposeKernel:
             f = impose_singularities(fib, ids, SplitMix64(1000 * d + k))
             assert fib.contains(f)
             for pid in ids:
-                for row in singular_conditions(cfg, pid).rows:
+                for row in singular_conditions(cfg, pid):
                     assert sum(r * c for r, c in zip(row, f.coeffs)) == 0
             assert classify_curve(fib, f) == set(ids)
 
@@ -520,6 +524,50 @@ class TestAmbientOracle:
             assert got[ids] == ambient_codim(fib, ids)
 
 
+# one fat point of multiplicity 3 to 6, two or three double points, or a
+# triple point and a double point
+CURVILINEAR_STRATA = [
+    (5, (3,)),
+    (5, (4,)),
+    (5, (5,)),
+    (5, (6,)),
+    (5, (2, 2)),
+    (5, (2, 2, 2)),
+    (5, (3, 2)),
+    (6, (3,)),
+    (6, (2, 2)),
+    (6, (3, 2)),
+]
+
+
+class TestCurvilinearStrata:
+    """Configurations past one double point meet the same expectations.
+
+    Every locus_report codimension matches ambient_codim: 2 per point, 4
+    per pair and 6 per non-collinear triple; normal_space_dim accepts
+    every point.
+    """
+
+    @pytest.mark.parametrize(
+        "degree,mults",
+        CURVILINEAR_STRATA,
+        ids=[f"{d}-fat{'+'.join(map(str, m))}" for d, m in CURVILINEAR_STRATA],
+    )
+    def test_report_matches_ambient_codims(self, degree, mults):
+        cfg = random_fat_config(degree, degree, mults)
+        assert cfg.stratum() == "deep"
+        fib = fibre(cfg)
+        rep = locus_report(fib, pairs=True, triples=True)
+        assert asserted_violations(rep) == []
+        for pid, _kind, codim in rep.point_codims:
+            assert codim == ambient_codim(fib, [pid]) == normal_space_dim(fib, pid) == 2
+        for i, j, codim in rep.pair_codims:
+            assert codim == ambient_codim(fib, [i, j]) == 4
+        for i, j, k, codim, is_collinear in rep.triple_codims:
+            if not is_collinear:
+                assert codim == ambient_codim(fib, [i, j, k]) == 6
+
+
 SEEDED_D5_TO_D7 = [
     (degree, stratum, seed)
     for degree, seed in ((5, 1), (6, 2), (7, 3))
@@ -541,7 +589,7 @@ class TestIntegerRows:
             rows.extend(fat_point_rows(fp, degree))
             rows.extend(fat_point_rows(fp, degree, orders=[fp.mult]))
         for pid in range(1, cfg.npoints + 1):
-            rows.extend(singular_conditions(cfg, pid).rows)
+            rows.extend(singular_conditions(cfg, pid))
         rows.extend(membership_conditions(cfg, degree))
         space = fibre(cfg).space
         rows.extend(space.block)
