@@ -32,7 +32,10 @@ nonzero over Q and rank_P <= rank_Q.  Full row rank mod P therefore
 proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
-prime.
+prime.  The mod-P elimination is extend_mod_p, which extends an
+existing mod-P echelon without changing it, so singloci ranks many
+subsets on shared prefixes; kernel_mod_p reads a mod-P null space off
+such an echelon by back-substitution.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 _ZERO = Fraction(0)
@@ -214,21 +218,26 @@ def rref_rows(rows: Sequence) -> tuple:
     return out, tuple(reduced)
 
 
-def _independent_mod_p(rows: Sequence[list]) -> bool:
-    """Whether the integer rows stay linearly independent modulo _PRIME.
+def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
+    """A mod-_PRIME echelon extended by residue rows, or None if one falls dependent.
 
-    The same cross-multiplication as insert_row, on residues.
+    pivots maps a column to a residue row whose first nonzero entry lies
+    in that column; it is copied, never changed, so one echelon can be
+    the shared prefix of many extensions.  The rows hold residues in
+    [0, _PRIME) and are reduced by the same cross-multiplication as
+    insert_row.  Returns the extended echelon when every row adds a
+    pivot, that is when the stored rows and the new ones are linearly
+    independent modulo _PRIME.
     """
-    pivots = {}
+    pivots = dict(pivots)
     for row in rows:
-        row = [a % _PRIME for a in row]
         n = len(row)
         c = 0
         while True:
             while c < n and not row[c]:
                 c += 1
             if c == n:
-                return False
+                return None
             top = pivots.get(c)
             if top is None:
                 pivots[c] = row
@@ -237,7 +246,29 @@ def _independent_mod_p(rows: Sequence[list]) -> bool:
             c += 1
             tail = [(p * a - f * b) % _PRIME for a, b in zip(row[c:], top[c:])]
             row = [0] * c + tail
-    return True
+    return pivots
+
+
+def kernel_mod_p(pivots: dict, n: int) -> list:
+    """A basis of the length-n vectors mod _PRIME that every echelon row annihilates.
+
+    One vector per free column f of an extend_mod_p echelon: 1 at f, 0 at
+    the other free columns, and the pivot entries solved by
+    back-substitution from the last pivot row up.
+    """
+    inverse = {c: pow(row[c], -1, _PRIME) for c, row in pivots.items()}
+    order = sorted(pivots, reverse=True)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [0] * n
+        x[f] = 1
+        for c in order:
+            row = pivots[c]
+            x[c] = -sum(map(mul, row[c + 1 :], x[c + 1 :])) * inverse[c] % _PRIME
+        basis.append(x)
+    return basis
 
 
 def rank_of_rows(rows: Sequence[Sequence]) -> int:
@@ -246,7 +277,7 @@ def rank_of_rows(rows: Sequence[Sequence]) -> int:
         r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
     ]
     # full row rank mod P is a certificate (see the module docstring)
-    if _independent_mod_p(rows):
+    if extend_mod_p({}, ([a % _PRIME for a in r] for r in rows)) is not None:
         return len(rows)
     pivots = {}
     return sum(insert_row(pivots, r) is not None for r in rows)

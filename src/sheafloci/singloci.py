@@ -19,11 +19,15 @@ an intersection is the rank of the stacked blocks.  locus_report and
 normal_space_dim read these blocks, and impose_singularities builds its
 curves from the kernel of the stacked blocks of the requested points.
 
-locus_report first ranks a sketch of each subset: every block B is
-multiplied once by a fixed seeded integer matrix R with six columns, and
-since rank(B R) <= rank(B) <= rows, a sketch of full row rank proves the
-codimension.  A subset whose sketch falls short, or whose stacked blocks
-have more than six rows, is ranked on the blocks themselves.
+locus_report first ranks a sketch of each subset modulo the prime P of
+exactalg: every block B is multiplied once by a fixed seeded integer
+matrix R with six columns and reduced mod P, and since
+rank_P(B R) <= rank(B R) <= rank(B) <= rows, residues of full row rank
+prove the codimension.  The subsets share prefixes: each pair extends
+its first point's mod-P echelon by the second point's residues, and
+each triple tests only its third point's residues against the pair's
+null space.  A subset whose residues fall short, or whose stacked
+blocks have more than six rows, is ranked on the blocks themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +39,15 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError
-from .exactalg import QMatrix, insert_row, kernel, rank_of_rows
+from .exactalg import (
+    _PRIME,
+    QMatrix,
+    extend_mod_p,
+    insert_row,
+    kernel,
+    kernel_mod_p,
+    rank_of_rows,
+)
 from .linsys import Fibre, random_weights
 from .poly import HomPoly, monomials, powers
 from .rng import SplitMix64
@@ -209,15 +221,18 @@ def locus_report(
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
-    Per-point integer blocks B_i and their sketches B_i R are computed
-    once.  A subset of at most six stacked rows first costs one
-    rank_of_rows call on its stacked sketch rows; when that rank equals
-    the row count it is the codimension, because rank(B R) <= rank(B).
-    Otherwise, and for every larger subset, one rank_of_rows call on the
-    stacked block rows decides it.  Either call ends at once when the
-    rows have full rank modulo a prime; only rows dependent modulo the
-    prime go on to exact elimination.  Extra subsets must name distinct
-    point ids in 1..npoints, else ConfigError.
+    Per-point integer blocks B_i and the residues of their sketches
+    B_i R mod P are computed once.  A subset is certified when its
+    stacked residues have full row rank mod P; its codimension is then
+    its row count, because rank_P(B R) <= rank(B).  Each pair extends
+    the mod-P echelon of its first point's residues by the second's
+    (exactalg.extend_mod_p), and each triple (i, j, k) multiplies B_k R
+    by the null space of the pair's echelon (exactalg.kernel_mod_p):
+    the stacked residues have full row rank exactly when that product
+    does.  Every subset the residues do not certify, including every
+    subset of more than six rows, costs one rank_of_rows call on its
+    stacked blocks.  Extra subsets must name distinct point ids in
+    1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -230,37 +245,70 @@ def locus_report(
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
     blocks = {pid: _compressed_block(fib, pid) for pid in ids}
     sketch = _sketch_matrix(len(fib.space.free_columns))
-    sketches = {
-        pid: [[sum(map(mul, row, col)) for col in sketch] for row in block]
+    residues = {
+        pid: [[sum(map(mul, row, col)) % _PRIME for col in sketch] for row in block]
         for pid, block in blocks.items()
     }
+    supports = {pid: cfg.support_of(pid) for pid in ids}
     point_codims = tuple(
         (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
     )
 
-    def codim_of(subset):
-        rows = [row for pid in subset for row in blocks[pid]]
-        if len(rows) <= _SKETCH_COLS and rank_of_rows(
-            [row for pid in subset for row in sketches[pid]]
-        ) == len(rows):
-            return len(rows)
-        return rank_of_rows(rows)
+    def extend(echelon, pid):
+        # the prefix's sketch echelon extended by pid's residues, or None
+        # once the stacked residues fall dependent mod P
+        return None if echelon is None else extend_mod_p(echelon, residues[pid])
 
-    pair_codims = tuple(
-        (*s, codim_of(s)) for s in (combinations(ids, 2) if pairs else ())
-    )
-    triple_codims = tuple(
-        (*s, codim_of(s), collinear(*(cfg.support_of(pid) for pid in s)))
-        for s in (combinations(ids, 3) if triples else ())
-    )
+    def codim_of(subset, certified):
+        # the row count when the sketch residues certify it, else exact
+        if certified:
+            return sum(len(blocks[pid]) for pid in subset)
+        return rank_of_rows([row for pid in subset for row in blocks[pid]])
+
+    singles = {pid: extend({}, pid) for pid in ids}
+    pair_codims = []
+    triple_codims = []
+    if pairs or triples:
+        for i, j in combinations(ids, 2):
+            prefix = extend(singles[i], j)
+            if pairs:
+                pair_codims.append((i, j, codim_of((i, j), prefix is not None)))
+            if not triples:
+                continue
+            # k's residue rows are independent modulo the pair's exactly
+            # when their products with the pair's null space are
+            null = None if prefix is None else kernel_mod_p(prefix, _SKETCH_COLS)
+            for k in range(j + 1, cfg.npoints + 1):
+                certified = null is not None and extend_mod_p(
+                    {},
+                    (
+                        [sum(map(mul, row, v)) % _PRIME for v in null]
+                        for row in residues[k]
+                    ),
+                ) is not None
+                triple_codims.append(
+                    (
+                        i,
+                        j,
+                        k,
+                        codim_of((i, j, k), certified),
+                        collinear(supports[i], supports[j], supports[k]),
+                    )
+                )
+    subset_codims = []
+    for s in extra_subsets:
+        echelon = {}
+        for pid in s:
+            echelon = extend(echelon, pid)
+        subset_codims.append((tuple(s), codim_of(s, echelon is not None)))
     return SingularLocusReport(
         degree=cfg.degree,
         stratum=cfg.stratum(),
         fibre_dim=fib.proj_dim,
         point_codims=point_codims,
-        pair_codims=pair_codims,
-        triple_codims=triple_codims,
-        subset_codims=tuple((tuple(s), codim_of(s)) for s in extra_subsets),
+        pair_codims=tuple(pair_codims),
+        triple_codims=tuple(triple_codims),
+        subset_codims=tuple(subset_codims),
     )
 
 

@@ -244,6 +244,35 @@ def test_rank_of_rows_near_the_prime_matches_naive_rank(rows):
     assert rank_of_rows(rows) == naive_rank(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+        min_size=0,
+        max_size=6,
+    ),
+    st.integers(0, 6),
+)
+def test_extended_echelon_and_its_null_space(rows, split):
+    # entries of at most 3 on five columns keep every minor below P, so
+    # ranks mod P are ranks over Q
+    residues = [[a % P for a in r] for r in rows]
+    prefix = exactalg.extend_mod_p({}, residues[:split])
+    assert (prefix is not None) == (naive_rank(rows[:split]) == len(rows[:split]))
+    if prefix is None:
+        return
+    full = exactalg.extend_mod_p(prefix, residues[split:])
+    assert (full is not None) == (naive_rank(rows) == len(rows))
+    assert exactalg.extend_mod_p({}, residues[:split]) == prefix
+    null = exactalg.kernel_mod_p(prefix, 5)
+    free = [c for c in range(5) if c not in prefix]
+    assert len(null) == 5 - len(prefix)
+    for f, v in zip(free, null):
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+        for r in residues[:split]:
+            assert sum(a * b for a, b in zip(r, v)) % P == 0
+
+
 @st.composite
 def small_matrix(draw, square=False):
     """Fraction matrices up to 4x4; zero-heavy rows make rank drops common."""

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
-from sheafloci.exactalg import QMatrix, inverse, rank_of_rows
+from sheafloci.exactalg import _PRIME as P, QMatrix, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
 from sheafloci.poly import HomPoly, monomial_index, monomials
 from sheafloci.rng import SplitMix64
@@ -439,8 +439,33 @@ def count_rank_calls(monkeypatch):
     return calls
 
 
+def sketch_times_p(monkeypatch):
+    """Scale every sketch entry by P, so every sketch residue is 0."""
+    import sheafloci.singloci as singloci
+
+    original = singloci._sketch_matrix
+    monkeypatch.setattr(
+        singloci,
+        "_sketch_matrix",
+        lambda n: tuple(tuple(P * a for a in col) for col in original(n)),
+    )
+
+
+def stacked_rank(fib, ids):
+    """rank_of_rows on the stacked blocks of the points in ids."""
+    import sheafloci.singloci as singloci
+
+    block = singloci._compressed_block
+    return rank_of_rows([row for pid in ids for row in block(fib, pid)])
+
+
 class TestSketch:
-    """Subsets of at most six rows are first ranked on per-point sketches."""
+    """Subsets are first ranked on per-point sketch residues mod P.
+
+    Pairs extend the first point's echelon, triples test the third
+    point's residues against the pair's null space, and only subsets the
+    residues leave uncertified reach rank_of_rows on the blocks.
+    """
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
     def test_short_sketches_fall_back_to_the_blocks(self, monkeypatch, stratum):
@@ -456,27 +481,100 @@ class TestSketch:
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         assert rep == expected
-        # a subset of at most six rows ranks its sketch, then its blocks;
-        # (1, 2, 3, 4) stacks 8 rows and ranks only its blocks
-        small = len(rep.pair_codims) + len(rep.triple_codims) + 1
-        assert len(calls) == 2 * small + 1
+        # no subset is certified, so each one ranks its stacked blocks once
+        stacked = (
+            [4] * len(rep.pair_codims) + [6] * len(rep.triple_codims) + [6, 8]
+        )
+        assert sorted(rows for rows, _cols, _r in calls) == sorted(stacked)
+        assert {cols for _rows, cols, _r in calls} == {
+            len(fib.space.free_columns)
+        }
         for i, j, codim in rep.pair_codims:
             assert codim == ambient_codim(fib, [i, j])
         for i, j, k, codim, _collinear in rep.triple_codims:
             assert codim == ambient_codim(fib, [i, j, k])
 
-    def test_one_rank_call_per_subset_when_sketches_certify(self, monkeypatch):
+    def test_only_uncertified_subsets_reach_rank_of_rows(self, monkeypatch):
         fib = fibre(ref_config())
         calls = count_rank_calls(monkeypatch)
         extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert subsets == 45 + 120 + 3
-        # blocks have 18 columns at degree 6, sketches 6; the subsets of
-        # 4 and 5 points stack 8 and 10 rows and skip the sketch
-        sketch_calls = [(rows, r) for rows, cols, r in calls if cols == 6]
-        assert len(sketch_calls) == subsets - 2
-        assert all(r == rows for rows, r in sketch_calls)
+        # the residues certify every subset of at most six rows; the
+        # subsets of 4 and 5 points stack 8 and 10 rows of 18 columns
+        assert calls == [(8, 18, 8), (10, 18, 9)]
+        assert all(codim == 4 for _i, _j, codim in rep.pair_codims)
+        assert dict(rep.subset_codims)[(1, 2, 3, 4, 5)] == 9
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generic_d8_triples_make_no_exact_rank_call(self, monkeypatch, seed):
+        fib = fibre(random_config(8, seed))
+        calls = count_rank_calls(monkeypatch)
+        rep = locus_report(fib, triples=True)
+        assert len(rep.triple_codims) > 1000
+        assert calls == []
+
+
+class TestSketchDifferential:
+    """Every pair and triple codim against rank_of_rows on the stacked blocks."""
+
+    def check(self, fib):
+        rep = locus_report(fib, pairs=True, triples=True)
+        for i, j, codim in rep.pair_codims:
+            assert codim == stacked_rank(fib, (i, j))
+        for i, j, k, codim, _collinear in rep.triple_codims:
+            assert codim == stacked_rank(fib, (i, j, k))
+        return rep
+
+    @pytest.mark.parametrize("stratum", ["generic", "double"])
+    @pytest.mark.parametrize("degree", [5, 6, 7, 8])
+    def test_seeded_fibres(self, degree, stratum):
+        self.check(fibre(random_config(degree, 100 + degree, stratum=stratum)))
+
+    @pytest.mark.parametrize(
+        "degree,mults", [(5, (3,)), (6, (2, 2))], ids=["5-fat3", "6-fat2+2"]
+    )
+    def test_curvilinear_strata(self, degree, mults):
+        self.check(fibre(random_fat_config(degree, 2 * degree, mults)))
+
+    def test_dependent_blocks_are_not_certified(self, monkeypatch):
+        import sheafloci.singloci as singloci
+
+        # point 3's rows lie in the span of points 1 and 2, and point 4
+        # shares a row with point 1 and one with the span of points 1 and 5
+        fib = fibre(ref_config())
+        original = singloci._compressed_block
+        b1, b2, b5 = (original(fib, pid) for pid in (1, 2, 5))
+        made = {
+            3: [
+                [a + b for a, b in zip(b1[0], b2[1])],
+                [2 * a - b for a, b in zip(b1[1], b2[0])],
+            ],
+            4: [b1[1], [a - 3 * b for a, b in zip(b1[0], b5[0])]],
+        }
+        monkeypatch.setattr(
+            singloci,
+            "_compressed_block",
+            lambda fib, pid: made[pid] if pid in made else original(fib, pid),
+        )
+        rep = self.check(fib)
+        triples = {(i, j, k): codim for i, j, k, codim, _ in rep.triple_codims}
+        pairs = {(i, j): codim for i, j, codim in rep.pair_codims}
+        assert triples[(1, 2, 3)] == 4
+        assert pairs[(1, 4)] == 3 and triples[(1, 4, 5)] == 4
+        assert triples[(1, 4, 6)] == 5
+
+    @pytest.mark.parametrize("stratum", ["generic", "double"])
+    def test_zero_residues_take_the_exact_path(self, monkeypatch, stratum):
+        fib = fibre(random_config(6, 3, stratum=stratum))
+        extra = [(1, 2, 3, 4), (1, 2, 3, 4, 5)]
+        expected = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        sketch_times_p(monkeypatch)
+        calls = count_rank_calls(monkeypatch)
+        rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        assert rep == expected
+        subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert len(calls) == subsets
 
 
