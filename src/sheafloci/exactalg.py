@@ -33,9 +33,11 @@ proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
 prime.  The mod-P elimination is extend_mod_p, which extends an
-existing mod-P echelon without changing it, so singloci ranks many
-subsets on shared prefixes; kernel_mod_p reads a mod-P null space off
-such an echelon by back-substitution.
+existing mod-P echelon without changing it.  A caller may hand
+rank_of_rows the certificate instead: the echelon of the images of some
+leading rows and the residues of the images of the rest, where an image
+is a row times a fixed integer matrix R, since rank_P(B R) <= rank(B).
+singloci ranks many subsets this way on shared prefixes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 _ZERO = Fraction(0)
@@ -249,30 +250,23 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
     return pivots
 
 
-def kernel_mod_p(pivots: dict, n: int) -> list:
-    """A basis of the length-n vectors mod _PRIME that every echelon row annihilates.
+def rank_of_rows(
+    rows: Sequence[Sequence],
+    prefix: Optional[dict] = None,
+    residues: Iterable[list] = (),
+) -> int:
+    """Rank of a list of row vectors of ints or Fractions.
 
-    One vector per free column f of an extend_mod_p echelon: 1 at f, 0 at
-    the other free columns, and the pivot entries solved by
-    back-substitution from the last pivot row up.
+    prefix, when given, is the extend_mod_p echelon of the images mod P
+    of the leading rows, and residues are the images of the remaining
+    rows (see the module docstring).  If extending prefix by residues
+    gives one pivot per row, the rows are independent and their count is
+    returned without reading them; otherwise they are ranked as below.
     """
-    inverse = {c: pow(row[c], -1, _PRIME) for c, row in pivots.items()}
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        x = [0] * n
-        x[f] = 1
-        for c in order:
-            row = pivots[c]
-            x[c] = -sum(map(mul, row[c + 1 :], x[c + 1 :])) * inverse[c] % _PRIME
-        basis.append(x)
-    return basis
-
-
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank of a list of row vectors of ints or Fractions."""
+    if prefix is not None:
+        echelon = extend_mod_p(prefix, residues)
+        if echelon is not None and len(echelon) == len(rows):
+            return len(rows)
     rows = [
         r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
     ]

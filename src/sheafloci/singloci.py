@@ -25,8 +25,8 @@ matrix R with six columns and reduced mod P, and since
 rank_P(B R) <= rank(B R) <= rank(B) <= rows, residues of full row rank
 prove the codimension.  The subsets share prefixes: each pair extends
 its first point's mod-P echelon by the second point's residues, and
-each triple tests only its third point's residues against the pair's
-null space.  A subset whose residues fall short, or whose stacked
+each triple hands rank_of_rows the pair's echelon and only its third
+point's residues.  A subset whose residues fall short, or whose stacked
 blocks have more than six rows, is ranked on the blocks themselves.
 """
 
@@ -45,7 +45,6 @@ from .exactalg import (
     extend_mod_p,
     insert_row,
     kernel,
-    kernel_mod_p,
     rank_of_rows,
 )
 from .linsys import Fibre, random_weights
@@ -226,13 +225,13 @@ def locus_report(
     stacked residues have full row rank mod P; its codimension is then
     its row count, because rank_P(B R) <= rank(B).  Each pair extends
     the mod-P echelon of its first point's residues by the second's
-    (exactalg.extend_mod_p), and each triple (i, j, k) multiplies B_k R
-    by the null space of the pair's echelon (exactalg.kernel_mod_p):
-    the stacked residues have full row rank exactly when that product
-    does.  Every subset the residues do not certify, including every
-    subset of more than six rows, costs one rank_of_rows call on its
-    stacked blocks.  Extra subsets must name distinct point ids in
-    1..npoints, else ConfigError.
+    (exactalg.extend_mod_p), and each subset costs one rank_of_rows
+    call on its stacked blocks with that certificate: a pair passes its
+    echelon, a triple (i, j, k) the pair's echelon and B_k R's residues,
+    an extra subset its stacked residues.  rank_of_rows reads the blocks
+    only when the certificate falls short, as it does for every subset
+    of more than six rows.  Extra subsets must name distinct point ids
+    in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -259,11 +258,8 @@ def locus_report(
         # once the stacked residues fall dependent mod P
         return None if echelon is None else extend_mod_p(echelon, residues[pid])
 
-    def codim_of(subset, certified):
-        # the row count when the sketch residues certify it, else exact
-        if certified:
-            return sum(len(blocks[pid]) for pid in subset)
-        return rank_of_rows([row for pid in subset for row in blocks[pid]])
+    def stacked(subset):
+        return [row for pid in subset for row in blocks[pid]]
 
     singles = {pid: extend({}, pid) for pid in ids}
     pair_codims = []
@@ -272,35 +268,26 @@ def locus_report(
         for i, j in combinations(ids, 2):
             prefix = extend(singles[i], j)
             if pairs:
-                pair_codims.append((i, j, codim_of((i, j), prefix is not None)))
+                pair_codims.append((i, j, rank_of_rows(stacked((i, j)), prefix)))
             if not triples:
                 continue
-            # k's residue rows are independent modulo the pair's exactly
-            # when their products with the pair's null space are
-            null = None if prefix is None else kernel_mod_p(prefix, _SKETCH_COLS)
             for k in range(j + 1, cfg.npoints + 1):
-                certified = null is not None and extend_mod_p(
-                    {},
-                    (
-                        [sum(map(mul, row, v)) % _PRIME for v in null]
-                        for row in residues[k]
-                    ),
-                ) is not None
                 triple_codims.append(
                     (
                         i,
                         j,
                         k,
-                        codim_of((i, j, k), certified),
+                        rank_of_rows(stacked((i, j, k)), prefix, residues[k]),
                         collinear(supports[i], supports[j], supports[k]),
                     )
                 )
-    subset_codims = []
-    for s in extra_subsets:
-        echelon = {}
-        for pid in s:
-            echelon = extend(echelon, pid)
-        subset_codims.append((tuple(s), codim_of(s, echelon is not None)))
+    subset_codims = tuple(
+        (
+            tuple(s),
+            rank_of_rows(stacked(s), {}, (r for pid in s for r in residues[pid])),
+        )
+        for s in extra_subsets
+    )
     return SingularLocusReport(
         degree=cfg.degree,
         stratum=cfg.stratum(),
@@ -308,7 +295,7 @@ def locus_report(
         point_codims=point_codims,
         pair_codims=tuple(pair_codims),
         triple_codims=tuple(triple_codims),
-        subset_codims=tuple(subset_codims),
+        subset_codims=subset_codims,
     )
 
 

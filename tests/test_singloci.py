@@ -423,16 +423,31 @@ class TestReport:
         assert all(c == 2 for _, _, c in rep.point_codims)
 
 
+class ReadRows(list):
+    """A list of rows that notes whether anything iterated it."""
+
+    read = False
+
+    def __iter__(self):
+        self.read = True
+        return super().__iter__()
+
+
 def count_rank_calls(monkeypatch):
-    """Record (rows, columns, rank) of every singloci.rank_of_rows call."""
+    """Record (rows, columns, rank, read) of every singloci.rank_of_rows call.
+
+    read tells whether rank_of_rows iterated the stacked rows, which it
+    does only when the sketch certificate it was given falls short.
+    """
     import sheafloci.singloci as singloci
 
     original = singloci.rank_of_rows
     calls = []
 
-    def counting(rows):
-        r = original(rows)
-        calls.append((len(rows), len(rows[0]) if rows else 0, r))
+    def counting(rows, *certificate):
+        rows = ReadRows(rows)
+        r = original(rows, *certificate)
+        calls.append((len(rows), len(rows[0]) if rows else 0, r, rows.read))
         return r
 
     monkeypatch.setattr(singloci, "rank_of_rows", counting)
@@ -462,9 +477,10 @@ def stacked_rank(fib, ids):
 class TestSketch:
     """Subsets are first ranked on per-point sketch residues mod P.
 
-    Pairs extend the first point's echelon, triples test the third
-    point's residues against the pair's null space, and only subsets the
-    residues leave uncertified reach rank_of_rows on the blocks.
+    Each subset makes one rank_of_rows call with a mod-P certificate:
+    pairs pass their echelon, triples the pair's echelon and the third
+    point's residues.  Only a certificate that falls short makes
+    rank_of_rows read the stacked blocks.
     """
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
@@ -481,12 +497,13 @@ class TestSketch:
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         assert rep == expected
-        # no subset is certified, so each one ranks its stacked blocks once
+        # no subset is certified, so each one reads its stacked blocks once
         stacked = (
             [4] * len(rep.pair_codims) + [6] * len(rep.triple_codims) + [6, 8]
         )
-        assert sorted(rows for rows, _cols, _r in calls) == sorted(stacked)
-        assert {cols for _rows, cols, _r in calls} == {
+        assert sorted(rows for rows, _cols, _r, _read in calls) == sorted(stacked)
+        assert all(read for _rows, _cols, _r, read in calls)
+        assert {cols for _rows, cols, _r, _read in calls} == {
             len(fib.space.free_columns)
         }
         for i, j, codim in rep.pair_codims:
@@ -494,16 +511,19 @@ class TestSketch:
         for i, j, k, codim, _collinear in rep.triple_codims:
             assert codim == ambient_codim(fib, [i, j, k])
 
-    def test_only_uncertified_subsets_reach_rank_of_rows(self, monkeypatch):
+    def test_one_rank_call_per_subset_when_sketches_certify(self, monkeypatch):
         fib = fibre(ref_config())
         calls = count_rank_calls(monkeypatch)
         extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert subsets == 45 + 120 + 3
+        assert len(calls) == subsets
         # the residues certify every subset of at most six rows; the
         # subsets of 4 and 5 points stack 8 and 10 rows of 18 columns
-        assert calls == [(8, 18, 8), (10, 18, 9)]
+        assert all(r == rows for rows, _cols, r, read in calls if not read)
+        read = [(rows, cols, r) for rows, cols, r, read in calls if read]
+        assert read == [(8, 18, 8), (10, 18, 9)]
         assert all(codim == 4 for _i, _j, codim in rep.pair_codims)
         assert dict(rep.subset_codims)[(1, 2, 3, 4, 5)] == 9
 
@@ -513,7 +533,8 @@ class TestSketch:
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, triples=True)
         assert len(rep.triple_codims) > 1000
-        assert calls == []
+        assert len(calls) == len(rep.pair_codims) + len(rep.triple_codims)
+        assert not any(read for _rows, _cols, _r, read in calls)
 
 
 class TestSketchDifferential:
@@ -576,6 +597,7 @@ class TestSketchDifferential:
         assert rep == expected
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert len(calls) == subsets
+        assert all(read for _rows, _cols, _r, read in calls)
 
 
 class TestAmbientOracle:
