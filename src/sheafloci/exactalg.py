@@ -262,6 +262,8 @@ def rank_of_rows(
     rows (see the module docstring).  If extending prefix by residues
     gives one pivot per row, the rows are independent and their count is
     returned without reading them; otherwise they are ranked as below.
+    The certificate is not checked against the rows: the caller must
+    have computed it from these very rows, or the rank may be wrong.
     """
     if prefix is not None:
         echelon = extend_mod_p(prefix, residues)

@@ -228,10 +228,10 @@ def locus_report(
     (exactalg.extend_mod_p), and each subset costs one rank_of_rows
     call on its stacked blocks with that certificate: a pair passes its
     echelon, a triple (i, j, k) the pair's echelon and B_k R's residues,
-    an extra subset its stacked residues.  rank_of_rows reads the blocks
-    only when the certificate falls short, as it does for every subset
-    of more than six rows.  Extra subsets must name distinct point ids
-    in 1..npoints, else ConfigError.
+    an extra subset of at most six rows its stacked residues.
+    rank_of_rows reads the blocks only when the certificate falls short;
+    an extra subset of more than six rows passes none.  Extra subsets
+    must name distinct point ids in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -281,13 +281,15 @@ def locus_report(
                         collinear(supports[i], supports[j], supports[k]),
                     )
                 )
-    subset_codims = tuple(
-        (
-            tuple(s),
-            rank_of_rows(stacked(s), {}, (r for pid in s for r in residues[pid])),
-        )
-        for s in extra_subsets
-    )
+    def extra_codim(subset):
+        # six sketch columns hold at most six pivots, so a larger subset
+        # goes straight to the blocks
+        rows = stacked(subset)
+        if len(rows) > _SKETCH_COLS:
+            return rank_of_rows(rows)
+        return rank_of_rows(rows, {}, (r for pid in subset for r in residues[pid]))
+
+    subset_codims = tuple((tuple(s), extra_codim(s)) for s in extra_subsets)
     return SingularLocusReport(
         degree=cfg.degree,
         stratum=cfg.stratum(),

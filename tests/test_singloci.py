@@ -527,6 +527,25 @@ class TestSketch:
         assert all(codim == 4 for _i, _j, codim in rep.pair_codims)
         assert dict(rep.subset_codims)[(1, 2, 3, 4, 5)] == 9
 
+    def test_extra_subsets_of_more_than_six_rows_pass_no_certificate(
+        self, monkeypatch
+    ):
+        import sheafloci.singloci as singloci
+
+        # six sketch columns hold at most six pivots, so a certificate for
+        # more rows must fall short
+        original = singloci.rank_of_rows
+        seen = []
+
+        def spy(rows, *certificate):
+            seen.append((len(rows), bool(certificate)))
+            return original(rows, *certificate)
+
+        monkeypatch.setattr(singloci, "rank_of_rows", spy)
+        extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
+        locus_report(fibre(ref_config()), pairs=False, extra_subsets=extra)
+        assert seen == [(6, True), (8, False), (10, False)]
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_generic_d8_triples_make_no_exact_rank_call(self, monkeypatch, seed):
         fib = fibre(random_config(8, seed))
