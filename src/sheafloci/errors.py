@@ -1,10 +1,15 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and the immutable-record base shared across the package.
 
-The CLI maps these onto exit codes, so the distinctions are part of the
-public contract: configuration problems are recoverable user errors,
-genericity failures carry a certificate (a low-degree form through the
-point scheme), and degenerate results signal that a precondition the
-ambient geometry normally guarantees has failed.
+The CLI maps the exceptions onto exit codes, so the distinctions are
+part of the public contract: configuration problems are recoverable
+user errors, genericity failures carry a certificate (a low-degree form
+through the point scheme), and degenerate results signal that a
+precondition the ambient geometry normally guarantees has failed.
+
+Record is the base of the package's value types (QMatrix, HomPoly,
+PointConfig, ...).  It lives here because every command loads this
+module, and it imports nothing: the standard library's dataclasses
+would pull in inspect, ast and dis at every start.
 """
 
 
@@ -61,3 +66,59 @@ class DegenerateError(SheafLociError):
 
 class NotInFibreError(SheafLociError):
     """A curve that was required to pass through the point scheme does not."""
+
+
+class Record:
+    """Immutable value with named fields, compared and hashed by value.
+
+    A subclass declares its fields as class annotations, in order, after
+    those of the record it extends, and may validate them in
+    __post_init__.  Instances are built by position or keyword; they
+    are equal only to instances of the same class with equal fields,
+    hash as the tuple of their fields, and raise AttributeError on
+    assignment or deletion.  Each instance keeps a __dict__, so
+    functools.cached_property works.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields "
+                    f"{', '.join(fields)}, each once, by position or keyword"
+                )
+            self.__dict__.update(values)
+        else:
+            self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")

@@ -42,10 +42,11 @@ singloci ranks many subsets this way on shared prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
+
+from .errors import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,8 +72,7 @@ def rat_to_str(value) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(Record):
     """Immutable dense matrix of Fractions, row-major."""
 
     rows: int

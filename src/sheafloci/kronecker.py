@@ -18,17 +18,15 @@ _product_rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DegenerateError, NotInFibreError, ShapeError
+from .errors import DegenerateError, NotInFibreError, Record, ShapeError
 from .exactalg import QMatrix, kernel, rank_of_rows, solve
 from .poly import HomPoly, det_poly_matrix, monomials
 from .schemes import PointConfig, membership_conditions, require_generic
 
 
-@dataclass(frozen=True)
-class KroneckerModule:
+class KroneckerModule(Record):
     """n x (n-1) matrix of degree-1 forms, stored row-major."""
 
     entries: tuple
@@ -70,8 +68,7 @@ class KroneckerModule:
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
 
-@dataclass(frozen=True)
-class IdealResolution:
+class IdealResolution(Record):
     """Generators of the degree-(d-2) part of the ideal and their syzygies."""
 
     phi: KroneckerModule
@@ -200,8 +197,7 @@ def stability_sufficient(minors: Sequence[HomPoly]) -> bool:
 # Bordered matrices: curves as determinants
 
 
-@dataclass(frozen=True)
-class SheafMatrix:
+class SheafMatrix(Record):
     """Kronecker module bordered by a column of quadratic forms.
 
     The determinant of the square matrix [quad | phi] is a curve of

@@ -13,13 +13,12 @@ codimensions inside the subspace become plain matrix ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import DegenerateError, ShapeError
+from .errors import DegenerateError, Record, ShapeError
 from .exactalg import QMatrix, integer_row, kernel, reduced_echelon
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
@@ -28,8 +27,7 @@ from .schemes import PointConfig, length, membership_conditions, require_generic
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ProjSubspace:
+class ProjSubspace(Record):
     """Projective-linear subspace, the graph of its pivot coordinates.
 
     ambient is the projective dimension of the surrounding space.  Row i
@@ -129,8 +127,7 @@ class ProjSubspace:
 # The fibre: curves of degree d through the whole configuration
 
 
-@dataclass(frozen=True)
-class Fibre:
+class Fibre(Record):
     """Degree-d curves through the configuration, a P_{3d-1}.
 
     space lives inside the P_N of all degree-d curves; basis_forms gives

@@ -20,12 +20,11 @@ dimension at both N and N + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DegenerateError
+from .errors import ConfigError, DegenerateError, Record
 from .exactalg import insert_row, integer_row
 from .poly import HomPoly, LocalPoly, substitute_linear, upoly_coeff
 from .rng import SplitMix64
@@ -35,8 +34,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class CurveGerm:
+class CurveGerm(Record):
     """Nonzero local curve equation passing through the origin."""
 
     f: LocalPoly
@@ -48,8 +46,7 @@ class CurveGerm:
             raise ConfigError("the curve must pass through the origin")
 
 
-@dataclass(frozen=True)
-class FatIdealData:
+class FatIdealData(Record):
     """Curvilinear ideal (x - h(y), y^m): h coefficients from y^0, h(0) = 0."""
 
     h: tuple

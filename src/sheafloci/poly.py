@@ -18,13 +18,12 @@ terms in the fixed monomial order, e.g. "x0^2*x1 - 3/2*x2^3".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import re
 from typing import Optional, Sequence
 
-from .errors import DegenerateError, ParseError, ShapeError
+from .errors import DegenerateError, ParseError, Record, ShapeError
 from .exactalg import QMatrix, det as qdet
 
 _ZERO = Fraction(0)
@@ -60,8 +59,7 @@ def monomial_index(d: int, exp: Sequence[int]) -> int:
 # Homogeneous ternary forms
 
 
-@dataclass(frozen=True)
-class HomPoly:
+class HomPoly(Record):
     """Homogeneous polynomial in x0, x1, x2 with exact rational coefficients.
 
     Immutable; coeffs has length C(degree+2, 2) and is indexed by the
@@ -71,14 +69,19 @@ class HomPoly:
     degree: int
     coeffs: tuple
 
-    def __post_init__(self):
-        if self.degree < 0:
+    # written out rather than Record's generic __init__: every polynomial
+    # operation builds a HomPoly
+    def __init__(self, degree: int, coeffs: tuple):
+        if degree < 0:
             raise ValueError("negative degree")
-        if len(self.coeffs) != monomial_count(self.degree):
+        if len(coeffs) != monomial_count(degree):
             raise ValueError(
-                f"coefficient vector of length {len(self.coeffs)} does not "
-                f"match degree {self.degree}"
+                f"coefficient vector of length {len(coeffs)} does not "
+                f"match degree {degree}"
             )
+        d = self.__dict__
+        d["degree"] = degree
+        d["coeffs"] = coeffs
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
@@ -254,8 +257,7 @@ def _hompoly_powers(p: HomPoly, upto: int) -> list:
 # Local (affine) polynomials in x, y
 
 
-@dataclass(frozen=True)
-class LocalPoly:
+class LocalPoly(Record):
     """Polynomial in affine variables x, y; sparse, exact, immutable.
 
     ``coeffs`` is a tuple of ((x_exp, y_exp), coefficient) pairs, sorted
@@ -263,6 +265,11 @@ class LocalPoly:
     """
 
     coeffs: tuple
+
+    # written out rather than Record's generic __init__: every polynomial
+    # operation builds a LocalPoly
+    def __init__(self, coeffs: tuple):
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def from_dict(cls, d: dict) -> "LocalPoly":

@@ -28,13 +28,12 @@ checked for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import ConfigError, GenericityError
+from .errors import ConfigError, GenericityError, Record
 from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank_of_rows
 from .poly import (
     HomPoly,
@@ -55,8 +54,7 @@ def expected_length(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-@dataclass(frozen=True)
-class SimplePoint:
+class SimplePoint(Record):
     """Point of the projective plane, stored as an exact representative.
 
     Equality and hashing go through the canonical primitive representative,
@@ -120,8 +118,7 @@ def branch_polynomial(h: Sequence, mult: int) -> tuple:
     return h
 
 
-@dataclass(frozen=True)
-class FatPoint:
+class FatPoint(Record):
     """Curvilinear fat point: support, chart, branch data h, multiplicity.
 
     chart is a 3x3 invertible matrix with chart @ support proportional to
@@ -175,8 +172,7 @@ class FatPoint:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Record):
     """Length-validated configuration: simple points first, then fat points.
 
     Point ids are 1-based: id i is simple[i-1] for i <= len(simple), then the

@@ -32,13 +32,12 @@ blocks have more than six rows, is ranked on the blocks themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .errors import ConfigError, DegenerateError, NotInFibreError
+from .errors import ConfigError, DegenerateError, NotInFibreError, Record
 from .exactalg import (
     _PRIME,
     QMatrix,
@@ -193,8 +192,7 @@ def _sketch_matrix(n: int) -> tuple:
     return tuple(zip(*rows))
 
 
-@dataclass(frozen=True)
-class SingularLocusReport:
+class SingularLocusReport(Record):
     """Codimension survey of singular loci inside one fibre.
 
     point_codims: (id, kind, codim) per configuration point.

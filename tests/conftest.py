@@ -6,8 +6,9 @@ library's integer echelon core, cofactor expansion instead of
 elimination, Horner evaluation instead of monomial sums) so that
 cross-checks exercise independent code paths:
 
-- naive_echelon, naive_rank, rank_modulo, naive_det, cofactor_det:
-  first-nonzero Fraction elimination and cofactor expansion.
+- naive_echelon, naive_rank, reduce_modulo, rank_modulo, naive_det,
+  cofactor_det: first-nonzero Fraction elimination and cofactor
+  expansion.
 - degree_monomials, evaluation_rows, horner_eval, partial: monomial
   order, evaluation and differentiation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
@@ -82,12 +83,8 @@ def naive_rank(rows):
     return len(naive_echelon(rows))
 
 
-def rank_modulo(echelon, rows):
-    """Rank of rows modulo the span of a naive_echelon.
-
-    Each row is cleared at the echelon's pivots and the remainders are
-    ranked with naive_rank; rank(E + rows) = len(E) + rank_modulo(E, rows).
-    """
+def reduce_modulo(echelon, rows):
+    """Each row cleared at the pivots of a naive_echelon, as Fractions."""
     rest = []
     for row in rows:
         row = [Fraction(x) for x in row]
@@ -96,7 +93,16 @@ def rank_modulo(echelon, rows):
                 f = row[c] / p[c]
                 row = [a - f * b for a, b in zip(row, p)]
         rest.append(row)
-    return naive_rank(rest)
+    return rest
+
+
+def rank_modulo(echelon, rows):
+    """Rank of rows modulo the span of a naive_echelon.
+
+    The rows' remainders (reduce_modulo) are ranked with naive_rank;
+    rank(E + rows) = len(E) + rank_modulo(E, rows).
+    """
+    return naive_rank(reduce_modulo(echelon, rows))
 
 
 def naive_det(rows):
@@ -231,21 +237,29 @@ def _membership_echelon(cfg):
     return naive_echelon(membership_conditions(cfg, cfg.degree))
 
 
+@lru_cache(maxsize=256)
+def _singular_remainder(cfg, pid):
+    """The singular rows at one point, reduced modulo the membership echelon."""
+    from sheafloci.singloci import singular_conditions
+
+    return reduce_modulo(_membership_echelon(cfg), singular_conditions(cfg, pid))
+
+
 def ambient_codim(fib, ids):
     """Codimension in the fibre of the curves singular at every point of ids.
 
     The ambient rank of the membership rows M stacked with the singular
-    rows S is rank(M) + rank(S mod M), with M reduced once per
-    configuration by naive_echelon.  Subtracts the scheme's length, the
-    fibre's codimension; no compressed coordinates and no integer
-    echelon.
+    rows S is rank(M) + rank(S mod M).  M is reduced once per
+    configuration by naive_echelon, and each point's singular rows once
+    modulo it; a subset ranks its points' stacked remainders with
+    naive_rank.  Subtracts the scheme's length, the fibre's
+    codimension; no compressed coordinates and no integer echelon.
     """
     from sheafloci.schemes import length
-    from sheafloci.singloci import singular_conditions
 
     echelon = _membership_echelon(fib.config)
-    rows = [r for pid in ids for r in singular_conditions(fib.config, pid)]
-    return len(echelon) + rank_modulo(echelon, rows) - length(fib.config)
+    rest = [r for pid in ids for r in _singular_remainder(fib.config, pid)]
+    return len(echelon) + naive_rank(rest) - length(fib.config)
 
 
 def random_fat_config(d, seed, mults):

@@ -484,15 +484,23 @@ class TestInputCeilings:
         assert "ceiling" in err or "maximum" in err
 
 
-def test_no_command_imports_jsonschema(tmp_path):
-    # other tests import jsonschema into this process, so ask a fresh one
+# modules no command may import: jsonschema validation is for tests and
+# the benchmark's checker, and dataclasses (through inspect, ast and dis)
+# cost every child about 10 ms of start-up
+FORBIDDEN_MODULES = ("dataclasses", "inspect", "jsonschema")
+
+
+def test_no_command_imports_forbidden_modules(tmp_path):
+    # other tests import these into this process, so ask a fresh one; the
+    # snapshot leaves out what the interpreter's own start-up loaded
     cfg, query, bad = tmp_path / "cfg.json", tmp_path / "query.json", tmp_path / "bad.json"
     write_json(query, {"f": "x^2 - y^3", "h": ["0"], "mult": 2})
     write_json(bad, {"degree": 5, "simple": []})
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from sheafloci.cli import console_main\n"
-        "cfg, query, bad = sys.argv[1:]\n"
+        "cfg, query, bad, *forbidden = sys.argv[1:]\n"
         "assert console_main(['random', '--degree', '5', '--seed', '1', '--out', cfg]) == 0\n"
         "assert console_main(['verify-remark6']) == 0\n"
         "assert console_main(['analyze', '--config', cfg]) == 0\n"
@@ -500,9 +508,10 @@ def test_no_command_imports_jsonschema(tmp_path):
         "assert console_main(['localfree', '--in', query]) == 0\n"
         "assert console_main(['localfree', '--poly', 'x^2 - y^3', '--mult', '2']) == 0\n"
         "assert console_main(['analyze', '--config', bad]) == 1\n"
-        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+        "loaded = [m for m in forbidden if m in sys.modules and m not in before]\n"
+        "assert loaded == [], f'imported {loaded}'\n"
     )
-    proc = run_fresh_python(script, cfg, query, bad)
+    proc = run_fresh_python(script, cfg, query, bad, *FORBIDDEN_MODULES)
     assert proc.returncode == 0, proc.stderr
 
 

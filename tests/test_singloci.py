@@ -676,6 +676,7 @@ CURVILINEAR_STRATA = [
     (6, (3,)),
     (6, (2, 2)),
     (6, (3, 2)),
+    (7, (3,)),
 ]
 
 
