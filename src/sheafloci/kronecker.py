@@ -8,7 +8,8 @@ n x (n-1) matrix of linear forms (degree-1 HomPolys), a Kronecker
 module.  Its maximal minors reproduce the generators, and bordering it
 with a column of quadratic forms produces the degree-d curves through Z
 as determinants: det [q | phi] = sum_i q_i m_i with m_i the signed
-maximal minors.
+maximal minors.  All n minors come from one column expansion of phi
+(poly.column_minors); det [q | phi] is a poly.det_poly_matrix call.
 
 Each linear system of the layer (the syzygies among the generators, the
 column syzygies of phi, the bordering column of a curve) asks for forms
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateError, NotInFibreError, Record, ShapeError
 from .exactalg import QMatrix, kernel, rank_of_rows, solve
-from .poly import HomPoly, det_poly_matrix, monomials
+from .poly import HomPoly, column_minors, det_poly_matrix, monomials
 from .schemes import PointConfig, membership_conditions, require_generic
 
 
@@ -124,15 +125,10 @@ def _product_rows(forms: Sequence[HomPoly], k: int) -> list:
 
 def maximal_minors(phi: KroneckerModule) -> list:
     """Signed maximal minors m_i = (-1)^i det(phi with row i deleted)."""
-    n = phi.nrows
-    out = []
-    for i in range(n):
-        sub = [row for r, row in enumerate(phi.entries) if r != i]
-        m = det_poly_matrix(sub, col_degrees=[1] * (n - 1))
-        if i % 2 == 1:
-            m = -m
-        out.append(m)
-    return out
+    full = (1 << phi.nrows) - 1
+    minors = column_minors(phi.entries)
+    unsigned = [minors[full ^ 1 << i] for i in range(phi.nrows)]
+    return [-m if i % 2 else m for i, m in enumerate(unsigned)]
 
 
 def resolution_check(
@@ -144,16 +140,15 @@ def resolution_check(
 
     Always checks that the row vector of signed maximal minors annihilates
     phi column by column.  When generators are supplied, also checks that
-    every column of phi is a syzygy of them.
+    every column of phi is a syzygy of them.  Supplied minors or
+    generators must hold one form per row of phi, or ShapeError.
     """
     n = phi.nrows
     if minors is None:
         minors = maximal_minors(phi)
-    vectors = [minors]
-    if generators is not None:
-        if len(generators) != n:
-            raise ShapeError(f"expected {n} generators, got {len(generators)}")
-        vectors.append(generators)
+    vectors = [minors] if generators is None else [minors, generators]
+    if any(len(forms) != n for forms in vectors):
+        raise ShapeError(f"expected {n} forms, one per row, got {[len(v) for v in vectors]}")
     zero = HomPoly.zero(phi.curve_degree - 1)
     return all(
         sum((g * e for g, e in zip(forms, phi.column(j))), zero).is_zero()
@@ -208,25 +203,30 @@ class SheafMatrix(Record):
     phi: KroneckerModule
 
     def __post_init__(self):
-        if len(self.quad) != self.phi.nrows:
-            raise ShapeError(
-                f"quadratic column must have length {self.phi.nrows}"
-            )
-        for q in self.quad:
-            if q.degree != 2:
-                raise ShapeError("bordering column entries must be quadratic")
+        _check_quad(self.quad, self.phi.nrows)
 
     def curve(self) -> HomPoly:
         return curve_from_pair(self.quad, self.phi)
 
 
-def curve_from_pair(quad: Sequence[HomPoly], phi: KroneckerModule) -> HomPoly:
-    """det [quad | phi], a degree-d form; DegenerateError if it vanishes."""
-    n = phi.nrows
+def _check_quad(quad: Sequence[HomPoly], n: int) -> None:
     if len(quad) != n:
         raise ShapeError(f"quadratic column must have length {n}")
-    mat = [[q, *row] for q, row in zip(quad, phi.entries)]
-    f = det_poly_matrix(mat, col_degrees=[2] + [1] * (n - 1))
+    if any(q.degree != 2 for q in quad):
+        raise ShapeError("bordering column entries must be quadratic")
+
+
+def curve_from_pair(quad: Sequence[HomPoly], phi: KroneckerModule) -> HomPoly:
+    """det [quad | phi], a degree-d form; DegenerateError if it vanishes.
+
+    ShapeError unless quad holds one quadratic form per row of phi.
+    """
+    _check_quad(quad, phi.nrows)
+    # expanded last, the quadratic column raises the degree of no memoized
+    # minor; det [quad | phi] = (-1)^(n-1) det [phi | quad]
+    f = det_poly_matrix([[*row, q] for q, row in zip(quad, phi.entries)])
+    if phi.nrows % 2 == 0:
+        f = -f
     if f.is_zero():
         raise DegenerateError("bordered determinant vanishes identically")
     return f

@@ -222,7 +222,6 @@ def random_membership_germ(
     rng: SplitMix64,
     mult: int,
     factor_degree: int = 2,
-    coeff_bound: int = 4,
 ) -> tuple:
     """Seeded germ containing a seeded fat point scheme: (germ, ideal data).
 
@@ -236,7 +235,7 @@ def random_membership_germ(
             d = {}
             for t in range(deg + 1):
                 for i in range(t + 1):
-                    c = Fraction(rng.randint(-coeff_bound, coeff_bound))
+                    c = Fraction(rng.randint(-4, 4))
                     if c != 0:
                         d[(i, t - i)] = c
             p = LocalPoly.from_dict(d)

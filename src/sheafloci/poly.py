@@ -14,12 +14,16 @@ Text grammar (both variable families).  Terms are separated by '+' and
 '*' to variable powers "x0^2", "x1", "x2^3" (homogeneous) or "x^2", "y"
 (local germs).  Whitespace is insignificant.  Canonical printing emits
 terms in the fixed monomial order, e.g. "x0^2*x1 - 3/2*x2^3".
+
+Determinants of matrices of forms: column_minors gives every maximal
+minor from one expansion; det_poly_matrix is its square case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 import re
 from typing import Optional, Sequence
 
@@ -164,54 +168,48 @@ def powers(x, upto: int) -> list:
 # Determinants of polynomial matrices
 
 
-def det_poly_matrix(mat: Sequence[Sequence[HomPoly]], col_degrees: Sequence[int]) -> HomPoly:
-    """Determinant of a square matrix of homogeneous forms.
+def column_minors(mat: Sequence[Sequence[HomPoly]]) -> dict:
+    """The maximal minors of an m x k matrix of forms, m >= k, by row bit mask.
 
-    Every entry of column j must have degree col_degrees[j], so that every
-    expansion term has the same total degree.  Cofactor expansion
-    proceeds row by row, memoized on the set of still-available columns,
-    so the work is O(2^n) sub-determinants rather than O(n!).
+    D(S) = det(rows S, first |S| columns) is expanded along column
+    j = |S|, memoized on row sets: D(S + {r}) collects
+    (-1)^(p+j) * mat[r][j] * D(S), p the number of rows of S above r.
+    A column must not mix degrees (ShapeError); a vanishing minor is the
+    zero form of the summed column degrees.
     """
+    nrows, ncols = len(mat), len(mat[0])
+    degree = 0
+    for j in range(ncols):
+        seen = {row[j].degree for row in mat}
+        if len(seen) != 1:
+            raise ShapeError(f"column {j} mixes entries of degrees {sorted(seen)}")
+        degree += seen.pop()
+    level = {0: HomPoly.one()}
+    for j in range(ncols):
+        nxt = {}
+        for mask, sub in level.items():
+            signed = (sub, -sub)
+            p = j
+            for r in range(nrows):
+                if mask >> r & 1:
+                    p += 1
+                elif not mat[r][j].is_zero():
+                    term = mat[r][j] * signed[p & 1]
+                    key = mask | 1 << r
+                    nxt[key] = nxt[key] + term if key in nxt else term
+        level = {mask: d for mask, d in nxt.items() if not d.is_zero()}
+    zero = HomPoly.zero(degree)
+    masks = (sum(1 << r for r in rows) for rows in combinations(range(nrows), ncols))
+    return {mask: level.get(mask, zero) for mask in masks}
+
+
+def det_poly_matrix(mat: Sequence[Sequence[HomPoly]]) -> HomPoly:
+    """Determinant of a square matrix of forms, by column_minors."""
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a nonempty square matrix")
-    if len(col_degrees) != n:
-        raise ShapeError("col_degrees length mismatch")
-    for j in range(n):
-        for i in range(n):
-            if mat[i][j].degree != col_degrees[j]:
-                raise ShapeError(
-                    f"entry ({i},{j}) has degree {mat[i][j].degree}, "
-                    f"expected column degree {col_degrees[j]}"
-                )
-    total_degree = sum(col_degrees)
-
-    memo = {}
-    full_mask = (1 << n) - 1
-
-    def expand(mask: int) -> HomPoly:
-        if mask == 0:
-            return HomPoly.one()
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        r = n - bin(mask).count("1")
-        deg_here = sum(col_degrees[j] for j in range(n) if mask >> j & 1)
-        acc = HomPoly.zero(deg_here)
-        sign = 1
-        for j in range(n):
-            if not (mask >> j & 1):
-                continue
-            entry = mat[r][j]
-            if not entry.is_zero():
-                sub = expand(mask & ~(1 << j))
-                term = entry * sub
-                acc = acc + term if sign == 1 else acc - term
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    result = expand(full_mask)
+    (result,) = column_minors(mat).values()
+    total_degree = sum(e.degree for e in mat[0])
     if result.degree != total_degree:
         raise DegenerateError(
             f"determinant has degree {result.degree}, expected {total_degree}",

@@ -19,7 +19,7 @@ from sheafloci.kronecker import (
     stability_sufficient,
 )
 from sheafloci.linsys import fibre, random_weights
-from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
+from sheafloci.poly import HomPoly, det_poly_matrix, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
     PointConfig,
@@ -30,6 +30,8 @@ from sheafloci.schemes import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    cofactor_det,
+    horner_eval,
     proportional_pair_module,
     zero_column_module,
 )
@@ -88,6 +90,16 @@ class TestKroneckerModule:
         )
         assert resolution_check(phi)
         assert not stability_sufficient(maximal_minors(phi))
+
+    def test_resolution_check_rejects_wrong_minor_count(self):
+        phi = kronecker_from_points(random_config(6, 1)).phi
+        m = maximal_minors(phi)
+        assert resolution_check(phi, minors=m)
+        for wrong in ([], m[:-1], m + [m[0]]):
+            with pytest.raises(ShapeError):
+                resolution_check(phi, minors=wrong)
+        with pytest.raises(ShapeError):
+            resolution_check(phi, generators=m[:-1])
 
 
 class TestFromPoints:
@@ -191,6 +203,18 @@ class TestBorderedDeterminants:
         f = curve_from_pair(quad, res.phi)
         assert fib.contains(f)
 
+    def test_curve_from_pair_rejects_non_quadratic_column(self):
+        phi = kronecker_from_points(random_config(6, 1)).phi
+        rng = SplitMix64(5)
+        for degree in (1, 3):
+            width = monomial_count(degree)
+            quad = [
+                HomPoly.from_coeffs(degree, [rng.randint(-4, 4) for _ in range(width)])
+                for _ in range(phi.nrows)
+            ]
+            with pytest.raises(ShapeError):
+                curve_from_pair(quad, phi)
+
     def test_zero_determinant_raises(self):
         res = kronecker_from_points(standard_d4_config())
         zero_quad = tuple(HomPoly.zero(2) for _ in range(res.phi.nrows))
@@ -243,3 +267,123 @@ class TestBorderedDeterminants:
             SheafMatrix(
                 tuple(HomPoly.zero(3) for _ in range(res.phi.nrows)), res.phi
             )
+
+
+def random_linear(rng, zero_share):
+    """Seeded linear form with small integer coefficients, or zero."""
+    if rng.randint(1, 100) <= zero_share:
+        return HomPoly.zero(1)
+    return lin(*(rng.randint(-5, 5) for _ in range(3)))
+
+
+def seeded_points(rng, count):
+    return [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(count)]
+
+
+def pointwise_det(mat, pt):
+    return cofactor_det([[horner_eval(e, pt) for e in row] for row in mat])
+
+
+class TestMinorsDifferential:
+    """maximal_minors and det_poly_matrix against cofactor_det at points.
+
+    Evaluating a polynomial determinant at a point commutes with taking
+    it, so each signed minor evaluated by Horner must equal (-1)^i times
+    the literal cofactor determinant of the evaluated submatrix.
+    """
+
+    def assert_minors_match(self, phi, rng, npoints=2):
+        minors = maximal_minors(phi)
+        assert len(minors) == phi.nrows
+        assert all(m.degree == phi.nrows - 1 for m in minors)
+        for pt in seeded_points(rng, npoints):
+            for i, m in enumerate(minors):
+                sub = [row for r, row in enumerate(phi.entries) if r != i]
+                expected = pointwise_det(sub, pt)
+                assert horner_eval(m, pt) == (-expected if i % 2 else expected)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_seeded_modules(self, d):
+        phi = kronecker_from_points(random_config(d, 3)).phi
+        self.assert_minors_match(phi, SplitMix64(d))
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_broken_modules(self, d):
+        phi = kronecker_from_points(random_config(d, 4)).phi
+        zeroed = zero_column_module(phi, col=1)
+        assert all(m.is_zero() for m in maximal_minors(zeroed))
+        self.assert_minors_match(zeroed, SplitMix64(d))
+        scalars = [i + 1 for i in range(phi.nrows)]
+        pair = proportional_pair_module(phi, lin(1, 2, 0), lin(0, 1, -1), scalars)
+        self.assert_minors_match(pair, SplitMix64(d + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_tall_matrices_with_zero_entries(self, n):
+        rng = SplitMix64(100 + n)
+        for _ in range(3):
+            rows = [[random_linear(rng, 30) for _ in range(n - 1)] for _ in range(n)]
+            self.assert_minors_match(KroneckerModule.from_rows(rows), rng)
+
+    def test_square_matrix_with_quadratic_column(self):
+        rng = SplitMix64(7)
+        for n in (2, 3, 4, 5):
+            for quad_col in (0, n - 1):
+                mat = [[random_linear(rng, 20) for _ in range(n)] for _ in range(n)]
+                for row in mat:
+                    row[quad_col] = HomPoly.from_coeffs(
+                        2, [rng.randint(-4, 4) for _ in range(6)]
+                    )
+                det = det_poly_matrix(mat)
+                assert det.degree == n + 1
+                for pt in seeded_points(rng, 2):
+                    assert horner_eval(det, pt) == pointwise_det(mat, pt)
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_bordered_determinant(self, d):
+        phi = kronecker_from_points(random_config(d, 2)).phi
+        rng = SplitMix64(d)
+        quad = [
+            HomPoly.from_coeffs(2, [rng.randint(-4, 4) for _ in range(6)])
+            for _ in range(phi.nrows)
+        ]
+        f = curve_from_pair(quad, phi)
+        mat = [[q, *row] for q, row in zip(quad, phi.entries)]
+        for pt in seeded_points(rng, 2):
+            assert horner_eval(f, pt) == pointwise_det(mat, pt)
+
+    def test_rank_deficient_square_matrix_gives_zero_of_its_degree(self):
+        rng = SplitMix64(9)
+        q = HomPoly.from_coeffs(2, [rng.randint(-4, 4) for _ in range(6)])
+        a, b, c = (random_linear(rng, 0) for _ in range(3))
+        z = HomPoly.zero(1)
+        zero_column = [[q, a, z], [q, b, z], [q, c, z]]
+        repeated_row = [[q, a, b], [q * 2, a * 2, b * 2], [q, c, a]]
+        for mat in (zero_column, repeated_row):
+            det = det_poly_matrix(mat)
+            assert det.is_zero()
+            assert det.degree == 4
+
+
+class TestMinorsFastPath:
+    """One column expansion serves all n minors of an n x (n-1) module.
+
+    Each row set S of at most n - 2 rows is extended by the n - |S| rows
+    outside it, one form product each: n * (2^(n-1) - 1) products at
+    most, within the asserted n * 2^(n-1).  One expansion per minor
+    takes up to n * (n-1) * 2^(n-2).
+    """
+
+    @pytest.mark.parametrize("d,seed", [(6, 1), (7, 1), (8, 1)])
+    def test_products_stay_within_one_expansion(self, d, seed, monkeypatch):
+        phi = kronecker_from_points(random_config(d, seed)).phi
+        n = phi.nrows
+        calls = []
+        mul = HomPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(HomPoly, "__mul__", counting)
+        maximal_minors(phi)
+        assert 0 < len(calls) <= n * 2 ** (n - 1)

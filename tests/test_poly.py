@@ -128,8 +128,8 @@ def test_product_degree_and_bilinearity():
 
 
 def test_det_poly_matrix_small():
-    assert det_poly_matrix([[X0]], [1]) == X0
-    d = det_poly_matrix([[X0, X1], [X2, X0]], [1, 1])
+    assert det_poly_matrix([[X0]]) == X0
+    d = det_poly_matrix([[X0, X1], [X2, X0]])
     assert d == X0 * X0 - X1 * X2
     assert d.degree == 2
 
@@ -137,7 +137,7 @@ def test_det_poly_matrix_small():
 def test_det_poly_matrix_mixed_column_degrees():
     # One quadratic column next to a linear column: degree 3 determinant.
     m = [[X0 * X0, X1], [X1 * X1, X0]]
-    d = det_poly_matrix(m, [2, 1])
+    d = det_poly_matrix(m)
     assert d.degree == 3
     assert d == X0 * X0 * X0 - X1 * X1 * X1
 
@@ -145,7 +145,7 @@ def test_det_poly_matrix_mixed_column_degrees():
 def test_det_poly_matrix_rejects_inconsistent_shape():
     q = X0 * X0
     with pytest.raises(ShapeError):
-        det_poly_matrix([[X0, q], [q, X0]], [1, 2])
+        det_poly_matrix([[X0, q], [q, X0]])
 
 
 def test_det_poly_matrix_matches_pointwise_determinant():
@@ -157,7 +157,7 @@ def test_det_poly_matrix_matches_pointwise_determinant():
         mat = [[
             HomPoly.from_coeffs(1, [rng.randint(-5, 5) for _ in range(3)])
             for _ in range(n)] for _ in range(n)]
-        dpoly = det_poly_matrix(mat, [1] * n)
+        dpoly = det_poly_matrix(mat)
         assert dpoly.degree == n
         pt = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
         pointwise = cofactor_det([[horner_eval(e, pt) for e in row] for row in mat])
