@@ -27,7 +27,7 @@ from itertools import combinations
 import re
 from typing import Optional, Sequence
 
-from .errors import DegenerateError, ParseError, Record, ShapeError
+from .errors import ParseError, Record, ShapeError
 from .exactalg import QMatrix, det as qdet
 
 _ZERO = Fraction(0)
@@ -209,13 +209,6 @@ def det_poly_matrix(mat: Sequence[Sequence[HomPoly]]) -> HomPoly:
     if n == 0 or any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a nonempty square matrix")
     (result,) = column_minors(mat).values()
-    total_degree = sum(e.degree for e in mat[0])
-    if result.degree != total_degree:
-        raise DegenerateError(
-            f"determinant has degree {result.degree}, expected {total_degree}",
-            expected=total_degree,
-            actual=result.degree,
-        )
     return result
 
 

@@ -9,7 +9,8 @@ enters, in config_from_dict and germ_query_from_dict, which also enforce
 the input ceilings; the payloads the builders emit are checked against
 their schemas by a test, not at run time.  canonical_dumps renders
 objects deterministically (sorted keys, two-space indent, trailing
-newline).
+newline): the bytes of json.dumps(obj, sort_keys=True, indent=2),
+written without the pure-Python encoder that indent makes json use.
 
 The payload functions import kronecker, localfree and singloci when they
 run, not with this module, so a command that writes only configurations
@@ -262,8 +263,75 @@ def validate_payload(obj: dict, kind: str) -> None:
         raise ConfigError(f"invalid {kind} payload at {where}: {message}")
 
 
+class _Unwritable(Exception):
+    """A value or key type that canonical_dumps leaves to json.dumps."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append json.dumps(obj, sort_keys=True, indent=2)'s text at depth pad."""
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise _Unwritable
+            out += (lead, _quote(key), ": ")
+            _write(obj[key], inner, out)
+            lead = sep
+        out.append("\n" + pad + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(v) is int for v in obj):
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{pad}]")
+            return
+        lead = "[\n" + inner
+        for v in obj:
+            out.append(lead)
+            _write(v, inner, out)
+            lead = sep
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        raise _Unwritable
+
+
 def canonical_dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    With indent, json runs its pure-Python encoder; _write renders the
+    JSON types the payloads hold (str keys, str, int, bool, None, list,
+    tuple, dict) with json's own C string quoting.  Any other type goes
+    to json.dumps itself, which renders or rejects it, and so does a
+    cycle, which _write meets as a RecursionError.
+    """
+    out = []
+    try:
+        _write(obj, "", out)
+    except (_Unwritable, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ The condition rows are integers from the start (see schemes): the
 gradient rows read the point's integer coordinates.  Every codimension
 goes through one block per point: _compressed_block compresses the
 point's conditions to the fibre's free coordinates and inserts them, as
-integer rows, into one integer echelon.  Its rows are
+integer rows, into one integer echelon.  It leaves out the gradient row
+at the point's last nonzero coordinate, which Euler's relation puts in
+the span of the other gradient rows modulo the fibre.  The echelon rows are
 a basis of the conditions modulo the fibre, so their count is the
 codimension of the point's locus in the fibre, and the codimension of
 an intersection is the rank of the stacked blocks.  locus_report and
@@ -85,10 +87,18 @@ def _compressed_block(fib: Fibre, point_id: int) -> list:
 
     Rows live in the fibre's free coordinates; their count is the
     codimension of the singular locus of this point inside the fibre.
+    The gradient row at the last nonzero coordinate s_K of the point (of
+    its support, for a fat point) is skipped: by Euler's relation
+    sum_k s_k dF/dx_k(s) = d F(s), a multiple of a membership row, so it
+    compresses into the span of the gradient rows before it and
+    insert_row would drop it without touching the echelon.
     """
+    s = fib.config.support_of(point_id).integer_coords
+    euler = max(k for k in range(3) if s[k])
     echelon = {}
-    for r in singular_conditions(fib.config, point_id):
-        insert_row(echelon, fib.space.compress_numerators(r)[0])
+    for k, r in enumerate(singular_conditions(fib.config, point_id)):
+        if k != euler:
+            insert_row(echelon, fib.space.compress_numerators(r)[0])
     return list(echelon.values())
 
 

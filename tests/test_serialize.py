@@ -3,9 +3,15 @@
 import copy
 import json
 import re
+import sys
+from collections import OrderedDict
+from enum import IntEnum
+from fractions import Fraction
+from functools import cache
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REFERENCE_POINTS_D6
 
@@ -22,7 +28,7 @@ from sheafloci.localfree import (
 from sheafloci.poly import LocalPoly, parse_homogeneous, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
-from sheafloci.singloci import locus_report
+from sheafloci.singloci import SingularLocusReport, locus_report
 from sheafloci.serialize import (
     RATIONAL_PATTERN,
     SCHEMAS,
@@ -448,8 +454,9 @@ def test_checker_agrees_with_jsonschema_on_mutated_payloads():
     assert min(outcomes.values()) >= 5, outcomes
 
 
-def test_every_output_payload_conforms_to_its_schema():
-    """The builders are not checked at run time; this is their contract."""
+@cache
+def output_payloads() -> tuple:
+    """(kind, payload) from every output builder on seeded inputs."""
     payloads = []
     for d in range(4, 9):
         generic = random_config(d, seed=900 + d)
@@ -471,6 +478,18 @@ def test_every_output_payload_conforms_to_its_schema():
         ("config", config_to_dict(deep)),
         ("report", report_to_dict(locus_report(fibre(deep), pairs=True))),
     ]
+    # a report with a violation of every kind
+    violating = SingularLocusReport(
+        degree=5,
+        stratum="generic",
+        fibre_dim=14,
+        point_codims=((1, "simple", 2), (2, "simple", 1)),
+        pair_codims=((1, 2, 3),),
+        triple_codims=((1, 2, 3, 5, False), (1, 2, 4, 5, True)),
+        subset_codims=(((1, 2, 3, 4), 7),),
+    )
+    assert len(report_to_dict(violating)["violations"]) == 3
+    payloads.append(("report", report_to_dict(violating)))
     for mult in (1, 2, 3):
         germ, data = random_membership_germ(SplitMix64(910 + mult), mult)
         payloads.append(("localfree_result", localfree_result_to_dict(germ, data)))
@@ -481,8 +500,125 @@ def test_every_output_payload_conforms_to_its_schema():
         ("genericity_error", genericity_error_to_dict("on a conic", parse_homogeneous("x0*x1"))),
         ("genericity_error", genericity_error_to_dict("no certificate", None)),
     ]
+    return tuple(payloads)
+
+
+def test_every_output_payload_conforms_to_its_schema():
+    """The builders are not checked at run time; this is their contract."""
+    payloads = output_payloads()
     kinds = {kind for kind, _ in payloads}
     assert kinds == set(SCHEMAS) - {"localfree_query"}
     for kind, payload in payloads:
         validate_payload(payload, kind)
         jsonschema.validate(payload, SCHEMAS[kind])
+
+
+# ---------------------------------------------------------------------------
+# canonical_dumps against json.dumps(obj, sort_keys=True, indent=2)
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_matches_json_on_every_output_payload():
+    for kind, payload in output_payloads():
+        assert canonical_dumps(payload) == json_dumps(payload), kind
+
+
+# quotes, backslashes, brackets, control, non-ASCII and surrogate characters
+_AWKWARD = ['"', "\\", "[", "]", "{", "}", ":", ",", "\x00", "\n", "\t", "\x1f", "\x7f",
+            "é", "\u2028", "\ud800", "\U0001f600"]
+_TEXT = st.text(st.characters() | st.sampled_from(_AWKWARD), max_size=6)
+_LEAVES = st.none() | st.booleans() | st.integers() | _TEXT
+JSON_VALUES = st.recursive(
+    _LEAVES | st.lists(st.integers(), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_canonical_dumps_matches_json_on_json_values(obj):
+    assert canonical_dumps(obj) == json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}, [[]]], "d": ({},)},
+        [1, True, 2],
+        [False, 0, None],
+        [-1, 0, -(10**20)],
+        (1, 2, 3),
+        "",
+        None,
+        True,
+        -7,
+        {"z": 1, "a": 2, "M": 3, "é": 4, "": 5},
+    ],
+    ids=repr,
+)
+def test_canonical_dumps_matches_json_on_edge_values(obj):
+    assert canonical_dumps(obj) == json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1: "a", 2: "b"},
+        {None: 1},
+        {True: 1, False: 2},
+        {1.5: [1, 2]},
+        [{"a": {3: [4]}}],
+        {"a": 1.5, "b": [float("inf"), -0.0]},
+        [float("nan")],
+        IntEnum("E", "A B")(2),
+        {"a": OrderedDict(b=1)},
+    ],
+    ids=repr,
+)
+def test_canonical_dumps_leaves_other_types_to_json(obj):
+    assert canonical_dumps(obj) == json_dumps(obj)
+
+
+def test_canonical_dumps_raises_what_json_raises():
+    limit = sys.get_int_max_str_digits()
+    at_limit = 10 ** (limit - 1)
+    for obj in (at_limit, [at_limit, -at_limit], {"a": [1, at_limit]}):
+        assert canonical_dumps(obj) == json_dumps(obj)
+    for obj in (10**limit, [1, 10**limit], {"a": {"b": -(10**limit)}}):
+        with pytest.raises(ValueError) as theirs:
+            json_dumps(obj)
+        with pytest.raises(ValueError) as ours:
+            canonical_dumps(obj)
+        assert str(ours.value) == str(theirs.value)
+    cycle = []
+    cycle.append(cycle)
+    for obj in ({"a": Fraction(1, 2)}, [{1, 2}], {1: "a", "b": 2}, cycle):
+        with pytest.raises(Exception) as theirs:
+            json_dumps(obj)
+        with pytest.raises(theirs.type, match=re.escape(str(theirs.value))):
+            canonical_dumps(obj)
+
+
+def test_canonical_dumps_does_not_run_the_pure_python_encoder(monkeypatch):
+    payloads = [
+        report_to_dict(locus_report(fibre(random_config(7, seed=3)), pairs=True, triples=True)),
+        config_to_dict(random_config(6, seed=4, stratum="double")),
+    ]
+    expected = [json_dumps(p) for p in payloads]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", unused)
+    with pytest.raises(AssertionError):
+        json_dumps(payloads[1])
+    assert [canonical_dumps(p) for p in payloads] == expected

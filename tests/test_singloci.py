@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
-from sheafloci.exactalg import _PRIME as P, QMatrix, inverse, rank_of_rows
+from sheafloci.exactalg import _PRIME as P, QMatrix, insert_row, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
 from sheafloci.poly import HomPoly, monomial_index, monomials
 from sheafloci.rng import SplitMix64
@@ -767,3 +768,77 @@ class TestIntegerRows:
             assert _compressed_block(fib_scaled, pid) == _compressed_block(fib, pid)
         reports = [locus_report(f, pairs=True, triples=True) for f in (fib, fib_scaled)]
         assert report_to_dict(reports[1]) == report_to_dict(reports[0])
+
+
+# seeded generic and double configurations at degrees 5-7, and fat points
+# of multiplicity 3, 2+2, 3+2 and 2+2+2
+EULER_STRATA = [(d, stratum, seed, ()) for d, stratum, seed in SEEDED_D5_TO_D7] + [
+    (5, "deep", 5, (3,)),
+    (5, "deep", 5, (2, 2, 2)),
+    (6, "deep", 6, (2, 2)),
+    (6, "deep", 6, (3, 2)),
+]
+
+
+EULER_IDS = [
+    f"{d}-{stratum}-{seed}" if not mults else f"{d}-fat{'+'.join(map(str, mults))}"
+    for d, stratum, seed, mults in EULER_STRATA
+]
+
+
+def euler_config(degree, stratum, seed, mults):
+    if mults:
+        return random_fat_config(degree, seed, mults)
+    return random_config(degree, seed, stratum=stratum)
+
+
+def full_echelon(fib, pid):
+    """The echelon of every compressed singular row of the point, in order."""
+    echelon = {}
+    for row in singular_conditions(fib.config, pid):
+        insert_row(echelon, fib.space.compress_numerators(row)[0])
+    return list(echelon.values())
+
+
+class TestEulerRow:
+    """_compressed_block leaves out the gradient row that Euler's relation fixes.
+
+    With s a point's integer coordinates (its support's, for a fat point)
+    and K its last nonzero index, sum_k s_k (gradient row k) is d times a
+    membership row, so row K adds nothing modulo the fibre.
+    """
+
+    @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
+    def test_weighted_gradient_rows_are_d_times_the_membership_row(
+        self, degree, stratum, seed, mults
+    ):
+        cfg = euler_config(degree, stratum, seed, mults)
+        for pid in range(1, cfg.npoints + 1):
+            kind, data = cfg.point(pid)
+            support = data if kind == "simple" else data.support
+            s = support.integer_coords
+            grad = gradient_rows(support, degree)
+            weighted = [sum(map(mul, s, col)) for col in zip(*grad)]
+            assert weighted == [degree * a for a in simple_point_row(support, degree)]
+            if kind == "fat":
+                # the order-0 branch row is a nonzero multiple of it
+                (order0,) = fat_point_rows(data, degree, orders=[0])
+                i = next(i for i, a in enumerate(order0) if a)
+                assert weighted[i] != 0
+                assert all(weighted[i] * b == order0[i] * a for a, b in zip(weighted, order0))
+
+    @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
+    def test_block_is_the_echelon_of_every_singular_row(self, degree, stratum, seed, mults):
+        fib = fibre(euler_config(degree, stratum, seed, mults))
+        for pid in range(1, fib.config.npoints + 1):
+            assert _compressed_block(fib, pid) == full_echelon(fib, pid)
+
+    def test_reference_points_drop_every_index(self):
+        # (1:0:0), (1:-2:0) and (0:0:1) drop gradient rows 0, 1 and 2
+        fib = fibre(ref_config())
+        dropped = set()
+        for pid in range(1, fib.config.npoints + 1):
+            assert _compressed_block(fib, pid) == full_echelon(fib, pid)
+            s = fib.config.support_of(pid).integer_coords
+            dropped.add(max(k for k in range(3) if s[k]))
+        assert dropped == {0, 1, 2}
