@@ -33,11 +33,13 @@ proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
 prime.  The mod-P elimination is extend_mod_p, which extends an
-existing mod-P echelon without changing it.  A caller may hand
-rank_of_rows the certificate instead: the echelon of the images of some
-leading rows and the residues of the images of the rest, where an image
-is a row times a fixed integer matrix R, since rank_P(B R) <= rank(B).
-singloci ranks many subsets this way on shared prefixes.
+existing mod-P echelon without changing it; its rows may leave out
+trailing zeros.  A caller may hand rank_of_rows a certificate instead:
+an echelon and further rows mod P, all in the span of the rows' images
+under some fixed linear map mod P.  The images have rank at most rank_P
+of the rows, so as many independent vectors in their span as there are
+rows prove full row rank.  linsys and singloci rank every singular
+locus this way, on shared prefixes.
 """
 
 from __future__ import annotations
@@ -226,7 +228,10 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
     in that column; it is copied, never changed, so one echelon can be
     the shared prefix of many extensions.  The rows hold residues in
     [0, _PRIME) and are reduced by the same cross-multiplication as
-    insert_row.  Returns the extended echelon when every row adds a
+    insert_row.  Any row, stored or new, may leave out trailing zeros:
+    rows of different lengths are read as padded with zeros to the
+    longer one, so short rows stay short while they meet only short
+    pivot rows.  Returns the extended echelon when every row adds a
     pivot, that is when the stored rows and the new ones are linearly
     independent modulo _PRIME.
     """
@@ -243,6 +248,11 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
             if top is None:
                 pivots[c] = row
                 break
+            if len(top) != n:
+                # pad the shorter of the two with the zeros it leaves out
+                n = max(n, len(top))
+                row = row + [0] * (n - len(row))
+                top = top + [0] * (n - len(top))
             p, f = top[c], row[c]
             c += 1
             tail = [(p * a - f * b) % _PRIME for a, b in zip(row[c:], top[c:])]
@@ -257,13 +267,15 @@ def rank_of_rows(
 ) -> int:
     """Rank of a list of row vectors of ints or Fractions.
 
-    prefix, when given, is the extend_mod_p echelon of the images mod P
-    of the leading rows, and residues are the images of the remaining
-    rows (see the module docstring).  If extending prefix by residues
-    gives one pivot per row, the rows are independent and their count is
-    returned without reading them; otherwise they are ranked as below.
-    The certificate is not checked against the rows: the caller must
-    have computed it from these very rows, or the rank may be wrong.
+    prefix, when given, is an extend_mod_p echelon and residues are
+    further rows, all in the span of the rows' images mod P (see the
+    module docstring): typically prefix spans the images of some leading
+    rows and residues are the images of the rest.  If extending prefix
+    by residues gives one pivot per row, the rows are independent and
+    their count is returned without reading them; otherwise they are
+    ranked as below.  The certificate is not checked against the rows:
+    the caller must have computed it from these very rows, or the rank
+    may be wrong.
     """
     if prefix is not None:
         echelon = extend_mod_p(prefix, residues)

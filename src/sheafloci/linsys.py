@@ -9,17 +9,36 @@ cutting functionals, stored once as integers over one positive
 denominator.  It provides the coordinate machinery used downstream:
 the compressed (free-column) picture of extra functionals, in which
 codimensions inside the subspace become plain matrix ranks.
+
+fibre decides the fibre's dimension modulo the prime P of exactalg.  It
+eliminates the l membership rows M mod P once; l pivots prove
+rank(M) = l, since rank_P <= rank_Q <= rows.  It then keeps six seeded
+fibre members mod P, the columns of Q = K R, where K spans the kernel
+of M mod P and R is a fixed seeded 3d x 6 sketch matrix.  The image of
+a row x is (x Q, x at M's pivot columns), a fixed linear map mod P.
+The rows of M map onto 0^6 + F_P^l, so modulo their images a row's
+image is the six entries of x Q; singloci certifies every locus
+codimension on these.  The exact subspace is built on first use, or at
+once when the mod-P echelon of M comes up short.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, cached_property
 from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateError, Record, ShapeError
-from .exactalg import QMatrix, integer_row, kernel, reduced_echelon
+from .exactalg import (
+    _PRIME,
+    QMatrix,
+    extend_mod_p,
+    integer_row,
+    kernel,
+    reduced_echelon,
+)
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import PointConfig, length, membership_conditions, require_generic
@@ -99,7 +118,10 @@ class ProjSubspace(Record):
             raise ShapeError(
                 f"functional has {len(row)} coordinates, expected {self.ambient + 1}"
             )
-        ints, scale = integer_row(row)
+        if all(type(a) is int for a in row):
+            ints, scale = row, 1
+        else:
+            ints, scale = integer_row(row)
         out = [self.den * ints[j] for j in self.free_columns]
         for p, m in zip(self.pivots, self.block):
             c = ints[p]
@@ -130,13 +152,18 @@ class ProjSubspace(Record):
 class Fibre(Record):
     """Degree-d curves through the configuration, a P_{3d-1}.
 
-    space lives inside the P_N of all degree-d curves; basis_forms gives
-    3d spanning polynomials indexed by the free columns of the membership
-    conditions.
+    membership holds the integer membership rows M, one per length unit
+    of the scheme.  members holds six seeded fibre members mod P as
+    coefficient tuples, the columns of Q (see the module docstring); it
+    is empty when M falls short of full row rank mod P.  space, the
+    exact subspace inside the P_N of all degree-d curves, is built on
+    first use; basis_forms gives 3d spanning polynomials indexed by its
+    free columns.
     """
 
     config: PointConfig
-    space: ProjSubspace
+    membership: tuple
+    members: tuple
 
     @property
     def degree(self) -> int:
@@ -144,7 +171,12 @@ class Fibre(Record):
 
     @property
     def proj_dim(self) -> int:
-        return self.space.proj_dim
+        # fibre() proves rank(M) = len(M), mod P or exactly
+        return monomial_count(self.degree) - 1 - len(self.membership)
+
+    @cached_property
+    def space(self) -> ProjSubspace:
+        return ProjSubspace.cut_by(self.membership, monomial_count(self.degree) - 1)
 
     def basis_forms(self) -> list:
         b = self.space.basis()
@@ -181,27 +213,76 @@ def random_weights(rng: SplitMix64, n: int) -> list:
             return weights
 
 
+# A sketch has as many columns as a triple's condition rows.
+_SKETCH_COLS = 6
+_SKETCH_SEED = 0x736B65746368
+
+
+@cache
+def _sketch_matrix(n: int) -> tuple:
+    """The n x 6 sketch matrix R as six columns, entries in [-2^15, 2^15]."""
+    rng = SplitMix64(_SKETCH_SEED)
+    rows = [
+        [rng.randint(-(1 << 15), 1 << 15) for _ in range(_SKETCH_COLS)]
+        for _ in range(n)
+    ]
+    return tuple(zip(*rows))
+
+
+def _members_mod_p(rows: Sequence[Sequence], rank: int) -> tuple:
+    """Six fibre members mod P, or () unless the rows have rank pivots mod P.
+
+    The members are the columns of K R, where K holds one kernel vector
+    of the rows mod P per free column of their echelon, with a 1 there.
+    So each member takes a column of R at the free columns, and its
+    pivot entries follow by back-substitution through the echelon, from
+    the last pivot up.
+    """
+    echelon = extend_mod_p({}, ([a % _PRIME for a in r] for r in rows))
+    if echelon is None or len(echelon) != rank:
+        return ()
+    n = len(rows[0])
+    free = [j for j in range(n) if j not in echelon]
+    steps = [
+        (c, echelon[c][c + 1 :], pow(-echelon[c][c], -1, _PRIME))
+        for c in sorted(echelon, reverse=True)
+    ]
+    members = []
+    for col in _sketch_matrix(len(free)):
+        v = [0] * n
+        for j, a in zip(free, col):
+            v[j] = a % _PRIME
+        for c, tail, inv in steps:
+            v[c] = sum(map(mul, tail, v[c + 1 :])) * inv % _PRIME
+        members.append(tuple(v))
+    return tuple(members)
+
+
 def fibre(cfg: PointConfig) -> Fibre:
     """The curves of degree d through the configuration.
 
     Raises GenericityError, carrying a nonzero low-degree certificate
     curve, when the configuration lies on a curve of degree d - 3; for
     admissible configurations the result has projective dimension 3d - 1.
+    The rank of the membership rows is certified mod P; only when that
+    falls short is the exact subspace built here, and its codimension
+    checked against the scheme length.
     """
     d = cfg.degree
     require_generic(cfg)
-    space = ProjSubspace.cut_by(membership_conditions(cfg, d), monomial_count(d) - 1)
-    if space.codim != length(cfg):
+    rows = tuple(tuple(r) for r in membership_conditions(cfg, d))
+    fib = Fibre(cfg, rows, _members_mod_p(rows, length(cfg)))
+    if not fib.members and fib.space.codim != length(cfg):
         raise DegenerateError(
-            f"membership conditions in degree {d} have rank {space.codim}, "
+            f"membership conditions in degree {d} have rank {fib.space.codim}, "
             f"expected the scheme length {length(cfg)}",
             expected=length(cfg),
-            actual=space.codim,
+            actual=fib.space.codim,
         )
-    if space.proj_dim != 3 * d - 1:
+    if fib.proj_dim != 3 * d - 1:
         raise DegenerateError(
-            f"fibre has dimension {space.proj_dim}, expected {3 * d - 1}",
+            f"fibre has dimension {fib.proj_dim}, expected {3 * d - 1}",
             expected=3 * d - 1,
-            actual=space.proj_dim,
+            actual=fib.proj_dim,
         )
-    return Fibre(cfg, space)
+    return fib

@@ -10,34 +10,42 @@ functional along the branch, again rank 2 modulo the fibre.
 
 The condition rows are integers from the start (see schemes): the
 gradient rows read the point's integer coordinates.  Every codimension
-goes through one block per point: _compressed_block compresses the
-point's conditions to the fibre's free coordinates and inserts them, as
-integer rows, into one integer echelon.  It leaves out the gradient row
-at the point's last nonzero coordinate, which Euler's relation puts in
-the span of the other gradient rows modulo the fibre.  The echelon rows are
-a basis of the conditions modulo the fibre, so their count is the
-codimension of the point's locus in the fibre, and the codimension of
-an intersection is the rank of the stacked blocks.  locus_report and
-normal_space_dim read these blocks, and impose_singularities builds its
-curves from the kernel of the stacked blocks of the requested points.
+is a rank of integer rows.  With M the fibre's l membership rows and G_S
+the stacked condition rows of the points in S, the curves singular at
+every point of S have codimension rank([M; G_S]) - l in the fibre.
+condition_rows gives two rows per point, leaving out rows that exact
+identities put in the span of M and the rows kept: at a simple point
+the gradient row that Euler's relation fixes, at a fat point all
+gradient rows but one, since Euler's relation and the chain rule make
+two independent combinations of them multiples of the order-0 and
+order-1 branch rows, which are rows of M.  locus_report and
+normal_space_dim rank [M; G_S] through one helper, _locus_codim.
 
-locus_report first ranks a sketch of each subset modulo the prime P of
-exactalg: every block B is multiplied once by a fixed seeded integer
-matrix R with six columns and reduced mod P, and since
-rank_P(B R) <= rank(B R) <= rank(B) <= rows, residues of full row rank
-prove the codimension.  The subsets share prefixes: each pair extends
-its first point's mod-P echelon by the second point's residues, and
-each triple hands rank_of_rows the pair's echelon and only its third
-point's residues.  A subset whose residues fall short, or whose stacked
-blocks have more than six rows, is ranked on the blocks themselves.
+Each rank carries a certificate mod the prime P of exactalg, on the
+images of linsys, x -> (x Q, x at M's pivot columns): M's images span
+the last l coordinates, and modulo them a condition row's image is the
+six residues of x Q.  Images of full row rank prove
+rank([M; G_S]) = l + rows, since the rank of the images mod P never
+exceeds the rank over Q.  The subsets share prefixes: each point
+extends M's echelon by its residues, each pair extends its first
+point's echelon by the second point's, and a triple (i, j, k) hands
+rank_of_rows the pair's echelon and only k's residues, as already
+reduced against i's in the echelon of the pair (i, k).  A subset whose
+residues fall short, or that has more than six condition rows, is
+ranked exactly on the integer rows [M; G_S], with no reduced echelon
+form.
+
+impose_singularities draws its curves from the kernel of the requested
+points' blocks: _compressed_block compresses a point's condition rows
+to the exact fibre's free coordinates and inserts them into one
+integer echelon.  It and classify_curve are the only readers of the
+exact fibre.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError, Record
 from .exactalg import (
@@ -48,7 +56,7 @@ from .exactalg import (
     kernel,
     rank_of_rows,
 )
-from .linsys import Fibre, random_weights
+from .linsys import _SKETCH_COLS, Fibre, random_weights
 from .poly import HomPoly, monomials, powers
 from .rng import SplitMix64
 from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
@@ -82,34 +90,74 @@ def singular_conditions(cfg: PointConfig, point_id: int) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
+def condition_rows(cfg: PointConfig, point_id: int) -> list:
+    """Two of the point's singular rows, which span all of them modulo M.
+
+    M is the membership rows.  Simple point with s = p.integer_coords:
+    the gradient rows but the one at the last nonzero coordinate K of s,
+    since Euler's relation sum_k s_k dF/dx_k(s) = d F(s) is d times the
+    point's membership row.  Fat point with support s: one gradient row
+    j and the order-m row.  With t = frame (0, 1, h_1) the branch's
+    tangent direction, Euler's relation makes s . grad F(s) a multiple
+    of the order-0 branch row, and the chain rule makes t . grad F(s) a
+    multiple of the order-1 branch row; both are rows of M.  So every
+    gradient row lies in the span of M and row j, for any j with
+    (s x t)_j != 0, that is with e_j off the plane of s and t.
+    """
+    kind, data = cfg.point(point_id)
+    d = cfg.degree
+    if kind == "simple":
+        s = data.integer_coords
+        euler = max(k for k in range(3) if s[k])
+        return [r for k, r in enumerate(gradient_rows(data, d)) if k != euler]
+    s = data.support.integer_coords
+    frame, h = data.frame, data.h
+    h1 = h[1] if len(h) > 1 else 0
+    t = [frame.get(i, 1) + h1 * frame.get(i, 2) for i in range(3)]
+    cross = (
+        s[1] * t[2] - s[2] * t[1],
+        s[2] * t[0] - s[0] * t[2],
+        s[0] * t[1] - s[1] * t[0],
+    )
+    j = next(k for k in range(3) if cross[k])
+    (order_m,) = fat_point_rows(data, d, orders=[data.mult])
+    return [gradient_rows(data.support, d)[j], order_m]
+
+
+def _locus_codim(
+    fib: Fibre, rows: list, prefix: Optional[dict] = None, residues=()
+) -> int:
+    """rank([M; rows]) - l: the codimension in the fibre cut by the rows.
+
+    M is the fibre's membership rows, of rank l, their count.  prefix
+    and residues, when given, are rank_of_rows's certificate for the
+    stacked rows.
+    """
+    membership = fib.membership
+    return rank_of_rows([*membership, *rows], prefix, residues) - len(membership)
+
+
 def _compressed_block(fib: Fibre, point_id: int) -> list:
     """Integer echelon basis of the point's singular conditions modulo the fibre.
 
-    Rows live in the fibre's free coordinates; their count is the
-    codimension of the singular locus of this point inside the fibre.
-    The gradient row at the last nonzero coordinate s_K of the point (of
-    its support, for a fat point) is skipped: by Euler's relation
-    sum_k s_k dF/dx_k(s) = d F(s), a multiple of a membership row, so it
-    compresses into the span of the gradient rows before it and
-    insert_row would drop it without touching the echelon.
+    The point's condition rows, compressed to the exact fibre's free
+    coordinates and inserted into one integer echelon; impose_singularities
+    stacks these blocks.
     """
-    s = fib.config.support_of(point_id).integer_coords
-    euler = max(k for k in range(3) if s[k])
     echelon = {}
-    for k, r in enumerate(singular_conditions(fib.config, point_id)):
-        if k != euler:
-            insert_row(echelon, fib.space.compress_numerators(r)[0])
+    for r in condition_rows(fib.config, point_id):
+        insert_row(echelon, fib.space.compress_numerators(r)[0])
     return list(echelon.values())
 
 
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
     """Codimension of the point's singular locus inside the fibre.
 
-    Equals the rank of the singular conditions modulo the fibre; for a
+    Equals rank([M; G_p]) - l for the point's condition rows G_p; for a
     simple point the ambient gradient rows must have rank 3, so that the
     Euler relation accounts for exactly one condition lost to the fibre.
     """
-    k = len(_compressed_block(fib, point_id))
+    k = _locus_codim(fib, condition_rows(fib.config, point_id))
     kind, data = fib.config.point(point_id)
     if kind == "simple":
         ambient = rank_of_rows(gradient_rows(data, fib.degree))
@@ -186,22 +234,6 @@ def impose_singularities(
 # ---------------------------------------------------------------------------
 # Reports over many subsets
 
-# A sketch has as many columns as a triple's stacked blocks have rows.
-_SKETCH_COLS = 6
-_SKETCH_SEED = 0x736B65746368
-
-
-@cache
-def _sketch_matrix(n: int) -> tuple:
-    """The n x 6 sketch matrix R as six columns, entries in [-2^15, 2^15]."""
-    rng = SplitMix64(_SKETCH_SEED)
-    rows = [
-        [rng.randint(-(1 << 15), 1 << 15) for _ in range(_SKETCH_COLS)]
-        for _ in range(n)
-    ]
-    return tuple(zip(*rows))
-
-
 class SingularLocusReport(Record):
     """Codimension survey of singular loci inside one fibre.
 
@@ -228,18 +260,18 @@ def locus_report(
 ) -> SingularLocusReport:
     """Survey codimensions of singular loci and their intersections.
 
-    Per-point integer blocks B_i and the residues of their sketches
-    B_i R mod P are computed once.  A subset is certified when its
-    stacked residues have full row rank mod P; its codimension is then
-    its row count, because rank_P(B R) <= rank(B).  Each pair extends
-    the mod-P echelon of its first point's residues by the second's
-    (exactalg.extend_mod_p), and each subset costs one rank_of_rows
-    call on its stacked blocks with that certificate: a pair passes its
-    echelon, a triple (i, j, k) the pair's echelon and B_k R's residues,
-    an extra subset of at most six rows its stacked residues.
-    rank_of_rows reads the blocks only when the certificate falls short;
-    an extra subset of more than six rows passes none.  Extra subsets
-    must name distinct point ids in 1..npoints, else ConfigError.
+    Each point's condition rows G_p and their residues mod P are
+    computed once (see the module docstring).  Every point, pair, triple
+    and extra subset S costs one rank_of_rows call on [M; G_S] with a
+    certificate, less l: a point passes M's echelon extended by its
+    residues, a pair that echelon extended by the second point's, a
+    triple (i, j, k) the pair's echelon and G_k's residues as reduced in
+    the pair (i, k)'s echelon, and an extra subset of at most three
+    points M's echelon and its stacked residues.
+    rank_of_rows reads the rows only when the certificate falls short;
+    an extra subset of more than three points passes none.  Extra
+    subsets must name distinct point ids in 1..npoints, else
+    ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -250,52 +282,68 @@ def locus_report(
             )
         if len(set(s)) != len(s):
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
-    blocks = {pid: _compressed_block(fib, pid) for pid in ids}
-    sketch = _sketch_matrix(len(fib.space.free_columns))
+    rows = {pid: condition_rows(cfg, pid) for pid in ids}
+    # a row's image modulo M's is x Q, its M part's zeros left out
     residues = {
-        pid: [[sum(map(mul, row, col)) % _PRIME for col in sketch] for row in block]
-        for pid, block in blocks.items()
+        pid: [[sum(map(mul, row, q)) % _PRIME for q in fib.members] for row in r]
+        for pid, r in rows.items()
     }
+    base = None
+    if fib.members:
+        # M's images span 0^6 + F_P^l (see linsys): the unit rows at
+        # columns 6 to 6 + l - 1 are their echelon
+        end = _SKETCH_COLS + len(fib.membership)
+        base = {c: [0] * c + [1] for c in range(_SKETCH_COLS, end)}
     supports = {pid: cfg.support_of(pid) for pid in ids}
-    point_codims = tuple(
-        (pid, cfg.point(pid)[0], len(blocks[pid])) for pid in ids
-    )
 
     def extend(echelon, pid):
-        # the prefix's sketch echelon extended by pid's residues, or None
-        # once the stacked residues fall dependent mod P
+        # the prefix's echelon extended by pid's residues, or None once
+        # the images fall dependent mod P
         return None if echelon is None else extend_mod_p(echelon, residues[pid])
 
-    def stacked(subset):
-        return [row for pid in subset for row in blocks[pid]]
-
-    singles = {pid: extend({}, pid) for pid in ids}
+    singles = {pid: extend(base, pid) for pid in ids}
+    point_codims = tuple(
+        (pid, cfg.point(pid)[0], _locus_codim(fib, rows[pid], singles[pid]))
+        for pid in ids
+    )
     pair_codims = []
     triple_codims = []
     if pairs or triples:
-        for i, j in combinations(ids, 2):
-            prefix = extend(singles[i], j)
-            if pairs:
-                pair_codims.append((i, j, rank_of_rows(stacked((i, j)), prefix)))
-            if not triples:
-                continue
-            for k in range(j + 1, cfg.npoints + 1):
-                triple_codims.append(
-                    (
-                        i,
-                        j,
-                        k,
-                        rank_of_rows(stacked((i, j, k)), prefix, residues[k]),
-                        collinear(supports[i], supports[j], supports[k]),
+        for i in ids:
+            # i's pair echelons; extend_mod_p appends the two new rows,
+            # which are the later point's residues reduced against i's
+            with_i = {k: extend(singles[i], k) for k in ids[i:]}
+            reduced = {
+                k: residues[k] if e is None else [*e.values()][-2:]
+                for k, e in with_i.items()
+            }
+            for j in ids[i:]:
+                prefix = with_i[j]
+                pair_rows = rows[i] + rows[j]
+                if pairs:
+                    pair_codims.append((i, j, _locus_codim(fib, pair_rows, prefix)))
+                if not triples:
+                    continue
+                for k in ids[j:]:
+                    triple_codims.append(
+                        (
+                            i,
+                            j,
+                            k,
+                            _locus_codim(fib, pair_rows + rows[k], prefix, reduced[k]),
+                            collinear(supports[i], supports[j], supports[k]),
+                        )
                     )
-                )
+
     def extra_codim(subset):
-        # six sketch columns hold at most six pivots, so a larger subset
-        # goes straight to the blocks
-        rows = stacked(subset)
-        if len(rows) > _SKETCH_COLS:
-            return rank_of_rows(rows)
-        return rank_of_rows(rows, {}, (r for pid in subset for r in residues[pid]))
+        # six residue columns hold at most six pivots besides M's, so a
+        # larger subset passes no certificate
+        stacked = [r for pid in subset for r in rows[pid]]
+        if len(stacked) > _SKETCH_COLS:
+            return _locus_codim(fib, stacked)
+        return _locus_codim(
+            fib, stacked, base, [r for pid in subset for r in residues[pid]]
+        )
 
     subset_codims = tuple((tuple(s), extra_codim(s)) for s in extra_subsets)
     return SingularLocusReport(

@@ -181,6 +181,17 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_library_has_no_assert_statement():
+    # python -O strips asserts, so invariants raise typed errors instead
+    found = []
+    for path in sorted(Path(sheafloci.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        )
+    assert found == []
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 

@@ -271,6 +271,38 @@ def test_extended_echelon_certifies_rank_of_rows(rows, split):
     )
 
 
+def _trimmed(row):
+    """The row without its trailing zeros."""
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+def _padded(echelon, n):
+    return None if echelon is None else {c: r + [0] * (n - len(r)) for c, r in echelon.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, P - 1]), min_size=5, max_size=5),
+        max_size=6,
+    ),
+    st.integers(0, 6),
+)
+def test_extend_mod_p_reads_trimmed_rows_as_zero_padded(rows, split):
+    short = [_trimmed(r) for r in rows]
+    prefix = exactalg.extend_mod_p({}, rows[:split])
+    full = None if prefix is None else exactalg.extend_mod_p(prefix, rows[split:])
+    # trimmed prefix rows, trimmed new rows, or both
+    for head, tail in ((short, rows), (rows, short), (short, short)):
+        got = exactalg.extend_mod_p({}, head[:split])
+        assert _padded(got, 5) == prefix
+        if got is not None:
+            assert _padded(exactalg.extend_mod_p(got, tail[split:]), 5) == full
+
+
 @st.composite
 def small_matrix(draw, square=False):
     """Fraction matrices up to 4x4; zero-heavy rows make rank drops common."""

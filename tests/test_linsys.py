@@ -69,6 +69,17 @@ class TestProjSubspace:
             assert comp[j] == sum(f * v for f, v in zip(func, b.col(j)))
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_compress_numerators_read_ints_and_fractions_alike(self, data):
+        n = data.draw(st.integers(1, 6))
+        ints = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        s = ProjSubspace.cut_by(data.draw(st.lists(ints, max_size=n)), n - 1)
+        row = data.draw(ints)
+        got = s.compress_numerators(row)
+        assert got == s.compress_numerators([Fraction(a) for a in row])
+        assert got[1] == s.den
+
     def test_compress_rejects_wrong_length(self):
         s = ProjSubspace.cut_by([[1, 2, 0, 3]], 3)
         with pytest.raises(ShapeError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from sheafloci import schemes
+from sheafloci import linsys, schemes
 from sheafloci.errors import ConfigError, Record, ShapeError
 from sheafloci.exactalg import QMatrix
 from sheafloci.kronecker import IdealResolution, KroneckerModule, SheafMatrix, kronecker_from_points
@@ -50,7 +50,7 @@ RECORDS = {
         ("ambient", "pivots", "free_columns", "block", "den"),
         lambda: fibre(_generic()).space,
     ),
-    Fibre: (("config", "space"), lambda: fibre(_generic())),
+    Fibre: (("config", "membership", "members"), lambda: fibre(_generic())),
     SingularLocusReport: (
         ("degree", "stratum", "fibre_dim", "point_codims", "pair_codims",
          "triple_codims", "subset_codims"),
@@ -76,11 +76,13 @@ INVALID = {
     FatIdealData: (lambda v: dict(v, mult=0), ConfigError, "multiplicity must be at least 1"),
 }
 
-# class -> (cached property, the schemes function that computes it)
+# class -> (cached property, the module and name of the function that
+# computes it)
 CACHED = {
-    SimplePoint: ("integer_coords", "integer_row"),
-    FatPoint: ("frame", "inverse"),
-    PointConfig: ("admissible", "not_on_curve_of_degree"),
+    SimplePoint: ("integer_coords", schemes, "integer_row"),
+    FatPoint: ("frame", schemes, "inverse"),
+    PointConfig: ("admissible", schemes, "not_on_curve_of_degree"),
+    Fibre: ("space", linsys, "reduced_echelon"),
 }
 
 IDS = [cls.__name__ for cls in RECORDS]
@@ -194,12 +196,12 @@ def test_invalid_fields_raise_the_typed_error(cls, samples):
 
 @pytest.mark.parametrize("cls", CACHED, ids=[cls.__name__ for cls in CACHED])
 def test_cached_property_is_computed_once(cls, samples, monkeypatch):
-    name, helper = CACHED[cls]
+    name, module, helper = CACHED[cls]
     obj = cls(**_values(samples[cls]))
     fresh = cls(**_values(obj))
     calls = []
-    inner = getattr(schemes, helper)
-    monkeypatch.setattr(schemes, helper, lambda *a: calls.append(a) or inner(*a))
+    inner = getattr(module, helper)
+    monkeypatch.setattr(module, helper, lambda *a: calls.append(a) or inner(*a))
     first = getattr(obj, name)
     assert len(calls) == 1
     assert getattr(obj, name) is first

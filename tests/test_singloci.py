@@ -9,7 +9,7 @@ import pytest
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
 from sheafloci.exactalg import _PRIME as P, QMatrix, insert_row, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
-from sheafloci.poly import HomPoly, monomial_index, monomials
+from sheafloci.poly import HomPoly, monomial_count, monomial_index, monomials
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
     FatPoint,
@@ -27,6 +27,7 @@ from sheafloci.singloci import (
     _compressed_block,
     asserted_violations,
     classify_curve,
+    condition_rows,
     gradient_rows,
     impose_singularities,
     locus_report,
@@ -207,7 +208,7 @@ class TestCodimensions:
         import sheafloci.singloci as singloci
 
         fib = fibre(ref_config())
-        monkeypatch.setattr(singloci, "_compressed_block", lambda fib, pid: [[1]])
+        monkeypatch.setattr(singloci, "_locus_codim", lambda fib, rows, *certificate: 1)
         with pytest.raises(DegenerateError) as err:
             normal_space_dim(fib, 3)
         assert (err.value.expected, err.value.actual) == (2, 1)
@@ -456,57 +457,72 @@ def count_rank_calls(monkeypatch):
 
 
 def sketch_times_p(monkeypatch):
-    """Scale every sketch entry by P, so every sketch residue is 0."""
-    import sheafloci.singloci as singloci
+    """Scale every sketch entry by P, so every fibre member mod P is 0."""
+    import sheafloci.linsys as linsys
 
-    original = singloci._sketch_matrix
+    original = linsys._sketch_matrix
     monkeypatch.setattr(
-        singloci,
+        linsys,
         "_sketch_matrix",
         lambda n: tuple(tuple(P * a for a in col) for col in original(n)),
     )
 
 
-def stacked_rank(fib, ids):
-    """rank_of_rows on the stacked blocks of the points in ids."""
+def compressed_conditions(fib):
+    """Each point's condition rows, compressed to the exact fibre."""
     import sheafloci.singloci as singloci
 
-    block = singloci._compressed_block
-    return rank_of_rows([row for pid in ids for row in block(fib, pid)])
+    return {
+        pid: [
+            fib.space.compress_numerators(r)[0]
+            for r in singloci.condition_rows(fib.config, pid)
+        ]
+        for pid in range(1, fib.config.npoints + 1)
+    }
+
+
+def stacked_rank(compressed, ids):
+    """rank_of_rows on the stacked compressed condition rows of the points in ids."""
+    return rank_of_rows([row for pid in ids for row in compressed[pid]])
 
 
 class TestSketch:
-    """Subsets are first ranked on per-point sketch residues mod P.
+    """Every locus is first ranked on its images mod P.
 
-    Each subset makes one rank_of_rows call with a mod-P certificate:
-    pairs pass their echelon, triples the pair's echelon and the third
-    point's residues.  Only a certificate that falls short makes
-    rank_of_rows read the stacked blocks.
+    Each point, pair, triple and extra subset S makes one rank_of_rows
+    call on the l membership rows stacked with its condition rows, of
+    monomial_count(d) columns: a point passes M's echelon extended by
+    its residues, a pair the pair's echelon, a triple the pair's echelon
+    and the third point's residues.  Only a certificate that falls short
+    makes rank_of_rows read the rows.
     """
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
     def test_short_sketches_fall_back_to_the_blocks(self, monkeypatch, stratum):
-        import sheafloci.singloci as singloci
+        import sheafloci.linsys as linsys
 
-        fib = fibre(random_config(5, 1, stratum=stratum))
+        cfg = random_config(5, 1, stratum=stratum)
         extra = [(1, 2, 3), (1, 2, 3, 4)]
-        expected = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
-        # one nonzero column: every sketch of two or more rows has rank 1
+        expected = locus_report(fibre(cfg), pairs=True, triples=True, extra_subsets=extra)
+        # one nonzero column: the residues of two or more rows have rank 1
         monkeypatch.setattr(
-            singloci, "_sketch_matrix", lambda n: ((1,) * n,) + ((0,) * n,) * 5
+            linsys, "_sketch_matrix", lambda n: ((1,) * n,) + ((0,) * n,) * 5
         )
+        fib = fibre(cfg)
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         assert rep == expected
-        # no subset is certified, so each one reads its stacked blocks once
+        # no locus is certified, so each one reads its stacked rows once
+        l = len(fib.membership)
         stacked = (
-            [4] * len(rep.pair_codims) + [6] * len(rep.triple_codims) + [6, 8]
+            [l + 2] * len(rep.point_codims)
+            + [l + 4] * len(rep.pair_codims)
+            + [l + 6] * len(rep.triple_codims)
+            + [l + 6, l + 8]
         )
         assert sorted(rows for rows, _cols, _r, _read in calls) == sorted(stacked)
         assert all(read for _rows, _cols, _r, read in calls)
-        assert {cols for _rows, cols, _r, _read in calls} == {
-            len(fib.space.free_columns)
-        }
+        assert {cols for _rows, cols, _r, _read in calls} == {monomial_count(5)}
         for i, j, codim in rep.pair_codims:
             assert codim == ambient_codim(fib, [i, j])
         for i, j, k, codim, _collinear in rep.triple_codims:
@@ -519,12 +535,13 @@ class TestSketch:
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert subsets == 45 + 120 + 3
-        assert len(calls) == subsets
-        # the residues certify every subset of at most six rows; the
-        # subsets of 4 and 5 points stack 8 and 10 rows of 18 columns
+        assert len(calls) == len(rep.point_codims) + subsets
+        # the residues certify every locus of at most six condition rows;
+        # the subsets of 4 and 5 points stack 8 and 10 condition rows
+        # under the 10 membership rows, of 28 columns
         assert all(r == rows for rows, _cols, r, read in calls if not read)
         read = [(rows, cols, r) for rows, cols, r, read in calls if read]
-        assert read == [(8, 18, 8), (10, 18, 9)]
+        assert read == [(18, 28, 18), (20, 28, 19)]
         assert all(codim == 4 for _i, _j, codim in rep.pair_codims)
         assert dict(rep.subset_codims)[(1, 2, 3, 4, 5)] == 9
 
@@ -533,39 +550,54 @@ class TestSketch:
     ):
         import sheafloci.singloci as singloci
 
-        # six sketch columns hold at most six pivots, so a certificate for
-        # more rows must fall short
+        # six residue columns hold at most six pivots besides M's, so a
+        # certificate for more condition rows must fall short
         original = singloci.rank_of_rows
         seen = []
 
-        def spy(rows, *certificate):
-            seen.append((len(rows), bool(certificate)))
-            return original(rows, *certificate)
+        def spy(rows, prefix=None, residues=()):
+            seen.append((len(rows), prefix is not None))
+            return original(rows, prefix, residues)
 
         monkeypatch.setattr(singloci, "rank_of_rows", spy)
         extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
         locus_report(fibre(ref_config()), pairs=False, extra_subsets=extra)
-        assert seen == [(6, True), (8, False), (10, False)]
+        # ten points, then the subsets, under the 10 membership rows
+        assert seen == [(12, True)] * 10 + [(16, True), (18, False), (20, False)]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_generic_d8_triples_make_no_exact_rank_call(self, monkeypatch, seed):
+        import sheafloci.exactalg as exactalg
+        import sheafloci.singloci as singloci
+
+        # neither the fibre nor the report inserts an integer row, and
+        # the report never builds the exact fibre
+        def no_insert(pivots, row):
+            raise AssertionError("insert_row called")
+
+        monkeypatch.setattr(exactalg, "insert_row", no_insert)
+        monkeypatch.setattr(singloci, "insert_row", no_insert)
         fib = fibre(random_config(8, seed))
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, triples=True)
         assert len(rep.triple_codims) > 1000
-        assert len(calls) == len(rep.pair_codims) + len(rep.triple_codims)
+        assert len(calls) == (
+            len(rep.point_codims) + len(rep.pair_codims) + len(rep.triple_codims)
+        )
         assert not any(read for _rows, _cols, _r, read in calls)
+        assert "space" not in vars(fib)
 
 
 class TestSketchDifferential:
-    """Every pair and triple codim against rank_of_rows on the stacked blocks."""
+    """Every pair and triple codim against rank_of_rows on the compressed rows."""
 
     def check(self, fib):
         rep = locus_report(fib, pairs=True, triples=True)
+        compressed = compressed_conditions(fib)
         for i, j, codim in rep.pair_codims:
-            assert codim == stacked_rank(fib, (i, j))
+            assert codim == stacked_rank(compressed, (i, j))
         for i, j, k, codim, _collinear in rep.triple_codims:
-            assert codim == stacked_rank(fib, (i, j, k))
+            assert codim == stacked_rank(compressed, (i, j, k))
         return rep
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
@@ -585,19 +617,19 @@ class TestSketchDifferential:
         # point 3's rows lie in the span of points 1 and 2, and point 4
         # shares a row with point 1 and one with the span of points 1 and 5
         fib = fibre(ref_config())
-        original = singloci._compressed_block
-        b1, b2, b5 = (original(fib, pid) for pid in (1, 2, 5))
+        original = singloci.condition_rows
+        g1, g2, g5 = (original(fib.config, pid) for pid in (1, 2, 5))
         made = {
             3: [
-                [a + b for a, b in zip(b1[0], b2[1])],
-                [2 * a - b for a, b in zip(b1[1], b2[0])],
+                [a + b for a, b in zip(g1[0], g2[1])],
+                [2 * a - b for a, b in zip(g1[1], g2[0])],
             ],
-            4: [b1[1], [a - 3 * b for a, b in zip(b1[0], b5[0])]],
+            4: [g1[1], [a - 3 * b for a, b in zip(g1[0], g5[0])]],
         }
         monkeypatch.setattr(
             singloci,
-            "_compressed_block",
-            lambda fib, pid: made[pid] if pid in made else original(fib, pid),
+            "condition_rows",
+            lambda cfg, pid: made[pid] if pid in made else original(cfg, pid),
         )
         rep = self.check(fib)
         triples = {(i, j, k): codim for i, j, k, codim, _ in rep.triple_codims}
@@ -608,16 +640,38 @@ class TestSketchDifferential:
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
     def test_zero_residues_take_the_exact_path(self, monkeypatch, stratum):
-        fib = fibre(random_config(6, 3, stratum=stratum))
+        cfg = random_config(6, 3, stratum=stratum)
         extra = [(1, 2, 3, 4), (1, 2, 3, 4, 5)]
-        expected = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
+        expected = locus_report(fibre(cfg), pairs=True, triples=True, extra_subsets=extra)
         sketch_times_p(monkeypatch)
+        fib = fibre(cfg)
+        assert fib.members and not any(any(q) for q in fib.members)
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=extra)
         assert rep == expected
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
-        assert len(calls) == subsets
+        assert len(calls) == len(rep.point_codims) + subsets
         assert all(read for _rows, _cols, _r, read in calls)
+
+    @pytest.mark.parametrize("stratum", ["generic", "double"])
+    def test_short_membership_echelon_takes_the_exact_path(self, monkeypatch, stratum):
+        import sheafloci.linsys as linsys
+
+        # as if P divided a membership minor: the fibre keeps no members
+        # mod P, builds the exact subspace at once, and every locus is
+        # ranked on its integer rows
+        cfg = random_config(6, 4, stratum=stratum)
+        fast = fibre(cfg)
+        expected = locus_report(fast, pairs=True, triples=True, extra_subsets=[(1, 2, 3)])
+        monkeypatch.setattr(linsys, "extend_mod_p", lambda pivots, rows: None)
+        fib = fibre(cfg)
+        assert fib.members == () and "space" in vars(fib)
+        assert fib.space == fast.space and fib.proj_dim == fast.proj_dim == 17
+        calls = count_rank_calls(monkeypatch)
+        rep = locus_report(fib, pairs=True, triples=True, extra_subsets=[(1, 2, 3)])
+        assert rep == expected
+        assert all(read for _rows, _cols, _r, read in calls)
+        assert [normal_space_dim(fib, pid) for pid in range(1, cfg.npoints + 1)] == [2] * cfg.npoints
 
 
 class TestAmbientOracle:
@@ -842,3 +896,61 @@ class TestEulerRow:
             s = fib.config.support_of(pid).integer_coords
             dropped.add(max(k for k in range(3) if s[k]))
         assert dropped == {0, 1, 2}
+
+
+def tangent(fp):
+    """t = frame (0, 1, h_1): the fat point's branch direction at y = 0."""
+    frame = fp.frame
+    h1 = fp.h[1] if len(fp.h) > 1 else 0
+    return [frame.get(i, 1) + h1 * frame.get(i, 2) for i in range(3)]
+
+
+FAT_STRATA = [x for x in EULER_STRATA if x[1] != "generic"]
+
+
+class TestChainRule:
+    """condition_rows keeps one gradient row at a fat point, by the chain rule.
+
+    With t the branch's tangent direction, t . (gradient rows at the
+    support) is a nonzero multiple of the order-1 branch row, as Euler's
+    weighting by the support is of the order-0 row.  Both are membership
+    rows, so the kept row j needs only (s x t)_j != 0.
+    """
+
+    @pytest.mark.parametrize(
+        "degree,stratum,seed,mults",
+        FAT_STRATA,
+        ids=[i for i, x in zip(EULER_IDS, EULER_STRATA) if x in FAT_STRATA],
+    )
+    def test_tangent_gradient_row_is_a_multiple_of_the_order_1_row(
+        self, degree, stratum, seed, mults
+    ):
+        cfg = euler_config(degree, stratum, seed, mults)
+        assert cfg.fat
+        fib = fibre(cfg)
+        for pid in range(len(cfg.simple) + 1, cfg.npoints + 1):
+            fp = cfg.point(pid)[1]
+            t = tangent(fp)
+            grad = gradient_rows(fp.support, degree)
+            weighted = [sum(map(mul, t, col)) for col in zip(*grad)]
+            (order1,) = fat_point_rows(fp, degree, orders=[1])
+            i = next(i for i, a in enumerate(order1) if a)
+            assert weighted[i] != 0
+            assert all(weighted[i] * b == order1[i] * a for a, b in zip(weighted, order1))
+            # the two rows kept span all four modulo the membership rows
+            rows = singular_conditions(cfg, pid)
+            kept = condition_rows(cfg, pid)
+            assert kept[1] == list(rows[3]) and tuple(kept[0]) in rows[:3]
+            assert normal_space_dim(fib, pid) == ambient_codim(fib, [pid]) == 2
+
+    def test_standard_double_point_keeps_the_normal_gradient_row(self):
+        # the double point (x1^2, x2) at (1:0:0): s x t = e2, so only the
+        # x2-derivative is a condition modulo the membership rows
+        fp = FatPoint.of(SimplePoint.of(1, 0, 0), QMatrix.identity(3), (), 2)
+        cfg = PointConfig.of(4, [SimplePoint.of(0, 0, 1)], [fp])
+        fib = fibre(cfg)
+        assert condition_rows(cfg, 2)[0] == gradient_rows(fp.support, 4)[2]
+        rep = locus_report(fib)
+        assert rep.point_codims == ((1, "simple", 2), (2, "fat", 2))
+        assert [codim for _i, _j, codim in rep.pair_codims] == [4]
+        assert normal_space_dim(fib, 2) == ambient_codim(fib, [2]) == 2
