@@ -253,10 +253,10 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
                 n = max(n, len(top))
                 row = row + [0] * (n - len(row))
                 top = top + [0] * (n - len(top))
+            # both rows are zero before column c, so reduce at full width
             p, f = top[c], row[c]
             c += 1
-            tail = [(p * a - f * b) % _PRIME for a, b in zip(row[c:], top[c:])]
-            row = [0] * c + tail
+            row = [(p * a - f * b) % _PRIME for a, b in zip(row, top)]
     return pivots
 
 

@@ -15,7 +15,11 @@ Each row of that computation is a monomial shift of a generator's
 integer coefficients, so the oracle forms no polynomial product and
 never substitutes x = h(y), the step the criterion itself takes.  One
 elimination at N + 2, with columns ordered by degree, gives the
-dimension at both N and N + 2.
+dimension at both N and N + 2.  The shifts of y^m go in first, then
+those of x - h(y), then the curve's: the first two are rows of one and
+of at most m + 1 entries that mostly take a free pivot at once, so each
+dense curve row is cleared against sparse rows and the echelon does not
+fill in.  The answer does not depend on that order.
 """
 
 from __future__ import annotations
@@ -137,6 +141,21 @@ def _nakayama_dims(germ: CurveGerm, data: FatIdealData, trunc: int) -> tuple:
     columns, where the rows of order trunc or more vanish.  In an echelon
     the rows pivoting in that prefix span the projection, so an ideal
     generator counts at trunc too when its stored pivot lies there.
+
+    The rows of mI go in as the shifts of y^m (single monomials), then
+    those of x - h(y) (at most m + 1 terms), then the curve's; the two
+    generators go in last.  Most of the sparse shifts take a free pivot
+    at once, and each dense curve shift is then cleared against rows of
+    one to m + 1 entries; with the curve's shifts first, every sparse
+    shift would be reduced through dense rows that fill in at each step.
+    The order cannot change the answer.  The columns holding pivots are
+    the leading columns of the span of the rows stored, whatever their
+    order.  A generator g not in a span V keeps the largest leading
+    column of g - w over all w in V: reducing g to g - w with a leading
+    column c outside the pivots of V, any other g - w - v leads at the
+    leading column of v when that lies before c, and at c otherwise.  So
+    the pair returned depends only on the span of the rows of mI (y^m
+    is reduced against that span plus x - h(y), as before).
     """
     high = trunc + 2
     mons = [(i, t - i) for t in range(high) for i in range(t + 1)]
@@ -161,7 +180,7 @@ def _nakayama_dims(germ: CurveGerm, data: FatIdealData, trunc: int) -> tuple:
 
     pivots = {}
     gens = [shifts(data.x_minus_h()), shifts(data.y_power())]
-    for row in shifts(germ.f) + gens[0][1:] + gens[1][1:]:
+    for row in gens[1][1:] + gens[0][1:] + shifts(germ.f):
         insert_row(pivots, row)
     # rows[0] is the generator itself, if its order is below trunc + 2
     kept = [insert_row(pivots, rows[0]) for rows in gens if rows]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sheafloci import localfree
 from sheafloci.errors import ConfigError, DegenerateError
 from sheafloci.linsys import fibre, random_weights
 from sheafloci.localfree import (
@@ -19,7 +20,7 @@ from sheafloci.localfree import (
     random_membership_germ,
     u_at_zero,
 )
-from sheafloci.poly import HomPoly, parse_local
+from sheafloci.poly import HomPoly, LocalPoly, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
 from sheafloci.singloci import classify_curve
@@ -33,6 +34,35 @@ def germ(text):
 
 def double_point(h=()):
     return FatIdealData.of((0,) + tuple(h), 2)
+
+
+def dense_dim(g, d, trunc):
+    """dim I/mI in k[x,y]/(m^trunc) as a dense Fraction rank.
+
+    The rows of mI are LocalPoly products of monomials with the curve
+    equation and the two ideal generators, rather than the monomial
+    shifts the jet oracle builds, and they are ranked with the Fraction
+    oracle rather than the integer core.
+    """
+    mons = [(i, s - i) for s in range(trunc) for i in range(s + 1)]
+    index = {m: n for n, m in enumerate(mons)}
+
+    def vec(p):
+        row = [Fraction(0)] * len(mons)
+        for e, c in p.as_dict().items():
+            if e in index:
+                row[index[e]] = c
+        return row
+
+    shared = []
+    for (i, j) in mons:
+        mono = LocalPoly.from_dict({(i, j): Fraction(1)})
+        shared.append(vec(mono * g.f))
+        if i + j >= 1:
+            shared.append(vec(mono * d.x_minus_h()))
+            shared.append(vec(mono * d.y_power()))
+    gens = [vec(d.x_minus_h()), vec(d.y_power())]
+    return rank_modulo(naive_echelon(shared), gens)
 
 
 class TestValidation:
@@ -179,29 +209,6 @@ class TestJetOracle:
         # call answers for trunc and trunc + 2.  In x - y^3 = x - y * y^2
         # the cofactor of y^2 vanishes at the origin, so only the
         # multiples of y^2 put x into mI.
-        from sheafloci.poly import LocalPoly
-
-        def dense_dim(g, d, trunc):
-            mons = [(i, s - i) for s in range(trunc) for i in range(s + 1)]
-            index = {m: n for n, m in enumerate(mons)}
-
-            def vec(p):
-                row = [Fraction(0)] * len(mons)
-                for e, c in p.as_dict().items():
-                    if e in index:
-                        row[index[e]] = c
-                return row
-
-            shared = []
-            for (i, j) in mons:
-                mono = LocalPoly.from_dict({(i, j): Fraction(1)})
-                shared.append(vec(mono * g.f))
-                if i + j >= 1:
-                    shared.append(vec(mono * d.x_minus_h()))
-                    shared.append(vec(mono * d.y_power()))
-            gens = [vec(d.x_minus_h()), vec(d.y_power())]
-            return rank_modulo(naive_echelon(shared), gens)
-
         rng = SplitMix64(90)
         cases = [
             (germ(text), double_point())
@@ -215,6 +222,38 @@ class TestJetOracle:
             dense = {k: dense_dim(g, d, k) for k in {*range(1, 9), t, t + 2}}
             for trunc in (1, 2, 3, 4, 5, 6, t):
                 assert _nakayama_dims(g, d, trunc) == (dense[trunc], dense[trunc + 2])
+
+    def test_dense_ranks_at_the_benchmark_shape(self):
+        # The cli workload's germs: A (x - h) + B y^m with A, B of degree 2,
+        # at the default truncation t, where the shifts of y^m and x - h
+        # go into the echelon before the curve's.  Seed 72 draws a free
+        # double point and a non-free triple point.
+        rng = SplitMix64(72)
+        cases = [random_membership_germ(rng, mult) for mult in (2, 3)]
+        assert [fat_ideal_free(g, d) for g, d in cases] == [True, False]
+        for g, d in cases:
+            t = 2 * d.mult + g.f.total_degree() + 2
+            assert _nakayama_dims(g, d, t) == (dense_dim(g, d, t), dense_dim(g, d, t + 2))
+
+    def test_dims_never_substitute_or_multiply(self, monkeypatch):
+        # The oracle checks the criterion, which reads f(h(y), y); its rows
+        # are monomial shifts, so it must reach neither that substitution
+        # nor a LocalPoly product, whatever order the rows go in.
+        cases = [
+            (germ(text), double_point()) for text in ("x*y", "x^2 - y^2", "x - y^2")
+        ]
+        rng = SplitMix64(41)
+        cases += [random_membership_germ(rng, 1 + k % 3) for k in range(6)]
+        truncs = [(g, d, 2 * d.mult + g.f.total_degree() + 2) for g, d in cases]
+        expected = [_nakayama_dims(g, d, t) for g, d, t in truncs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the jet oracle must not substitute or multiply")
+
+        monkeypatch.setattr(LocalPoly, "substitute_x", forbidden)
+        monkeypatch.setattr(LocalPoly, "__mul__", forbidden)
+        monkeypatch.setattr(localfree, "branch_restriction", forbidden)
+        assert [_nakayama_dims(g, d, t) for g, d, t in truncs] == expected
 
     def test_branch_restriction(self):
         g = germ("x^2 - y^3")
