@@ -22,8 +22,11 @@ row (the reduced row echelon form is unique, so nothing depends on
 pivot order); rref_rows divides by the pivots, and kernel, solve and
 inverse read off its RREF; det tracks the row scalings, the
 cross-multiplication factors, the gcds and the pivot permutation.  The
-fibre in ``linsys`` keeps reduced_echelon's integer rows, and the jet
-oracle in ``localfree`` inserts its rows into the same core.
+fibre in ``linsys`` keeps no echelon form, only its integer membership
+rows: their rank is certified mod P, or else taken by rank_of_rows, and
+the curves that singloci imposes come from one kernel call on those
+rows stacked with condition rows.  The jet oracle in ``localfree``
+inserts its rows into the same core.
 
 rank_of_rows first reduces the integer rows modulo the prime
 P = 1073741789, the largest prime below 2^30.  Every minor mod P is the
@@ -38,8 +41,8 @@ trailing zeros.  A caller may hand rank_of_rows a certificate instead:
 an echelon and further rows mod P, all in the span of the rows' images
 under some fixed linear map mod P.  The images have rank at most rank_P
 of the rows, so as many independent vectors in their span as there are
-rows prove full row rank.  linsys and singloci rank every singular
-locus this way, on shared prefixes.
+rows prove full row rank.  singloci ranks every singular locus this
+way, on shared prefixes of the images that linsys defines.
 """
 
 from __future__ import annotations

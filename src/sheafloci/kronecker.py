@@ -173,9 +173,11 @@ def injectivity_check(phi: KroneckerModule) -> bool:
     A nonzero solution of the injectivity system exhibits a kernel element
     of the sheaf map defined by phi, so the map fails to be injective;
     scalar dependencies among the columns are caught too, as their
-    coordinate multiples.  True means no such syzygy exists.
+    coordinate multiples.  True means no such syzygy exists.  That is
+    full column rank, so the system's 3(n-1) columns are ranked as rows:
+    rank_of_rows's mod-P certificate proves full row rank.
     """
-    return rank_of_rows(injectivity_system(phi)) == 3 * phi.ncols
+    return rank_of_rows(list(zip(*injectivity_system(phi)))) == 3 * phi.ncols
 
 
 def stability_sufficient(minors: Sequence[HomPoly]) -> bool:

@@ -1,31 +1,35 @@
-"""Linear subspaces of the space of plane curves of a fixed degree.
+"""The fibre: plane curves of a fixed degree through a point scheme.
 
 The curves of degree d through a suitable length-l scheme Z, with
 l = (d-1)(d-2)/2, form a projective-linear subspace of dimension
 3d - 1 inside the P_N of all degree-d curves, N = (d+2)(d+1)/2 - 1.
-This module represents such a subspace as the graph of its pivot
-coordinates over its free ones: the reduced row echelon form of the
-cutting functionals, stored once as integers over one positive
-denominator.  It provides the coordinate machinery used downstream:
-the compressed (free-column) picture of extra functionals, in which
-codimensions inside the subspace become plain matrix ranks.
+Fibre holds it as the l integer membership rows M that cut it out,
+plus six seeded fibre members mod P; a form is in the fibre when every
+row of M annihilates it, and every locus codimension is a rank of rows
+stacked under M (see singloci).
 
 fibre decides the fibre's dimension modulo the prime P of exactalg.  It
-eliminates the l membership rows M mod P once; l pivots prove
-rank(M) = l, since rank_P <= rank_Q <= rows.  It then keeps six seeded
-fibre members mod P, the columns of Q = K R, where K spans the kernel
-of M mod P and R is a fixed seeded 3d x 6 sketch matrix.  The image of
-a row x is (x Q, x at M's pivot columns), a fixed linear map mod P.
-The rows of M map onto 0^6 + F_P^l, so modulo their images a row's
-image is the six entries of x Q; singloci certifies every locus
-codimension on these.  The exact subspace is built on first use, or at
-once when the mod-P echelon of M comes up short.
+eliminates M mod P once; l pivots prove rank(M) = l, since
+rank_P <= rank_Q <= rows, and only when they fall short is M ranked
+exactly.  It then keeps six seeded fibre members mod P, the columns of
+Q = K R, where K spans the kernel of M mod P and R is a fixed seeded
+3d x 6 sketch matrix.  The image of a row x is (x Q, x at M's pivot
+columns), a fixed linear map mod P.  The rows of M map onto
+0^6 + F_P^l, so modulo their images a row's image is the six entries
+of x Q; singloci certifies every locus codimension on these.
+
+ProjSubspace, a subspace stored as the graph of its pivot coordinates
+over its free ones (the reduced row echelon form of the cutting
+functionals as integers over one positive denominator), has no caller
+in the package.  The tests compare against it as the exact fibre, and
+the benchmark's tracer wraps its compress_functional, until the
+benchmark moves off it (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -37,13 +41,12 @@ from .exactalg import (
     extend_mod_p,
     integer_row,
     kernel,
+    rank_of_rows,
     reduced_echelon,
 )
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
 from .schemes import PointConfig, length, membership_conditions, require_generic
-
-_ZERO = Fraction(0)
 
 
 class ProjSubspace(Record):
@@ -153,12 +156,11 @@ class Fibre(Record):
     """Degree-d curves through the configuration, a P_{3d-1}.
 
     membership holds the integer membership rows M, one per length unit
-    of the scheme.  members holds six seeded fibre members mod P as
-    coefficient tuples, the columns of Q (see the module docstring); it
-    is empty when M falls short of full row rank mod P.  space, the
-    exact subspace inside the P_N of all degree-d curves, is built on
-    first use; basis_forms gives 3d spanning polynomials indexed by its
-    free columns.
+    of the scheme: a form lies in the fibre iff every row of M
+    annihilates its coefficients.  members holds six seeded fibre
+    members mod P as coefficient tuples, the columns of Q (see the
+    module docstring); it is empty when M falls short of full row rank
+    mod P.
     """
 
     config: PointConfig
@@ -174,35 +176,12 @@ class Fibre(Record):
         # fibre() proves rank(M) = len(M), mod P or exactly
         return monomial_count(self.degree) - 1 - len(self.membership)
 
-    @cached_property
-    def space(self) -> ProjSubspace:
-        return ProjSubspace.cut_by(self.membership, monomial_count(self.degree) - 1)
-
-    def basis_forms(self) -> list:
-        b = self.space.basis()
-        return [HomPoly.from_coeffs(self.degree, b.col(j)) for j in range(b.cols)]
-
-    def element(self, free_coords: Sequence) -> HomPoly:
-        """The member with the given coordinates at the free columns."""
-        space = self.space
-        free = space.free_columns
-        if len(free_coords) != len(free):
-            raise ShapeError(
-                f"expected {len(free)} free coordinates, got {len(free_coords)}"
-            )
-        coeffs = [_ZERO] * (space.ambient + 1)
-        for j, c in zip(free, free_coords):
-            coeffs[j] = c
-        for p, row in zip(space.pivots, space.block):
-            coeffs[p] = Fraction(-sum(map(mul, row, free_coords)), space.den)
-        return HomPoly.from_coeffs(self.degree, coeffs)
-
     def contains(self, f: HomPoly) -> bool:
         if f.degree != self.degree:
             raise ShapeError(
                 f"form has degree {f.degree}, fibre degree is {self.degree}"
             )
-        return self.space.contains(f.coeffs)
+        return not any(sum(map(mul, row, f.coeffs)) for row in self.membership)
 
 
 def random_weights(rng: SplitMix64, n: int) -> list:
@@ -265,20 +244,21 @@ def fibre(cfg: PointConfig) -> Fibre:
     curve, when the configuration lies on a curve of degree d - 3; for
     admissible configurations the result has projective dimension 3d - 1.
     The rank of the membership rows is certified mod P; only when that
-    falls short is the exact subspace built here, and its codimension
-    checked against the scheme length.
+    falls short are they ranked exactly, against the scheme length.
     """
     d = cfg.degree
     require_generic(cfg)
     rows = tuple(tuple(r) for r in membership_conditions(cfg, d))
     fib = Fibre(cfg, rows, _members_mod_p(rows, length(cfg)))
-    if not fib.members and fib.space.codim != length(cfg):
-        raise DegenerateError(
-            f"membership conditions in degree {d} have rank {fib.space.codim}, "
-            f"expected the scheme length {length(cfg)}",
-            expected=length(cfg),
-            actual=fib.space.codim,
-        )
+    if not fib.members:
+        rank = rank_of_rows(rows)
+        if rank != length(cfg):
+            raise DegenerateError(
+                f"membership conditions in degree {d} have rank {rank}, "
+                f"expected the scheme length {length(cfg)}",
+                expected=length(cfg),
+                actual=rank,
+            )
     if fib.proj_dim != 3 * d - 1:
         raise DegenerateError(
             f"fibre has dimension {fib.proj_dim}, expected {3 * d - 1}",

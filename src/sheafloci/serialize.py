@@ -41,7 +41,8 @@ RATIONAL_PATTERN = r"^[+-]?\d+(/[1-9]\d*)?$"
 # README ("Input ceilings") gives the measurement behind them
 MAX_MULT = 11
 MAX_GERM_DEGREE = 25
-MAX_TRUNCATION = 31
+# the largest default truncation 2m + deg f + 2 within the other two
+MAX_TRUNCATION = 2 * MAX_MULT + MAX_GERM_DEGREE + 2
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
@@ -460,10 +461,11 @@ def _at_most(what: str, value: int, ceiling: int) -> None:
 def germ_query_from_dict(d: dict):
     """(germ, ideal data, truncation or None) from a query payload.
 
-    The multiplicity, the germ's degree and the jet truncation, given or
-    derived, are held to MAX_MULT, MAX_GERM_DEGREE and MAX_TRUNCATION.
+    The multiplicity, the germ's degree and a given jet truncation are
+    held to MAX_MULT, MAX_GERM_DEGREE and MAX_TRUNCATION; the default
+    truncation then lies within MAX_TRUNCATION too.
     """
-    from .localfree import CurveGerm, FatIdealData, default_truncation
+    from .localfree import CurveGerm, FatIdealData
 
     validate_payload(d, "localfree_query")
     h = [_rational(c) for c in d["h"]]
@@ -474,9 +476,7 @@ def germ_query_from_dict(d: dict):
     truncation = d.get("truncation")
     _at_most("mult", data.mult, MAX_MULT)
     _at_most("germ degree", germ.f.total_degree(), MAX_GERM_DEGREE)
-    if truncation is None:
-        _at_most("default truncation", default_truncation(germ, data), MAX_TRUNCATION)
-    else:
+    if truncation is not None:
         _at_most("truncation", truncation, MAX_TRUNCATION)
     return germ, data, truncation
 

@@ -35,11 +35,10 @@ residues fall short, or that has more than six condition rows, is
 ranked exactly on the integer rows [M; G_S], with no reduced echelon
 form.
 
-impose_singularities draws its curves from the kernel of the requested
-points' blocks: _compressed_block compresses a point's condition rows
-to the exact fibre's free coordinates and inserts them into one
-integer echelon.  It and classify_curve are the only readers of the
-exact fibre.
+impose_singularities draws its curves from one exact kernel of the
+same rows [M; G_S], for the requested points S, in the coordinates of
+all degree-d forms.  classify_curve checks that a curve is in the
+fibre by Fibre.contains, one dot product per row of M.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .exactalg import (
     _PRIME,
     QMatrix,
     extend_mod_p,
-    insert_row,
     kernel,
     rank_of_rows,
 )
@@ -137,19 +135,6 @@ def _locus_codim(
     return rank_of_rows([*membership, *rows], prefix, residues) - len(membership)
 
 
-def _compressed_block(fib: Fibre, point_id: int) -> list:
-    """Integer echelon basis of the point's singular conditions modulo the fibre.
-
-    The point's condition rows, compressed to the exact fibre's free
-    coordinates and inserted into one integer echelon; impose_singularities
-    stacks these blocks.
-    """
-    echelon = {}
-    for r in condition_rows(fib.config, point_id):
-        insert_row(echelon, fib.space.compress_numerators(r)[0])
-    return list(echelon.values())
-
-
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
     """Codimension of the point's singular locus inside the fibre.
 
@@ -204,30 +189,28 @@ def impose_singularities(
 ) -> HomPoly:
     """A curve in the fibre with singular sheaf at the given points.
 
-    The fibre members singular at the points are the kernel of their
-    stacked blocks in the fibre's free coordinates; the result is a
-    seeded nonzero integer combination of that kernel's basis.
-    Generically it is singular at exactly the requested points.
+    Each point must pass normal_space_dim.  The curves of the fibre
+    singular at the points are the kernel of [M; G_S], the membership
+    rows stacked with the points' condition rows, the rows every locus
+    codimension ranks; the result is a seeded nonzero integer
+    combination of that kernel's basis.  Generically it is singular at
+    exactly the requested points.
     """
     ids = sorted(set(point_ids))
     if not ids:
         raise ConfigError("need at least one point to impose a singularity")
-    rows = []
+    rows = list(fib.membership)
     for pid in ids:
-        block = _compressed_block(fib, pid)
-        if len(block) != 2:
-            raise DegenerateError(
-                f"normal space at point {pid} does not have dimension 2"
-            )
-        rows.extend(block)
+        normal_space_dim(fib, pid)
+        rows.extend(condition_rows(fib.config, pid))
     ker = kernel(QMatrix.from_rows(rows))
     if ker.cols == 0:
         raise DegenerateError(
             f"no curve in the fibre is singular at all of the points {ids}"
         )
     weights = random_weights(rng, ker.cols)
-    return fib.element(
-        [sum(map(mul, weights, ker.row(i))) for i in range(ker.rows)]
+    return HomPoly.from_coeffs(
+        fib.degree, [sum(map(mul, weights, ker.row(i))) for i in range(ker.rows)]
     )
 
 

@@ -16,10 +16,15 @@ cross-checks exercise independent code paths:
 - ambient_codim, ambient_singular_subspace: singular loci cut out in
   the ambient space of all curves, never in the fibre's compressed
   coordinates.
+- ExactFibre: the fibre's exact subspace, the reduced echelon form of
+  its membership rows, with members and compressed condition blocks in
+  its free coordinates.
 - zero_column_module, proportional_pair_module: Kronecker modules
   broken on purpose.
 - random_fat_config: seeded configurations with any fat multiplicities,
   past the two strata random_config draws.
+- SEEDED_STRATA, seeded_stratum_config: one seeded configuration per
+  degree 4-8 and stratum, fat points of multiplicity 3 and 2+2 included.
 
 run_fresh_python runs a script in a new interpreter, for checks on what
 a process imports: the test process itself has loaded every module.
@@ -31,6 +36,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 
 # Reference configuration: ten points in the plane, degree 6, used for the
@@ -292,11 +299,87 @@ def random_fat_config(d, seed, mults):
     raise AssertionError(f"no admissible configuration for {d}, {seed}, {mults}")
 
 
+# generic and double-point configurations at degrees 4-8, one triple
+# point at 4-8 and two double points at 5-8 (four is too few for 2+2),
+# as pytest parameters (degree, stratum, fat multiplicities)
+SEEDED_STRATA = [
+    pytest.param(d, stratum, (), id=f"{d}-{stratum}")
+    for d in range(4, 9)
+    for stratum in ("generic", "double")
+] + [
+    pytest.param(d, "deep", mults, id=f"{d}-fat{'+'.join(map(str, mults))}")
+    for mults, low in (((3,), 4), ((2, 2), 5))
+    for d in range(low, 9)
+]
+
+
+def seeded_stratum_config(d, stratum, mults):
+    """A configuration of SEEDED_STRATA, seeded by its degree."""
+    from sheafloci.schemes import random_config
+
+    if mults:
+        return random_fat_config(d, d, mults)
+    return random_config(d, d, stratum=stratum)
+
+
 def ambient_singular_subspace(fib, pid):
     """Curves in the fibre with singular sheaf at the point, cut ambiently."""
     from sheafloci.linsys import ProjSubspace
+    from sheafloci.poly import monomial_count
 
-    return ProjSubspace.cut_by(_ambient_rows(fib, [pid]), fib.space.ambient)
+    return ProjSubspace.cut_by(_ambient_rows(fib, [pid]), monomial_count(fib.degree) - 1)
+
+
+class ExactFibre:
+    """The fibre as the exact subspace its membership rows M cut out.
+
+    space is the ProjSubspace of M's reduced echelon form, inside the
+    P_N of all degree-d forms.  element and basis_forms give fibre
+    members in its free coordinates, and block a point's condition rows
+    compressed to those coordinates, inserted into one integer echelon.
+    The library keeps only M; tests read the exact subspace from here.
+    """
+
+    def __init__(self, fib):
+        from sheafloci.linsys import ProjSubspace
+        from sheafloci.poly import monomial_count
+
+        self.fibre = fib
+        self.space = ProjSubspace.cut_by(fib.membership, monomial_count(fib.degree) - 1)
+
+    def element(self, free_coords):
+        """The member with the given coordinates at the free columns."""
+        from sheafloci.errors import ShapeError
+        from sheafloci.poly import HomPoly
+
+        space = self.space
+        if len(free_coords) != len(space.free_columns):
+            raise ShapeError(
+                f"expected {len(space.free_columns)} free coordinates, got {len(free_coords)}"
+            )
+        coeffs = [Fraction(0)] * (space.ambient + 1)
+        for j, c in zip(space.free_columns, free_coords):
+            coeffs[j] = c
+        for p, row in zip(space.pivots, space.block):
+            coeffs[p] = Fraction(-sum(a * c for a, c in zip(row, free_coords)), space.den)
+        return HomPoly.from_coeffs(self.fibre.degree, coeffs)
+
+    def basis_forms(self):
+        """3d forms spanning the fibre, one per free column."""
+        from sheafloci.poly import HomPoly
+
+        b = self.space.basis()
+        return [HomPoly.from_coeffs(self.fibre.degree, b.col(j)) for j in range(b.cols)]
+
+    def block(self, pid):
+        """Integer echelon basis of the point's condition rows modulo the fibre."""
+        from sheafloci.exactalg import insert_row
+        from sheafloci.singloci import condition_rows
+
+        echelon = {}
+        for r in condition_rows(self.fibre.config, pid):
+            insert_row(echelon, self.space.compress_numerators(r)[0])
+        return list(echelon.values())
 
 
 def _with_columns(phi, columns):

@@ -20,6 +20,7 @@ import pytest
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    ExactFibre,
     horner_eval,
     partial,
     proportional_pair_module,
@@ -184,7 +185,8 @@ def test_criterion_3_double_point_codimensions(line, double_data):
                 # conditions alone only cut codimension 1 in the fibre
                 fat_id = cfg.npoints
                 rows = singular_conditions(cfg, fat_id)
-                compressed = [fib.space.compress_functional(r) for r in rows]
+                space = ExactFibre(fib).space
+                compressed = [space.compress_functional(r) for r in rows]
                 assert rank_of_rows(compressed[:3]) == 1
                 assert rank_of_rows(compressed) == 2
         note["seconds"] = build_seconds + time.perf_counter() - t0

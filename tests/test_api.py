@@ -56,17 +56,23 @@ REMOVED = [
     ("sheafloci.localfree", "maximal_ideal_free"),
     ("sheafloci.linsys", "Fibre.random_element"),
     ("sheafloci.exactalg", "Rational"),
+    ("sheafloci.linsys", "Fibre.space"),
+    ("sheafloci.linsys", "Fibre.element"),
+    ("sheafloci.linsys", "Fibre.basis_forms"),
+    ("sheafloci.singloci", "_compressed_block"),
 ]
 
 # library names that no other library code refers to, each with the reason
 # it stays
 KEPT = {
+    "linsys.ProjSubspace": "the exact fibre that tests compare against",
+    "linsys.ProjSubspace.cut_by": "builds the exact fibre that tests compare against",
+    "linsys.ProjSubspace.basis": (
+        "linsys's only use of kernel, the linsys.kernel binding the "
+        "benchmark's tracer test reads"
+    ),
     "linsys.ProjSubspace.compress_functional": (
         "the benchmark tracer's linsys.compress target"
-    ),
-    "linsys.Fibre.basis_forms": (
-        "through ProjSubspace.basis, linsys's only use of kernel, which the "
-        "benchmark's tracer test reads"
     ),
     "kronecker.SheafMatrix.curve": "the curve of a bordered matrix",
     "kronecker.pair_from_curve": "the paper's curve-to-sheaf direction",
@@ -74,7 +80,6 @@ KEPT = {
     "localfree.germ_at_fat_point": "a projective curve's germ at a fat point",
     "localfree.random_membership_germ": "seeded germs of criterion 6 and the cli workload",
     "singloci.classify_curve": "the singular points of one curve's sheaf",
-    "singloci.normal_space_dim": "the codimension of one singular locus",
     "singloci.impose_singularities": "curves singular at chosen points",
     "poly.parse_homogeneous": "reads forms such as genericity certificates",
     "cli._Parser.error": "argparse's hook for usage errors",

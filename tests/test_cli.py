@@ -7,7 +7,10 @@ import pytest
 
 from conftest import horner_eval, run_fresh_python
 from sheafloci.cli import console_main
+from sheafloci.exactalg import rat_to_str
+from sheafloci.localfree import default_truncation, random_membership_germ
 from sheafloci.poly import parse_homogeneous
+from sheafloci.rng import SplitMix64
 from sheafloci.schemes import MAX_DEGREE
 from sheafloci.serialize import MAX_GERM_DEGREE, MAX_MULT, MAX_TRUNCATION
 
@@ -467,12 +470,8 @@ class TestInputCeilings:
             ["localfree", "--poly", "x*y", "--mult", "2",
              "--truncation", str(MAX_TRUNCATION + 1)],
             ["localfree", "--poly", f"x*y + y^{MAX_GERM_DEGREE + 1}", "--mult", "2"],
-            # a default truncation 2*mult + deg f + 2 above the ceiling
-            ["localfree", "--poly", f"x*y + y^{MAX_TRUNCATION - 2 * MAX_MULT - 1}",
-             "--mult", str(MAX_MULT)],
         ],
-        ids=["random-degree", "config-degree", "mult", "truncation", "poly-degree",
-             "default-truncation"],
+        ids=["random-degree", "config-degree", "mult", "truncation", "poly-degree"],
     )
     def test_over_ceiling_is_exit_one(self, capsys, tmp_path, monkeypatch, argv):
         write_json(tmp_path / "over.json", {"degree": MAX_DEGREE + 1, "simple": [], "fat": []})
@@ -482,6 +481,18 @@ class TestInputCeilings:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ceiling" in err or "maximum" in err
+
+    def test_default_truncation_within_the_ceilings_is_answered(self, capsys, tmp_path):
+        # README's mult-11 germ: degree 13, default truncation 2*11 + 13 + 2 = 37
+        germ, data = random_membership_germ(SplitMix64(1), MAX_MULT, factor_degree=2)
+        assert germ.f.total_degree() == 13
+        assert default_truncation(germ, data) == 37
+        query = {"f": str(germ.f), "h": [rat_to_str(c) for c in data.h], "mult": MAX_MULT}
+        code, out, err = run(capsys, "localfree", "--in", write_json(tmp_path / "q.json", query))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["membership"] is True
+        assert payload["jet_free"] == payload["free"]
 
 
 # modules no command may import: jsonschema validation is for tests and

@@ -30,8 +30,10 @@ from sheafloci.schemes import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    ExactFibre,
     cofactor_det,
     horner_eval,
+    naive_rank,
     proportional_pair_module,
     zero_column_module,
 )
@@ -164,6 +166,24 @@ class TestInjectivity:
             ker = kernel(QMatrix.from_rows(injectivity_system(broken)))
             assert ker.cols >= 1
 
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_check_matches_naive_rank(self, d):
+        # the check ranks the system's columns as rows; the oracle ranks
+        # its rows by first-nonzero Fraction elimination
+        phi = kronecker_from_points(random_config(d, 60 + d)).phi
+        scalars = [i + 1 for i in range(phi.nrows)]
+        modules = [
+            phi,
+            zero_column_module(phi, col=d % phi.ncols),
+            proportional_pair_module(phi, lin(1, 2, 0), lin(0, 1, -1), scalars),
+        ]
+        verdicts = []
+        for module in modules:
+            full = naive_rank(injectivity_system(module)) == 3 * module.ncols
+            assert injectivity_check(module) == full
+            verdicts.append(full)
+        assert verdicts == [True, False, False]
+
     def test_witness_for_zero_column(self):
         # x0 placed in the zeroed slot solves the syzygy system.
         res = kronecker_from_points(standard_d4_config())
@@ -225,7 +245,7 @@ class TestBorderedDeterminants:
         cfg = ref_config()
         fib = fibre(cfg)
         res = kronecker_from_points(cfg)
-        f = fib.element(random_weights(SplitMix64(42), fib.proj_dim + 1))
+        f = ExactFibre(fib).element(random_weights(SplitMix64(42), fib.proj_dim + 1))
         sheaf = pair_from_curve(res.phi, f)
         assert sheaf.curve() == f
 

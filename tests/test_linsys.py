@@ -7,11 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import DegenerateError, GenericityError, ShapeError
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
-from sheafloci.poly import monomial_count, parse_homogeneous
+from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import PointConfig, SimplePoint, random_config
 
-from conftest import REFERENCE_POINTS_D6, horner_eval
+from conftest import (
+    REFERENCE_POINTS_D6,
+    SEEDED_STRATA,
+    ExactFibre,
+    horner_eval,
+    seeded_stratum_config,
+)
 
 
 def ref_config():
@@ -91,33 +97,54 @@ class TestFibre:
         fib = fibre(ref_config())
         assert fib.degree == 6
         assert fib.proj_dim == 17
-        assert fib.space.ambient == monomial_count(6) - 1 == 27
-        assert len(fib.basis_forms()) == 18
+        exact = ExactFibre(fib)
+        assert exact.space.ambient == monomial_count(6) - 1 == 27
+        assert len(exact.basis_forms()) == 18
 
     def test_d4_dimensions(self):
         fib = fibre(standard_d4_config())
         assert fib.proj_dim == 11
-        assert len(fib.basis_forms()) == 12
+        assert len(ExactFibre(fib).basis_forms()) == 12
 
     def test_basis_forms_vanish_on_scheme(self):
         cfg = ref_config()
         fib = fibre(cfg)
-        for f in fib.basis_forms():
+        for f in ExactFibre(fib).basis_forms():
             for p in cfg.simple:
                 assert horner_eval(f, p.coords) == 0
 
     def test_element_round_trip(self):
         fib = fibre(standard_d4_config())
         coords = [Fraction(i - 5) for i in range(12)]
-        f = fib.element(coords)
+        exact = ExactFibre(fib)
+        f = exact.element(coords)
         assert fib.contains(f)
-        free = fib.space.free_columns
+        free = exact.space.free_columns
         assert [f.coeffs[j] for j in free] == coords
 
     def test_element_shape_check(self):
         fib = fibre(standard_d4_config())
         with pytest.raises(ShapeError):
-            fib.element([1, 2, 3])
+            ExactFibre(fib).element([1, 2, 3])
+
+    @pytest.mark.parametrize("d,stratum,mults", SEEDED_STRATA)
+    def test_contains_matches_the_exact_subspace(self, d, stratum, mults):
+        # seeded members, and each plus a monomial off the fibre
+        fib = fibre(seeded_stratum_config(d, stratum, mults))
+        exact = ExactFibre(fib)
+        space = exact.space
+        rng = SplitMix64(d)
+        for _ in range(4):
+            member = exact.element(random_weights(rng, fib.proj_dim + 1))
+            coeffs = list(member.coeffs)
+            while True:
+                j = rng.randint(0, space.ambient)
+                if not space.contains([int(i == j) for i in range(space.ambient + 1)]):
+                    break
+            coeffs[j] += rng.randint(1, 9)
+            outsider = HomPoly.from_coeffs(d, coeffs)
+            assert fib.contains(member) and space.contains(member.coeffs)
+            assert not fib.contains(outsider) and not space.contains(outsider.coeffs)
 
     def test_contains_rejects_wrong_degree(self):
         fib = fibre(standard_d4_config())
@@ -126,8 +153,9 @@ class TestFibre:
 
     def test_random_element_is_member_and_deterministic(self):
         fib = fibre(ref_config())
-        a = fib.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
-        b = fib.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
+        exact = ExactFibre(fib)
+        a = exact.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
+        b = exact.element(random_weights(SplitMix64(5), fib.proj_dim + 1))
         assert a == b
         assert fib.contains(a)
         assert not a.is_zero()
@@ -139,7 +167,7 @@ class TestFibre:
         from sheafloci.schemes import simple_point_row
 
         row = simple_point_row(SimplePoint.of(3, 1, 1), 6)
-        comp = fib.space.compress_functional(row)
+        comp = ExactFibre(fib).space.compress_functional(row)
         assert any(c != 0 for c in comp)
 
     def test_double_point_fibre(self):

@@ -25,7 +25,13 @@ from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
 from sheafloci.singloci import classify_curve
 
-from conftest import ambient_singular_subspace, naive_echelon, random_fat_config, rank_modulo
+from conftest import (
+    ExactFibre,
+    ambient_singular_subspace,
+    naive_echelon,
+    random_fat_config,
+    rank_modulo,
+)
 
 
 def germ(text):
@@ -325,7 +331,8 @@ class TestGlobalBridge:
                 checked += 1
             assert checked > 0
             rng = SplitMix64(15)
+            exact = ExactFibre(fib)
             for _ in range(5):
-                f = fib.element(random_weights(rng, fib.proj_dim + 1))
+                f = exact.element(random_weights(rng, fib.proj_dim + 1))
                 g, d = germ_at_fat_point(f, fp)
                 assert fat_ideal_free(g, d) == (fat_id not in classify_curve(fib, f))

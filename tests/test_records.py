@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from sheafloci import linsys, schemes
+from sheafloci import schemes
 from sheafloci.errors import ConfigError, Record, ShapeError
 from sheafloci.exactalg import QMatrix
 from sheafloci.kronecker import IdealResolution, KroneckerModule, SheafMatrix, kronecker_from_points
 from sheafloci.linsys import Fibre, ProjSubspace, fibre
 from sheafloci.localfree import CurveGerm, FatIdealData
-from sheafloci.poly import HomPoly, LocalPoly, parse_local
+from sheafloci.poly import HomPoly, LocalPoly, monomial_count, parse_local
 from sheafloci.schemes import FatPoint, PointConfig, SimplePoint, random_config
 from sheafloci.singloci import SingularLocusReport, locus_report
 
@@ -48,7 +48,7 @@ RECORDS = {
     PointConfig: (("degree", "simple", "fat"), _double),
     ProjSubspace: (
         ("ambient", "pivots", "free_columns", "block", "den"),
-        lambda: fibre(_generic()).space,
+        lambda: ProjSubspace.cut_by(fibre(_generic()).membership, monomial_count(5) - 1),
     ),
     Fibre: (("config", "membership", "members"), lambda: fibre(_generic())),
     SingularLocusReport: (
@@ -82,7 +82,6 @@ CACHED = {
     SimplePoint: ("integer_coords", schemes, "integer_row"),
     FatPoint: ("frame", schemes, "inverse"),
     PointConfig: ("admissible", schemes, "not_on_curve_of_degree"),
-    Fibre: ("space", linsys, "reduced_echelon"),
 }
 
 IDS = [cls.__name__ for cls in RECORDS]

@@ -24,7 +24,6 @@ from sheafloci.schemes import (
 from sheafloci.serialize import report_to_dict
 from sheafloci.singloci import (
     SingularLocusReport,
-    _compressed_block,
     asserted_violations,
     classify_curve,
     condition_rows,
@@ -37,11 +36,14 @@ from sheafloci.singloci import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    SEEDED_STRATA,
+    ExactFibre,
     ambient_codim,
     ambient_singular_subspace,
     horner_eval,
     partial,
     random_fat_config,
+    seeded_stratum_config,
 )
 
 
@@ -155,15 +157,15 @@ class TestSingularConditions:
         # Modulo the fibre, the conditions at (1:0:0) coincide with the
         # coefficient functionals of x0^(d-1) x1 and x0^(d-1) x2.
         cfg = standard_d4_config()
-        fib = fibre(cfg)
+        space = ExactFibre(fibre(cfg)).space
         sc = singular_conditions(cfg, 1)
-        block = [fib.space.compress_functional(list(r)) for r in sc]
+        block = [space.compress_functional(list(r)) for r in sc]
         n_mono = len(monomials(4))
         indicators = []
         for exp in ((3, 1, 0), (3, 0, 1)):
             row = [Fraction(0)] * n_mono
             row[monomial_index(4, exp)] = Fraction(1)
-            indicators.append(fib.space.compress_functional(row))
+            indicators.append(space.compress_functional(row))
         assert rank_of_rows(block) == 2
         assert rank_of_rows(indicators) == 2
         assert rank_of_rows(block + indicators) == 2
@@ -217,18 +219,18 @@ class TestCodimensions:
         # The gradient alone cuts only one condition on the fibre; the
         # order-m functional supplies the second.
         cfg = random_config(5, 11, stratum="double")
-        fib = fibre(cfg)
+        space = ExactFibre(fibre(cfg)).space
         sc = singular_conditions(cfg, cfg.npoints)
-        grad_only = [fib.space.compress_functional(list(r)) for r in sc[:3]]
+        grad_only = [space.compress_functional(list(r)) for r in sc[:3]]
         assert rank_of_rows(grad_only) == 1
-        full = [fib.space.compress_functional(list(r)) for r in sc]
+        full = [space.compress_functional(list(r)) for r in sc]
         assert rank_of_rows(full) == 2
 
     def test_singular_subspace_dimensions(self):
         cfg = ref_config()
         fib = fibre(cfg)
         sub = ambient_singular_subspace(fib, 4)
-        assert sub.codim == fib.space.codim + 2
+        assert sub.codim == ExactFibre(fib).space.codim + 2
         assert sub.proj_dim == fib.proj_dim - 2
         for j in range(min(3, sub.basis().cols)):
             f = HomPoly.from_coeffs(6, sub.basis().col(j))
@@ -254,7 +256,7 @@ class TestClassify:
 
     def test_generic_member_is_smooth_on_scheme(self):
         fib = fibre(ref_config())
-        f = fib.element(random_weights(SplitMix64(8), fib.proj_dim + 1))
+        f = ExactFibre(fib).element(random_weights(SplitMix64(8), fib.proj_dim + 1))
         assert classify_curve(fib, f) == set()
         assert oracle_classify(fib.config, f) == set()
 
@@ -291,7 +293,7 @@ class TestClassify:
         sc = singular_conditions(cfg, fat_id)
         sub = ProjSubspace.cut_by(
             membership_conditions(cfg, 5) + [list(r) for r in sc[:3]],
-            fib.space.ambient,
+            ExactFibre(fib).space.ambient,
         )
         found = False
         basis = sub.basis()
@@ -335,6 +337,15 @@ class TestImpose:
         with pytest.raises(ConfigError):
             impose_singularities(fib, [], SplitMix64(1))
 
+    def test_rejects_a_short_normal_space(self, monkeypatch):
+        import sheafloci.singloci as singloci
+
+        fib = fibre(ref_config())
+        monkeypatch.setattr(singloci, "_locus_codim", lambda fib, rows, *certificate: 1)
+        with pytest.raises(DegenerateError) as err:
+            impose_singularities(fib, [3, 6], SplitMix64(1))
+        assert (err.value.expected, err.value.actual) == (2, 1)
+
     def test_d4_and_d5(self):
         for d, seed in ((4, 3), (5, 6)):
             cfg = random_config(d, seed)
@@ -367,10 +378,47 @@ class TestImposeKernel:
         # The ten blocks have rank 18, every free coordinate of the fibre.
         fib = fibre(ref_config())
         ids = range(1, 11)
-        rows = [row for pid in ids for row in _compressed_block(fib, pid)]
-        assert rank_of_rows(rows) == len(fib.space.free_columns) == 18
+        exact = ExactFibre(fib)
+        rows = [row for pid in ids for row in exact.block(pid)]
+        assert rank_of_rows(rows) == len(exact.space.free_columns) == 18
         with pytest.raises(DegenerateError, match="no curve"):
             impose_singularities(fib, ids, SplitMix64(1))
+
+
+class TestNoExactFibre:
+    """No library path builds the exact fibre: ProjSubspace.cut_by raises."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_subspaces(self, monkeypatch):
+        import sheafloci.linsys as linsys
+
+        def refuse(*args):
+            raise AssertionError("exact fibre built")
+
+        monkeypatch.setattr(linsys.ProjSubspace, "cut_by", refuse)
+
+    def check(self, cfg, extra=()):
+        fib = fibre(cfg)
+        rep = locus_report(fib, triples=True, extra_subsets=extra)
+        assert asserted_violations(rep) == []
+        ids = [1, cfg.npoints]
+        f = impose_singularities(fib, ids, SplitMix64(cfg.npoints))
+        assert classify_curve(fib, f) == set(ids)
+        return rep
+
+    @pytest.mark.parametrize("d,stratum,mults", SEEDED_STRATA)
+    def test_seeded_strata(self, d, stratum, mults):
+        self.check(seeded_stratum_config(d, stratum, mults))
+
+    def test_remark6_reference(self):
+        rep = self.check(ref_config(), extra=[(1, 2, 3, 4), (1, 2, 3, 4, 5)])
+        assert dict(rep.subset_codims) == {(1, 2, 3, 4): 8, (1, 2, 3, 4, 5): 9}
+
+    def test_short_membership_echelon(self, monkeypatch):
+        import sheafloci.linsys as linsys
+
+        monkeypatch.setattr(linsys, "extend_mod_p", lambda pivots, rows: None)
+        self.check(random_config(6, 4, stratum="double"))
 
 
 class TestReport:
@@ -472,9 +520,10 @@ def compressed_conditions(fib):
     """Each point's condition rows, compressed to the exact fibre."""
     import sheafloci.singloci as singloci
 
+    space = ExactFibre(fib).space
     return {
         pid: [
-            fib.space.compress_numerators(r)[0]
+            space.compress_numerators(r)[0]
             for r in singloci.condition_rows(fib.config, pid)
         ]
         for pid in range(1, fib.config.npoints + 1)
@@ -568,15 +617,18 @@ class TestSketch:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_generic_d8_triples_make_no_exact_rank_call(self, monkeypatch, seed):
         import sheafloci.exactalg as exactalg
-        import sheafloci.singloci as singloci
+        import sheafloci.linsys as linsys
 
         # neither the fibre nor the report inserts an integer row, and
         # the report never builds the exact fibre
         def no_insert(pivots, row):
             raise AssertionError("insert_row called")
 
+        def no_subspace(*args):
+            raise AssertionError("exact fibre built")
+
         monkeypatch.setattr(exactalg, "insert_row", no_insert)
-        monkeypatch.setattr(singloci, "insert_row", no_insert)
+        monkeypatch.setattr(linsys.ProjSubspace, "cut_by", no_subspace)
         fib = fibre(random_config(8, seed))
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, triples=True)
@@ -585,7 +637,6 @@ class TestSketch:
             len(rep.point_codims) + len(rep.pair_codims) + len(rep.triple_codims)
         )
         assert not any(read for _rows, _cols, _r, read in calls)
-        assert "space" not in vars(fib)
 
 
 class TestSketchDifferential:
@@ -658,15 +709,15 @@ class TestSketchDifferential:
         import sheafloci.linsys as linsys
 
         # as if P divided a membership minor: the fibre keeps no members
-        # mod P, builds the exact subspace at once, and every locus is
-        # ranked on its integer rows
+        # mod P, ranks M exactly, and every locus is ranked on its
+        # integer rows
         cfg = random_config(6, 4, stratum=stratum)
         fast = fibre(cfg)
         expected = locus_report(fast, pairs=True, triples=True, extra_subsets=[(1, 2, 3)])
         monkeypatch.setattr(linsys, "extend_mod_p", lambda pivots, rows: None)
         fib = fibre(cfg)
-        assert fib.members == () and "space" in vars(fib)
-        assert fib.space == fast.space and fib.proj_dim == fast.proj_dim == 17
+        assert fib.members == () and fib.membership == fast.membership
+        assert fib.proj_dim == fast.proj_dim == 17
         calls = count_rank_calls(monkeypatch)
         rep = locus_report(fib, pairs=True, triples=True, extra_subsets=[(1, 2, 3)])
         assert rep == expected
@@ -786,7 +837,7 @@ class TestIntegerRows:
         for pid in range(1, cfg.npoints + 1):
             rows.extend(singular_conditions(cfg, pid))
         rows.extend(membership_conditions(cfg, degree))
-        space = fibre(cfg).space
+        space = ExactFibre(fibre(cfg)).space
         rows.extend(space.block)
         assert {type(a) for row in rows for a in row} == {int}
         assert type(space.den) is int and space.den > 0
@@ -817,9 +868,10 @@ class TestIntegerRows:
             assert any(c.denominator > 1 for w in branch for c in w)
 
         fib, fib_scaled = fibre(cfg), fibre(scaled)
-        assert fib_scaled.space == fib.space
+        exact, exact_scaled = ExactFibre(fib), ExactFibre(fib_scaled)
+        assert exact_scaled.space == exact.space
         for pid in range(1, cfg.npoints + 1):
-            assert _compressed_block(fib_scaled, pid) == _compressed_block(fib, pid)
+            assert exact_scaled.block(pid) == exact.block(pid)
         reports = [locus_report(f, pairs=True, triples=True) for f in (fib, fib_scaled)]
         assert report_to_dict(reports[1]) == report_to_dict(reports[0])
 
@@ -846,16 +898,16 @@ def euler_config(degree, stratum, seed, mults):
     return random_config(degree, seed, stratum=stratum)
 
 
-def full_echelon(fib, pid):
+def full_echelon(exact, pid):
     """The echelon of every compressed singular row of the point, in order."""
     echelon = {}
-    for row in singular_conditions(fib.config, pid):
-        insert_row(echelon, fib.space.compress_numerators(row)[0])
+    for row in singular_conditions(exact.fibre.config, pid):
+        insert_row(echelon, exact.space.compress_numerators(row)[0])
     return list(echelon.values())
 
 
 class TestEulerRow:
-    """_compressed_block leaves out the gradient row that Euler's relation fixes.
+    """condition_rows leaves out the gradient row that Euler's relation fixes.
 
     With s a point's integer coordinates (its support's, for a fat point)
     and K its last nonzero index, sum_k s_k (gradient row k) is d times a
@@ -883,16 +935,17 @@ class TestEulerRow:
 
     @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
     def test_block_is_the_echelon_of_every_singular_row(self, degree, stratum, seed, mults):
-        fib = fibre(euler_config(degree, stratum, seed, mults))
-        for pid in range(1, fib.config.npoints + 1):
-            assert _compressed_block(fib, pid) == full_echelon(fib, pid)
+        exact = ExactFibre(fibre(euler_config(degree, stratum, seed, mults)))
+        for pid in range(1, exact.fibre.config.npoints + 1):
+            assert exact.block(pid) == full_echelon(exact, pid)
 
     def test_reference_points_drop_every_index(self):
         # (1:0:0), (1:-2:0) and (0:0:1) drop gradient rows 0, 1 and 2
         fib = fibre(ref_config())
+        exact = ExactFibre(fib)
         dropped = set()
         for pid in range(1, fib.config.npoints + 1):
-            assert _compressed_block(fib, pid) == full_echelon(fib, pid)
+            assert exact.block(pid) == full_echelon(exact, pid)
             s = fib.config.support_of(pid).integer_coords
             dropped.add(max(k for k in range(3) if s[k]))
         assert dropped == {0, 1, 2}
