@@ -19,14 +19,14 @@ rank_of_rows counts the rows that survive; reduced_echelon
 back-substitutes by inserting the echelon rows once more with the pivot
 columns reversed, and leaves each row an integer multiple of its RREF
 row (the reduced row echelon form is unique, so nothing depends on
-pivot order); rref_rows divides by the pivots, and kernel, solve and
-inverse read off its RREF; det tracks the row scalings, the
-cross-multiplication factors, the gcds and the pivot permutation.  The
-fibre in ``linsys`` keeps no echelon form, only its integer membership
-rows: their rank is certified mod P, or else taken by rank_of_rows, and
-the curves that singloci imposes come from one kernel call on those
-rows stacked with condition rows.  The jet oracle in ``localfree``
-inserts its rows into the same core.
+pivot order); kernel, solve and inverse read each entry of their
+result off those rows, one Fraction of the entry over its row's pivot;
+det tracks the row scalings, the cross-multiplication factors, the gcds
+and the pivot permutation.  The fibre in ``linsys`` keeps no echelon
+form, only its integer membership rows: their rank is certified mod P,
+or else taken by rank_of_rows, and the curves that singloci imposes
+come from one kernel call on those rows stacked with condition rows.
+The jet oracle in ``localfree`` inserts its rows into the same core.
 
 rank_of_rows first reduces the integer rows modulo the prime
 P = 1073741789, the largest prime below 2^30.  Every minor mod P is the
@@ -107,18 +107,11 @@ class QMatrix(Record):
         flat = tuple(Fraction(x) for r in rows for x in r)
         return cls(len(rows), ncols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
-
     def get(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
@@ -214,16 +207,6 @@ def reduced_echelon(rows: Sequence) -> dict:
     return out
 
 
-def rref_rows(rows: Sequence) -> tuple:
-    """RREF of rows of ints or Fractions: (nonzero rows as Fractions, pivots)."""
-    reduced = reduced_echelon(rows)
-    out = [
-        [Fraction(a, row[c]) if a else _ZERO for a in row]
-        for c, row in reduced.items()
-    ]
-    return out, tuple(reduced)
-
-
 def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
     """A mod-_PRIME echelon extended by residue rows, or None if one falls dependent.
 
@@ -294,25 +277,25 @@ def rank_of_rows(
     return sum(insert_row(pivots, r) is not None for r in rows)
 
 
-def kernel(m: QMatrix) -> QMatrix:
-    """Basis of the right null space, one basis vector per column.
+def kernel(m: QMatrix) -> list:
+    """Basis of the right null space, as a list of vectors.
 
-    The returned matrix K has m.cols rows and nullity(m) columns, and
-    satisfies m @ K = 0.  Basis vectors are indexed by the free columns
-    of the RREF in increasing order, each with a 1 in its free slot.
+    One vector per free column of the RREF, in increasing order, with a
+    1 in its free slot, zeros at the other free columns and, at each
+    pivot column, minus the RREF entry of that pivot's row: m v = 0.
     """
-    rows, pivots = rref_rows(m.row_lists())
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis_cols = []
-    for f in free:
+    reduced = reduced_echelon(m.row_lists())
+    basis = []
+    for f in range(m.cols):
+        if f in reduced:
+            continue
         v = [_ZERO] * m.cols
         v[f] = _ONE
-        for k, p in enumerate(pivots):
-            v[p] = -rows[k][f]
-        basis_cols.append(v)
-    entries = tuple(basis_cols[j][i] for i in range(m.cols) for j in range(len(free)))
-    return QMatrix(m.cols, len(free), entries)
+        for c, row in reduced.items():
+            if row[f]:
+                v[c] = Fraction(-row[f], row[c])
+        basis.append(v)
+    return basis
 
 
 def solve(m: QMatrix, b: Sequence) -> Optional[list]:
@@ -322,15 +305,12 @@ def solve(m: QMatrix, b: Sequence) -> Optional[list]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [row + [Fraction(bv)] for row, bv in zip(m.row_lists(), b)]
-    if not aug:
-        return [_ZERO] * m.cols
-    rows, pivots = rref_rows(aug)
-    if pivots and pivots[-1] == m.cols:
+    reduced = reduced_echelon([row + [Fraction(bv)] for row, bv in zip(m.row_lists(), b)])
+    if m.cols in reduced:
         return None
     x = [_ZERO] * m.cols
-    for k, p in enumerate(pivots):
-        x[p] = rows[k][m.cols]
+    for c, row in reduced.items():
+        x[c] = Fraction(row[m.cols], row[c])
     return x
 
 
@@ -339,11 +319,15 @@ def inverse(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [m.row(i) + QMatrix.identity(n).row(i) for i in range(n)]
-    rows, pivots = rref_rows(aug)
-    if list(pivots) != list(range(n)):
+    # [m | I] has n pivots; m is invertible iff they all lie in m
+    reduced = reduced_echelon(
+        [m.row(i) + [_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
+    )
+    if any(c >= n for c in reduced):
         raise ValueError("singular matrix has no inverse")
-    return QMatrix.from_rows([r[n:] for r in rows], cols=n)
+    return QMatrix.from_rows(
+        [[Fraction(a, row[c]) for a in row[n:]] for c, row in reduced.items()], cols=n
+    )
 
 
 def det(m: QMatrix) -> Fraction:

@@ -85,29 +85,29 @@ def kronecker_from_points(cfg: PointConfig) -> IdealResolution:
 
     A configuration on a degree-(d-3) curve raises GenericityError with
     the certificate.  Stage one takes the kernel of the degree-(d-2)
-    membership conditions, which must have dimension n = d - 1; stage two
-    solves for all linear syzygies among those generators, which must
-    form an (n-1)-dimensional space.  Either failure raises
-    DegenerateError.
+    membership conditions, which must have dimension n = d - 1, and its
+    basis vectors are the generators; stage two solves for all linear
+    syzygies among those generators, which must form an (n-1)-dimensional
+    space, and each basis vector, cut into the n linear forms it holds,
+    is a column of phi.  Either failure raises DegenerateError.
     """
     require_generic(cfg)
     d = cfg.degree
     n = d - 1
     ker = kernel(QMatrix.from_rows(membership_conditions(cfg, d - 2)))
-    if ker.cols != n:
+    if len(ker) != n:
         raise DegenerateError(
             f"degree-{d - 2} curves through the configuration form a space "
-            f"of dimension {ker.cols}, expected {n}"
+            f"of dimension {len(ker)}, expected {n}"
         )
-    gens = [HomPoly.from_coeffs(d - 2, ker.col(j)) for j in range(n)]
+    gens = [HomPoly.from_coeffs(d - 2, v) for v in ker]
     syz = kernel(QMatrix.from_rows(_product_rows(gens, 1)))
-    if syz.cols != n - 1:
+    if len(syz) != n - 1:
         raise DegenerateError(
-            f"linear syzygies form a space of dimension {syz.cols}, "
+            f"linear syzygies form a space of dimension {len(syz)}, "
             f"expected {n - 1}"
         )
-    cols = [syz.col(j) for j in range(n - 1)]
-    rows = [[HomPoly(1, tuple(c[3 * i : 3 * i + 3])) for c in cols] for i in range(n)]
+    rows = [[HomPoly(1, tuple(c[3 * i : 3 * i + 3])) for c in syz] for i in range(n)]
     return IdealResolution(KroneckerModule.from_rows(rows), tuple(gens))
 
 

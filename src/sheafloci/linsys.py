@@ -100,8 +100,8 @@ class ProjSubspace(Record):
             for p, row in zip(self.pivots, self.block)
         )
 
-    def basis(self) -> QMatrix:
-        """Columns spanning the subspace, one per free column."""
+    def basis(self) -> list:
+        """Vectors spanning the subspace, one per free column."""
         rows = []
         for p, row in zip(self.pivots, self.block):
             full = [0] * (self.ambient + 1)

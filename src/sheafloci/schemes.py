@@ -311,9 +311,9 @@ def not_on_curve_of_degree(cfg: PointConfig, k: int) -> bool:
 def low_degree_certificate(cfg: PointConfig, k: int) -> Optional[HomPoly]:
     """A nonzero degree-k form through the whole scheme, if one exists."""
     ker = kernel(QMatrix.from_rows(membership_conditions(cfg, k)))
-    if ker.cols == 0:
+    if not ker:
         return None
-    return HomPoly.from_coeffs(k, ker.col(0))
+    return HomPoly.from_coeffs(k, ker[0])
 
 
 def require_generic(cfg: PointConfig) -> None:

@@ -204,14 +204,12 @@ def impose_singularities(
         normal_space_dim(fib, pid)
         rows.extend(condition_rows(fib.config, pid))
     ker = kernel(QMatrix.from_rows(rows))
-    if ker.cols == 0:
+    if not ker:
         raise DegenerateError(
             f"no curve in the fibre is singular at all of the points {ids}"
         )
-    weights = random_weights(rng, ker.cols)
-    return HomPoly.from_coeffs(
-        fib.degree, [sum(map(mul, weights, ker.row(i))) for i in range(ker.rows)]
-    )
+    weights = random_weights(rng, len(ker))
+    return HomPoly.from_coeffs(fib.degree, [sum(map(mul, weights, c)) for c in zip(*ker)])
 
 
 # ---------------------------------------------------------------------------

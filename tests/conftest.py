@@ -12,7 +12,11 @@ cross-checks exercise independent code paths:
 - degree_monomials, evaluation_rows, horner_eval, partial: monomial
   order, evaluation and differentiation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
-- matrix_product: the product of two matrices given as row lists.
+- matrix_product: the product of two matrices given as row lists;
+  identity_matrix: the n x n identity.
+- naive_rref, naive_kernel, naive_solve, naive_inverse: the RREF by
+  Fraction Gauss-Jordan elimination (naive_echelon), and the null-space
+  basis, solution and inverse read off it.
 - ambient_codim, ambient_singular_subspace: singular loci cut out in
   the ambient space of all curves, never in the fibre's compressed
   coordinates.
@@ -226,6 +230,57 @@ def matrix_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def identity_matrix(n):
+    """The n x n identity QMatrix."""
+    from sheafloci.exactalg import QMatrix
+
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def naive_rref(rows):
+    """(pivot column, RREF row) pairs: naive_echelon rows over their pivots."""
+    return [(c, [a / row[c] for a in row]) for c, row in naive_echelon(rows)]
+
+
+def naive_kernel(rows, ncols):
+    """Null-space basis read off naive_rref, one vector per free column.
+
+    The vector of free column f has 1 at f, 0 at the other free columns
+    and minus the RREF entry in column f at each pivot column.
+    """
+    rref = naive_rref(rows)
+    pivots = {c for c, _ in rref}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for c, row in rref:
+                v[c] = -row[f]
+            basis.append(v)
+    return basis
+
+
+def naive_solve(rows, b, ncols):
+    """The solution of rows x = b with free variables 0, or None if inconsistent."""
+    rref = naive_rref([list(r) + [bv] for r, bv in zip(rows, b)])
+    if any(c == ncols for c, _ in rref):
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in rref:
+        x[c] = row[ncols]
+    return x
+
+
+def naive_inverse(rows):
+    """Row lists of the inverse, from the RREF of [rows | I]; None if singular."""
+    n = len(rows)
+    rref = naive_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    if [c for c, _ in rref] != list(range(n)):
+        return None
+    return [row[n:] for _, row in rref]
+
+
 def _ambient_rows(fib, ids):
     """The membership rows cutting the fibre, then every condition row at ids."""
     from sheafloci.schemes import membership_conditions
@@ -368,8 +423,7 @@ class ExactFibre:
         """3d forms spanning the fibre, one per free column."""
         from sheafloci.poly import HomPoly
 
-        b = self.space.basis()
-        return [HomPoly.from_coeffs(self.fibre.degree, b.col(j)) for j in range(b.cols)]
+        return [HomPoly.from_coeffs(self.fibre.degree, v) for v in self.space.basis()]
 
     def block(self, pid):
         """Integer echelon basis of the point's condition rows modulo the fibre."""

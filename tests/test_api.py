@@ -60,6 +60,9 @@ REMOVED = [
     ("sheafloci.linsys", "Fibre.element"),
     ("sheafloci.linsys", "Fibre.basis_forms"),
     ("sheafloci.singloci", "_compressed_block"),
+    ("sheafloci.exactalg", "rref_rows"),
+    ("sheafloci.exactalg", "QMatrix.identity"),
+    ("sheafloci.exactalg", "QMatrix.col"),
 ]
 
 # library names that no other library code refers to, each with the reason

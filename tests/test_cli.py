@@ -236,6 +236,43 @@ class TestKronecker:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
+    # sha256 prefixes of the kronecker payloads for random --degree d
+    # --seed s --stratum st, keyed by (st, d, s)
+    SEEDED_DIGESTS = {
+        ("generic", 4, 1): "23df4646006dc7db",
+        ("generic", 4, 2): "00bb32df61726dcb",
+        ("generic", 5, 1): "c5e9465795b11799",
+        ("generic", 5, 2): "6f18b598bf0410de",
+        ("generic", 6, 1): "1c8e98ec398bfc24",
+        ("generic", 6, 2): "5eb6fef68795ed77",
+        ("generic", 7, 1): "3cd0781130b87d41",
+        ("generic", 7, 2): "f7e620192632c616",
+        ("generic", 8, 1): "a7167468a919e43b",
+        ("generic", 8, 2): "ed1a167d284f4b35",
+        ("double", 4, 1): "269a98a2996ce701",
+        ("double", 4, 2): "0c76fa2b58b136aa",
+        ("double", 5, 1): "d855eb26f4ae212b",
+        ("double", 5, 2): "436e69a3436a9d4a",
+        ("double", 6, 1): "d2264f0c13e1d5f8",
+        ("double", 6, 2): "e52dbc4488d89489",
+        ("double", 7, 1): "a581c386350294ae",
+        ("double", 7, 2): "4e200d391efad08e",
+        ("double", 8, 1): "bde42353b228aca2",
+        ("double", 8, 2): "ab3242ae6c803925",
+    }
+
+    @pytest.mark.parametrize("stratum,degree,seed", sorted(SEEDED_DIGESTS))
+    def test_seeded_payload_bytes_are_pinned(self, capsys, tmp_path, stratum, degree, seed):
+        cfg = str(tmp_path / "cfg.json")
+        run(
+            capsys, "random", "--degree", str(degree), "--seed", str(seed),
+            "--stratum", stratum, "--out", cfg,
+        )
+        code, out, _ = run(capsys, "kronecker", "--config", cfg)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+        assert digest == self.SEEDED_DIGESTS[stratum, degree, seed]
+
 
 class TestLocalFree:
     def test_flag_route(self, capsys):

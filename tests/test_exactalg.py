@@ -14,7 +14,7 @@ from sheafloci.exactalg import (
     rank_of_rows,
     rat_from_str,
     rat_to_str,
-    rref_rows,
+    reduced_echelon,
     solve,
 )
 from sheafloci.rng import SplitMix64
@@ -23,14 +23,24 @@ from conftest import (
     REFERENCE_POINTS_D6,
     cofactor_det,
     evaluation_rows,
+    identity_matrix,
     matrix_product,
     naive_det,
+    naive_inverse,
+    naive_kernel,
     naive_rank,
+    naive_solve,
 )
 
 
 def F(x):
     return Fraction(x)
+
+
+def rref_rows(rows):
+    """(RREF rows, pivots): reduced_echelon's rows each over its pivot entry."""
+    reduced = reduced_echelon(rows)
+    return [[Fraction(a, row[c]) for a in row] for c, row in reduced.items()], tuple(reduced)
 
 
 def test_rational_round_trip():
@@ -50,7 +60,7 @@ def test_rational_rejects_zero_denominator():
 
 
 def test_rref_identity_fixed_point():
-    m = QMatrix.identity(3)
+    m = identity_matrix(3)
     r, pivots = rref_rows(m.row_lists())
     assert r == m.row_lists()
     assert pivots == (0, 1, 2)
@@ -89,28 +99,26 @@ def test_reference_degree4_kernel_dim_5():
     rows = evaluation_rows(REFERENCE_POINTS_D6, 4)
     m = QMatrix.from_rows(rows)
     k = kernel(m)
-    assert k.cols == 5
+    assert len(k) == 5
     # Exactness: every basis vector is annihilated by the matrix.
-    for j in range(k.cols):
-        assert all(v == 0 for v in m.apply(k.col(j)))
+    for vec in k:
+        assert all(v == 0 for v in m.apply(vec))
 
 
 def test_kernel_of_identity_is_trivial():
-    k = kernel(QMatrix.identity(4))
-    assert k.cols == 0
-    assert k.rows == 4
+    assert kernel(identity_matrix(4)) == []
 
 
 def test_kernel_single_row():
     k = kernel(QMatrix.from_rows([[1, 1]]))
-    assert k.cols == 1
-    col = k.col(0)
+    assert len(k) == 1
+    col = k[0]
     assert col[0] + col[1] == 0
     assert col != [F(0), F(0)]
 
 
 def test_solve_identity_and_sum():
-    assert solve(QMatrix.identity(2), [3, 4]) == [F(3), F(4)]
+    assert solve(identity_matrix(2), [3, 4]) == [F(3), F(4)]
     x = solve(QMatrix.from_rows([[1, 1]]), [2])
     assert x is not None
     assert x[0] + x[1] == F(2)
@@ -126,12 +134,25 @@ def test_solve_zero_rows():
     assert solve(m, []) == [F(0), F(0), F(0)]
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    m = QMatrix.from_rows([[1, 2], [3, 4]])
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="right-hand side length mismatch"):
+            solve(m, b)
+
+
 def test_inverse_round_trip():
     m = QMatrix.from_rows([[2, 1, 0], [0, 1, 0], [1, 0, 1]])
     inv = inverse(m)
-    assert matrix_product(m.row_lists(), inv.row_lists()) == QMatrix.identity(3).row_lists()
+    assert matrix_product(m.row_lists(), inv.row_lists()) == identity_matrix(3).row_lists()
     with pytest.raises(ValueError):
         inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_inverse_rejects_a_non_square_matrix():
+    for m in (QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), QMatrix.from_rows([[1], [0]])):
+        with pytest.raises(ValueError, match="non-square"):
+            inverse(m)
 
 
 def test_det_matches_cofactor_oracle():
@@ -154,10 +175,10 @@ def test_rank_plus_nullity_bulk():
         )
         r = rank_of_rows(m.row_lists())
         k = kernel(m)
-        assert r + k.cols == nc
+        assert r + len(k) == nc
         if trial % 50 == 0:
-            for j in range(k.cols):
-                assert all(v == 0 for v in m.apply(k.col(j)))
+            for vec in k:
+                assert all(v == 0 for v in m.apply(vec))
 
 
 def test_solve_soundness_on_seeded_systems():
@@ -304,10 +325,13 @@ def test_extend_mod_p_reads_trimmed_rows_as_zero_padded(rows, split):
 
 
 @st.composite
-def small_matrix(draw, square=False):
-    """Fraction matrices up to 4x4; zero-heavy rows make rank drops common."""
-    nr = draw(st.integers(1, 4))
-    nc = nr if square else draw(st.integers(1, 4))
+def small_matrix(draw, square=False, min_size=1):
+    """Fraction matrices up to 4x4; zero-heavy rows make rank drops common.
+
+    min_size=0 also draws matrices with no rows or no columns.
+    """
+    nr = draw(st.integers(min_size, 4))
+    nc = nr if square else draw(st.integers(min_size, 4))
     dense = st.fractions(max_denominator=9)
     sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), dense)
     rows = draw(
@@ -318,7 +342,7 @@ def small_matrix(draw, square=False):
             max_size=nr,
         )
     )
-    return QMatrix.from_rows(rows)
+    return QMatrix.from_rows(rows, cols=nc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,9 +363,39 @@ def test_rref_pivots_are_canonical(m):
 @given(small_matrix())
 def test_kernel_exactness_property(m):
     k = kernel(m)
-    assert rank_of_rows(m.row_lists()) + k.cols == m.cols
-    for j in range(k.cols):
-        assert all(v == 0 for v in m.apply(k.col(j)))
+    assert rank_of_rows(m.row_lists()) + len(k) == m.cols
+    for vec in k:
+        assert all(v == 0 for v in m.apply(vec))
+
+
+# The RREF is unique, so kernel, solve and inverse must equal what the
+# Fraction Gauss-Jordan oracles read off it, entry for entry.
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(min_size=0))
+def test_kernel_matches_gauss_jordan_property(m):
+    assert kernel(m) == naive_kernel(m.row_lists(), m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(min_size=0), st.data())
+def test_solve_matches_gauss_jordan_property(m, data):
+    entries = st.lists(st.fractions(max_denominator=9), min_size=m.cols, max_size=m.cols)
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(entries))  # consistent
+    else:
+        b = data.draw(st.lists(st.fractions(max_denominator=9), min_size=m.rows, max_size=m.rows))
+    assert solve(m, b) == naive_solve(m.row_lists(), b, m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(square=True, min_size=0))
+def test_inverse_matches_gauss_jordan_property(m):
+    expected = naive_inverse(m.row_lists())
+    if expected is None:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+    else:
+        assert inverse(m).row_lists() == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -164,7 +164,7 @@ class TestInjectivity:
             )
             assert not injectivity_check(broken)
             ker = kernel(QMatrix.from_rows(injectivity_system(broken)))
-            assert ker.cols >= 1
+            assert len(ker) >= 1
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
     def test_check_matches_naive_rank(self, d):
@@ -276,7 +276,7 @@ class TestBorderedDeterminants:
             [[cols[c][r] for c in range(6 * n)] for r in range(monomial_count(4))],
             cols=6 * n,
         )
-        assert kernel(system).cols == 3 * (n - 1)
+        assert len(kernel(system)) == 3 * (n - 1)
         assert rank_of_rows(system.row_lists()) == 3 * 4
 
     def test_sheaf_matrix_validation(self):

@@ -52,9 +52,9 @@ class TestProjSubspace:
     def test_basis_spans_kernel(self):
         s = ProjSubspace.cut_by([[1, 0, -1, 0], [0, 1, 0, -1]], 3)
         b = s.basis()
-        assert b.cols == 2
-        for j in range(b.cols):
-            assert s.contains(b.col(j))
+        assert len(b) == 2
+        for v in b:
+            assert s.contains(v)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -70,9 +70,9 @@ class TestProjSubspace:
         b = s.basis()
         func = data.draw(row)
         comp = s.compress_functional(func)
-        assert len(comp) == b.cols
-        for j in range(b.cols):
-            assert comp[j] == sum(f * v for f, v in zip(func, b.col(j)))
+        assert len(comp) == len(b)
+        for j, col in enumerate(b):
+            assert comp[j] == sum(f * v for f, v in zip(func, col))
 
 
     @settings(max_examples=100, deadline=None)

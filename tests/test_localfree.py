@@ -28,6 +28,7 @@ from sheafloci.singloci import classify_curve
 from conftest import (
     ExactFibre,
     ambient_singular_subspace,
+    identity_matrix,
     naive_echelon,
     random_fat_config,
     rank_modulo,
@@ -301,10 +302,9 @@ class TestSeededGerms:
 
 class TestGlobalBridge:
     def test_germ_of_monomial_curve(self):
-        from sheafloci.exactalg import QMatrix
         from sheafloci.schemes import FatPoint, SimplePoint
 
-        fp = FatPoint.of(SimplePoint.of(1, 0, 0), QMatrix.identity(3), (0,), 2)
+        fp = FatPoint.of(SimplePoint.of(1, 0, 0), identity_matrix(3), (0,), 2)
         f = HomPoly.monomial(4, (2, 2, 0))
         g, d = germ_at_fat_point(f, fp)
         assert g.f == parse_local("y^2")
@@ -320,8 +320,8 @@ class TestGlobalBridge:
             sub = ambient_singular_subspace(fib, fat_id)
             basis = sub.basis()
             checked = 0
-            for j in range(basis.cols):
-                f = HomPoly.from_coeffs(cfg.degree, basis.col(j))
+            for v in basis:
+                f = HomPoly.from_coeffs(cfg.degree, v)
                 if f.is_zero():
                     continue
                 g, d = germ_at_fat_point(f, fp)

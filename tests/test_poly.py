@@ -28,6 +28,7 @@ from conftest import (
     degree_monomials,
     euler_relation_holds,
     horner_eval,
+    identity_matrix,
     matrix_product,
     partial,
 )
@@ -166,7 +167,7 @@ def test_det_poly_matrix_matches_pointwise_determinant():
 
 def test_substitute_linear_identity_and_swap():
     p = parse_homogeneous("x0*x2 - x1^2")
-    assert substitute_linear(p, QMatrix.identity(3)) == p
+    assert substitute_linear(p, identity_matrix(3)) == p
     swap = QMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     q = substitute_linear(p, swap)
     assert q == parse_homogeneous("x0*x1 - x2^2")

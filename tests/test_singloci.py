@@ -1,5 +1,6 @@
 """Singular-sheaf loci: codimensions, transversality, classification."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -41,6 +42,7 @@ from conftest import (
     ambient_codim,
     ambient_singular_subspace,
     horner_eval,
+    identity_matrix,
     partial,
     random_fat_config,
     seeded_stratum_config,
@@ -232,8 +234,8 @@ class TestCodimensions:
         sub = ambient_singular_subspace(fib, 4)
         assert sub.codim == ExactFibre(fib).space.codim + 2
         assert sub.proj_dim == fib.proj_dim - 2
-        for j in range(min(3, sub.basis().cols)):
-            f = HomPoly.from_coeffs(6, sub.basis().col(j))
+        for v in sub.basis()[:3]:
+            f = HomPoly.from_coeffs(6, v)
             assert fib.contains(f)
             assert 4 in classify_curve(fib, f)
 
@@ -267,8 +269,8 @@ class TestClassify:
         sub = ambient_singular_subspace(fib, fat_id)
         basis = sub.basis()
         hits = 0
-        for j in range(basis.cols):
-            f = HomPoly.from_coeffs(5, basis.col(j))
+        for v in basis:
+            f = HomPoly.from_coeffs(5, v)
             if f.is_zero():
                 continue
             got = classify_curve(fib, f)
@@ -298,8 +300,8 @@ class TestClassify:
         found = False
         basis = sub.basis()
         u_row = list(sc[3])
-        for j in range(basis.cols):
-            f = HomPoly.from_coeffs(5, basis.col(j))
+        for v in basis:
+            f = HomPoly.from_coeffs(5, v)
             if f.is_zero():
                 continue
             u_val = sum(r * c for r, c in zip(u_row, f.coeffs))
@@ -373,6 +375,35 @@ class TestImposeKernel:
                 for row in singular_conditions(cfg, pid):
                     assert sum(r * c for r, c in zip(row, f.coeffs)) == 0
             assert classify_curve(fib, f) == set(ids)
+
+    # sha256 prefixes of the nine curves imposed on random_config(d, 1)
+    # in each stratum, one str per line, keyed by (stratum, d)
+    CURVE_DIGESTS = {
+        ("generic", 5): "a9bca7bd422fe4d3",
+        ("generic", 6): "675708da54e7fdef",
+        ("generic", 7): "cc8328324c856bb2",
+        ("double", 5): "41c7e1b77332c3aa",
+        ("double", 6): "999763e9c9b63ab4",
+        ("double", 7): "e563715db4e634ec",
+    }
+
+    @pytest.mark.parametrize("stratum,d", sorted(CURVE_DIGESTS))
+    def test_curves_are_pinned(self, stratum, d):
+        cfg = random_config(d, 1, stratum=stratum)
+        fib = fibre(cfg)
+        n = cfg.npoints
+        requests = [[1], [2], [n], [1, 2], [1, n], [2, 3], [1, 2, 3], [1, 2, n], [2, 3, n]]
+        text = "\n".join(
+            str(impose_singularities(fib, ids, SplitMix64(100 * d + k)))
+            for k, ids in enumerate(requests)
+        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        assert digest == self.CURVE_DIGESTS[stratum, d]
+
+    def test_all_random_points_leave_no_curve(self):
+        fib = fibre(random_config(6, 1))
+        with pytest.raises(DegenerateError, match="no curve in the fibre is singular"):
+            impose_singularities(fib, range(1, 11), SplitMix64(1))
 
     def test_all_reference_points_leave_no_curve(self):
         # The ten blocks have rank 18, every free coordinate of the fibre.
@@ -999,7 +1030,7 @@ class TestChainRule:
     def test_standard_double_point_keeps_the_normal_gradient_row(self):
         # the double point (x1^2, x2) at (1:0:0): s x t = e2, so only the
         # x2-derivative is a condition modulo the membership rows
-        fp = FatPoint.of(SimplePoint.of(1, 0, 0), QMatrix.identity(3), (), 2)
+        fp = FatPoint.of(SimplePoint.of(1, 0, 0), identity_matrix(3), (), 2)
         cfg = PointConfig.of(4, [SimplePoint.of(0, 0, 1)], [fp])
         fib = fibre(cfg)
         assert condition_rows(cfg, 2)[0] == gradient_rows(fp.support, 4)[2]
