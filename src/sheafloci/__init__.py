@@ -26,8 +26,6 @@ _EXPORTS = {
     "ShapeError": "errors",
     "SheafLociError": "errors",
     "QMatrix": "exactalg",
-    "rat_from_str": "exactalg",
-    "rat_to_str": "exactalg",
     "IdealResolution": "kronecker",
     "KroneckerModule": "kronecker",
     "SheafMatrix": "kronecker",

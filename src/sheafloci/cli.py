@@ -25,7 +25,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConfigError, GenericityError, SheafLociError
+from .errors import GenericityError, SheafLociError
 
 # ten points in the plane, four of them on a line and three on another,
 # used by verify-remark6; the expected codimensions are hard checks
@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "verify-remark6", help="check the built-in ten-point reference"
     )
-    p.add_argument("--config", help="check this configuration instead")
     p.add_argument(
         "--emit-config", metavar="PATH", help="write the reference configuration"
     )
@@ -147,13 +146,6 @@ def _parse_ids(text: str) -> tuple:
     return ids
 
 
-def _reference_config():
-    """The ten-point degree-6 reference as a schemes.PointConfig."""
-    from .schemes import PointConfig, SimplePoint
-
-    return PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6])
-
-
 def _cmd_analyze(args) -> int:
     from .serialize import canonical_dumps, config_from_dict, report_to_dict
 
@@ -176,25 +168,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify_remark6(args) -> int:
-    if args.config is not None and args.emit_config is not None:
-        raise SheafLociError("pass either --config or --emit-config, not both")
+    from .schemes import PointConfig, SimplePoint
+
+    cfg = PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6])
     if args.emit_config:
         from .serialize import canonical_dumps, config_to_dict
 
-        cfg = _reference_config()
         _emit(args.emit_config, canonical_dumps(config_to_dict(cfg)))
         return 0
-    if args.config:
-        from .serialize import config_from_dict
-
-        cfg = config_from_dict(_read_json(args.config))
-        if cfg.degree != 6:
-            raise ConfigError(
-                f"verify-remark6 checks degree-6 configurations; "
-                f"{args.config} has degree {cfg.degree}"
-            )
-    else:
-        cfg = _reference_config()
     from .linsys import fibre
     from .singloci import locus_report
 

@@ -62,21 +62,6 @@ _ONE = Fraction(1)
 _PRIME = 1073741789
 
 
-def rat_from_str(text: str) -> Fraction:
-    """Parse a rational literal "p/q" or "p" with optional sign."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal {text!r}") from None
-    except ValueError:
-        raise ValueError(f"bad rational literal {text!r}") from None
-
-
-def rat_to_str(value) -> str:
-    """Canonical serialization: "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
-
-
 class QMatrix(Record):
     """Immutable dense matrix of Fractions, row-major."""
 
@@ -219,7 +204,11 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
     longer one, so short rows stay short while they meet only short
     pivot rows.  Returns the extended echelon when every row adds a
     pivot, that is when the stored rows and the new ones are linearly
-    independent modulo _PRIME.
+    independent modulo _PRIME.  Its entries run in insertion order: the
+    given pivots first, as given, then one per new row, in the order of
+    the rows, each the row as reduced against every entry before it.
+    singloci.locus_report relies on this: it reads a pair's two new
+    rows, so reduced, as the last two entries.
     """
     pivots = dict(pivots)
     for row in rows:

@@ -46,7 +46,7 @@ from .exactalg import (
 )
 from .poly import HomPoly, monomial_count
 from .rng import SplitMix64
-from .schemes import PointConfig, length, membership_conditions, require_generic
+from .schemes import PointConfig, membership_conditions, require_generic
 
 
 class ProjSubspace(Record):
@@ -208,8 +208,8 @@ def _sketch_matrix(n: int) -> tuple:
     return tuple(zip(*rows))
 
 
-def _members_mod_p(rows: Sequence[Sequence], rank: int) -> tuple:
-    """Six fibre members mod P, or () unless the rows have rank pivots mod P.
+def _members_mod_p(rows: Sequence[Sequence]) -> tuple:
+    """Six fibre members mod P, or () unless the rows are independent mod P.
 
     The members are the columns of K R, where K holds one kernel vector
     of the rows mod P per free column of their echelon, with a 1 there.
@@ -218,7 +218,7 @@ def _members_mod_p(rows: Sequence[Sequence], rank: int) -> tuple:
     the last pivot up.
     """
     echelon = extend_mod_p({}, ([a % _PRIME for a in r] for r in rows))
-    if echelon is None or len(echelon) != rank:
+    if echelon is None:
         return ()
     n = len(rows[0])
     free = [j for j in range(n) if j not in echelon]
@@ -244,25 +244,20 @@ def fibre(cfg: PointConfig) -> Fibre:
     curve, when the configuration lies on a curve of degree d - 3; for
     admissible configurations the result has projective dimension 3d - 1.
     The rank of the membership rows is certified mod P; only when that
-    falls short are they ranked exactly, against the scheme length.
+    falls short are they ranked exactly, against their count, one row per
+    length unit of the scheme.
     """
     d = cfg.degree
     require_generic(cfg)
     rows = tuple(tuple(r) for r in membership_conditions(cfg, d))
-    fib = Fibre(cfg, rows, _members_mod_p(rows, length(cfg)))
+    fib = Fibre(cfg, rows, _members_mod_p(rows))
     if not fib.members:
         rank = rank_of_rows(rows)
-        if rank != length(cfg):
+        if rank != len(rows):
             raise DegenerateError(
                 f"membership conditions in degree {d} have rank {rank}, "
-                f"expected the scheme length {length(cfg)}",
-                expected=length(cfg),
+                f"expected the scheme length {len(rows)}",
+                expected=len(rows),
                 actual=rank,
             )
-    if fib.proj_dim != 3 * d - 1:
-        raise DegenerateError(
-            f"fibre has dimension {fib.proj_dim}, expected {3 * d - 1}",
-            expected=3 * d - 1,
-            actual=fib.proj_dim,
-        )
     return fib

@@ -268,10 +268,6 @@ class LocalPoly(Record):
         items.sort(key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][0]))
         return cls(tuple(items))
 
-    @classmethod
-    def zero(cls) -> "LocalPoly":
-        return cls(())
-
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
@@ -315,25 +311,15 @@ class LocalPoly(Record):
     def __neg__(self) -> "LocalPoly":
         return LocalPoly(tuple((k, -v) for k, v in self.coeffs))
 
-    def scale(self, factor) -> "LocalPoly":
-        f = Fraction(factor)
-        if f == 0:
-            return LocalPoly.zero()
-        return LocalPoly(tuple((k, f * v) for k, v in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, LocalPoly):
-            d = {}
-            for (i1, j1), v1 in self.coeffs:
-                for (i2, j2), v2 in other.coeffs:
-                    k = (i1 + i2, j1 + j2)
-                    d[k] = d.get(k, _ZERO) + v1 * v2
-            return LocalPoly.from_dict(d)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "LocalPoly") -> "LocalPoly":
+        if not isinstance(other, LocalPoly):
+            return NotImplemented
+        d = {}
+        for (i1, j1), v1 in self.coeffs:
+            for (i2, j2), v2 in other.coeffs:
+                k = (i1 + i2, j1 + j2)
+                d[k] = d.get(k, _ZERO) + v1 * v2
+        return LocalPoly.from_dict(d)
 
     def substitute_x(self, h: Sequence) -> list:
         """Univariate coefficient list of f(h(y), y), h given by y-coefficients."""
@@ -458,9 +444,7 @@ def _parse_terms(text: str) -> list:
             raise ParseError("dangling sign at end of input", position=len(text))
         coeff = Fraction(sign)
         exps: dict = {}
-        expect_factor = True
-        saw_factor = False
-        while i < n and expect_factor:
+        while True:
             kind, value, pos = tokens[i]
             if kind == "number":
                 if "/" in value:
@@ -471,7 +455,6 @@ def _parse_terms(text: str) -> list:
                 else:
                     coeff *= _integer(value, pos)
                 i += 1
-                saw_factor = True
             elif kind == "var":
                 var = value
                 i += 1
@@ -484,17 +467,15 @@ def _parse_terms(text: str) -> list:
                     exp = _integer(tokens[i][1], tokens[i][2])
                     i += 1
                 exps[var] = exps.get(var, 0) + exp
-                saw_factor = True
             else:
                 raise ParseError(f"unexpected token {value!r} at position {pos}", position=pos)
-            # A '*' continues the term; anything else ends it.
-            if i < n and tokens[i][0] == "star":
-                i += 1
-                expect_factor = True
-            else:
-                expect_factor = False
-        if not saw_factor:
-            raise ParseError("empty term", position=tokens[i][2] if i < n else len(text))
+            # A '*' continues the term with another factor; anything else ends it.
+            if i == n or tokens[i][0] != "star":
+                break
+            i += 1
+            if i == n:
+                star = tokens[i - 1][2]
+                raise ParseError(f"dangling '*' at position {star}", position=star)
         terms.append((coeff, exps))
         first = False
     return terms
@@ -510,8 +491,8 @@ def parse_homogeneous(text: str, degree: Optional[int] = None) -> HomPoly:
     """Parse a homogeneous form in x0, x1, x2.
 
     Inhomogeneous input is rejected with the offending monomial named.
-    ``degree`` pins the expected degree (required to give a zero or
-    constant polynomial a positive degree).
+    ``degree`` pins the expected degree; constants that sum to zero,
+    such as "0", give the zero form of that degree.
     """
     terms = _parse_terms(text)
     hom, loc = _term_families(terms)
@@ -529,22 +510,15 @@ def parse_homogeneous(text: str, degree: Optional[int] = None) -> HomPoly:
                     f"inhomogeneous input: term {mono!r} has degree {d}, "
                     f"earlier terms have degree {d0}"
                 )
-    d = seen.pop() if seen else 0
-    if degree is not None:
+    d = seen.pop()
+    if degree is not None and d != degree:
         all_const = all(not exps for _, exps in terms)
-        zero_sum = all_const and sum(c for c, _ in terms) == 0
-        if d != degree and not zero_sum:
+        if not all_const or sum(c for c, _ in terms) != 0:
             raise ParseError(f"parsed degree {d} does not match required degree {degree}")
-        d = degree
+        return HomPoly.zero(degree)
     out = [_ZERO] * monomial_count(d)
     for coeff, exps in terms:
         triple = [exps.get("x0", 0), exps.get("x1", 0), exps.get("x2", 0)]
-        if sum(triple) != d:
-            if coeff == 0:
-                continue
-            raise ParseError(
-                f"constant term {coeff} cannot appear in a degree-{d} form"
-            )
         out[monomial_index(d, triple)] += coeff
     return HomPoly(d, tuple(out))
 

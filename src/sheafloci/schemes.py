@@ -13,11 +13,11 @@ Membership of a degree-k form in the ideal sheaf contributes one linear
 condition (matrix row) per length unit: evaluation at a simple point;
 for a fat point the coefficients of y^0, ..., y^{m-1} of the pulled-back
 curve restricted to the parametrized branch x = h(y).  Every row is
-built as a list of ints: a simple point is read through its integer
-coordinates, a fat point's branch polynomials over their common
-denominator.  Either is a positive rescaling of the rational row, which
-changes no rank, kernel or reduced echelon form.  membership_conditions
-returns the rows as built, a list of int lists.
+built as a list of ints: a simple point is read through its primitive
+integer representative, a fat point's branch polynomials over their
+common denominator.  Either is a nonzero rescaling of the rational row,
+which changes no rank, kernel or reduced echelon form.
+membership_conditions returns the rows as built, a list of int lists.
 
 The codimension assertions elsewhere in the package hold for every
 curvilinear configuration, whatever its number of fat points and their
@@ -57,8 +57,8 @@ def expected_length(d: int) -> int:
 class SimplePoint(Record):
     """Point of the projective plane, stored as an exact representative.
 
-    Equality and hashing go through the canonical primitive representative,
-    so proportional coordinate vectors give equal points.
+    Equality and hashing go through the primitive representative, so
+    proportional coordinate vectors give equal points.
     """
 
     coords: tuple
@@ -73,19 +73,14 @@ class SimplePoint(Record):
     def of(cls, a, b, c) -> "SimplePoint":
         return cls((Fraction(a), Fraction(b), Fraction(c)))
 
-    def canonical(self) -> tuple:
-        """Primitive integer representative with positive leading entry."""
-        return tuple(Fraction(v) for v in self._primitive)
-
     @cached_property
-    def integer_coords(self) -> tuple:
-        """The coordinates times the lcm of their denominators, as ints."""
-        return tuple(integer_row(self.coords)[0])
+    def primitive(self) -> tuple:
+        """Primitive integer representative with positive leading entry.
 
-    @cached_property
-    def _primitive(self) -> tuple:
-        """canonical() as plain ints, computed once per point."""
-        ints = self.integer_coords
+        Computed once per point; equality, hashing, collinear and every
+        row built at the point read it.
+        """
+        ints = integer_row(self.coords)[0]
         g = gcd(*ints)
         if next(v for v in ints if v) < 0:
             g = -g
@@ -94,10 +89,10 @@ class SimplePoint(Record):
     def __eq__(self, other):
         if not isinstance(other, SimplePoint):
             return NotImplemented
-        return self._primitive == other._primitive
+        return self.primitive == other.primitive
 
     def __hash__(self):
-        return hash(self._primitive)
+        return hash(self.primitive)
 
 
 def branch_polynomial(h: Sequence, mult: int) -> tuple:
@@ -186,7 +181,7 @@ class PointConfig(Record):
     def __post_init__(self):
         if self.degree < 4:
             raise ConfigError("degree must be at least 4")
-        total = length_of(self.simple, self.fat)
+        total = len(self.simple) + sum(f.mult for f in self.fat)
         expected = expected_length(self.degree)
         if total != expected:
             raise ConfigError(
@@ -239,22 +234,13 @@ class PointConfig(Record):
         return not_on_curve_of_degree(self, self.degree - 3)
 
 
-def length_of(simple: Sequence, fat: Sequence) -> int:
-    return len(simple) + sum(f.mult for f in fat)
-
-
-def length(cfg: PointConfig) -> int:
-    """Total length of the scheme; equals (d-1)(d-2)/2 by construction."""
-    return length_of(cfg.simple, cfg.fat)
-
-
 # ---------------------------------------------------------------------------
 # Membership conditions
 
 
 def simple_point_row(p: SimplePoint, k: int) -> list:
-    """Evaluation of the degree-k monomials at p.integer_coords (one row)."""
-    p0, p1, p2 = (powers(x, k) for x in p.integer_coords)
+    """Evaluation of the degree-k monomials at p.primitive (one row)."""
+    p0, p1, p2 = (powers(x, k) for x in p.primitive)
     return [p0[a] * p1[b] * p2[c] for (a, b, c) in monomials(k)]
 
 
@@ -301,11 +287,13 @@ def membership_conditions(cfg: PointConfig, k: int) -> list:
 def not_on_curve_of_degree(cfg: PointConfig, k: int) -> bool:
     """True iff the degree-k membership conditions are independent.
 
-    rank = length.  For k = d-3 the condition matrix is square of size
-    l = (d-1)(d-2)/2, and independence says exactly that no nonzero
-    degree-(d-3) curve passes through the whole scheme.
+    Their rank equals their count, one row per length unit.  For k = d-3
+    the condition matrix is square of size l = (d-1)(d-2)/2, and
+    independence says exactly that no nonzero degree-(d-3) curve passes
+    through the whole scheme.
     """
-    return rank_of_rows(membership_conditions(cfg, k)) == length(cfg)
+    rows = membership_conditions(cfg, k)
+    return rank_of_rows(rows) == len(rows)
 
 
 def low_degree_certificate(cfg: PointConfig, k: int) -> Optional[HomPoly]:
@@ -338,7 +326,7 @@ def collinear(p: SimplePoint, q: SimplePoint, r: SimplePoint) -> bool:
     Decided by the integer 3x3 determinant of the points' primitive
     representatives.
     """
-    a, b, c = p._primitive, q._primitive, r._primitive
+    a, b, c = p.primitive, q.primitive, r.primitive
     if a == b or a == c or b == c:
         raise ConfigError("collinearity is only defined for distinct points")
     return (
@@ -366,8 +354,8 @@ def _random_point(rng: SplitMix64) -> SimplePoint:
 
 
 def _completion_matrix(p: SimplePoint) -> QMatrix:
-    """Invertible matrix whose first column is p (canonical representative)."""
-    v = p.canonical()
+    """Invertible matrix whose first column is p (primitive representative)."""
+    v = p.primitive
     k = next(i for i in range(3) if v[i] != 0)
     cols = [list(v)]
     for idx in ((k + 1) % 3, (k + 2) % 3):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError
-from .exactalg import QMatrix, rat_from_str, rat_to_str
+from .exactalg import QMatrix
 from .poly import parse_local
 from .schemes import MAX_DEGREE, FatPoint, PointConfig, SimplePoint
 
@@ -340,7 +340,7 @@ def canonical_dumps(obj: dict) -> str:
 
 
 def _triple_out(coords) -> list:
-    return [rat_to_str(Fraction(c)) for c in coords]
+    return [str(Fraction(c)) for c in coords]
 
 
 def config_to_dict(cfg: PointConfig) -> dict:
@@ -350,7 +350,7 @@ def config_to_dict(cfg: PointConfig) -> dict:
             {
                 "support": _triple_out(fp.support.coords),
                 "chart": [_triple_out(fp.chart.row(i)) for i in range(3)],
-                "h": [rat_to_str(c) for c in fp.h[1:]],
+                "h": [str(Fraction(c)) for c in fp.h[1:]],
                 "mult": fp.mult,
             }
         )
@@ -362,13 +362,13 @@ def config_to_dict(cfg: PointConfig) -> dict:
 
 
 def _rational(text: str) -> Fraction:
-    """rat_from_str for input text that passed RATIONAL_PATTERN.
+    """Fraction(text) for input text that passed RATIONAL_PATTERN.
 
     The pattern admits any number of digits, but Python converts at most
     sys.get_int_max_str_digits() (4300 by default) into an int.
     """
     try:
-        return rat_from_str(text)
+        return Fraction(text)
     except ValueError:
         shown = text if len(text) <= 24 else text[:20] + "..."
         raise ConfigError(
@@ -497,11 +497,11 @@ def localfree_result_to_dict(germ, data, truncation: Optional[int] = None) -> di
     member = membership(germ, data)
     return {
         "f": str(germ.f),
-        "h": [rat_to_str(c) for c in data.h] or ["0"],
+        "h": [str(Fraction(c)) for c in data.h] or ["0"],
         "mult": data.mult,
         "membership": member,
         "regular": is_regular(germ),
-        "u_at_zero": rat_to_str(u_at_zero(germ, data)) if member else None,
+        "u_at_zero": str(Fraction(u_at_zero(germ, data))) if member else None,
         "free": fat_ideal_free(germ, data) if member else None,
         "jet_free": (
             jet_principality_oracle(germ, data, truncation) if member else None

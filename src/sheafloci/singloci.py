@@ -9,10 +9,11 @@ are the gradient at the support together with the order-m coefficient
 functional along the branch, again rank 2 modulo the fibre.
 
 The condition rows are integers from the start (see schemes): the
-gradient rows read the point's integer coordinates.  Every codimension
-is a rank of integer rows.  With M the fibre's l membership rows and G_S
-the stacked condition rows of the points in S, the curves singular at
-every point of S have codimension rank([M; G_S]) - l in the fibre.
+gradient rows read the point's primitive integer representative.  Every
+codimension is a rank of integer rows.  With M the fibre's l membership
+rows and G_S the stacked condition rows of the points in S, the curves
+singular at every point of S have codimension rank([M; G_S]) - l in the
+fibre.
 condition_rows gives two rows per point, leaving out rows that exact
 identities put in the span of M and the rows kept: at a simple point
 the gradient row that Euler's relation fixes, at a fat point all
@@ -60,8 +61,8 @@ from .rng import SplitMix64
 from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
 
 def gradient_rows(p: SimplePoint, d: int) -> list:
-    """Three rows evaluating a degree-d form's partials at p.integer_coords."""
-    p0, p1, p2 = (powers(x, d) for x in p.integer_coords)
+    """Three rows evaluating a degree-d form's partials at p.primitive."""
+    p0, p1, p2 = (powers(x, d) for x in p.primitive)
     rows = [[], [], []]
     for (a, b, c) in monomials(d):
         rows[0].append(a * p0[a - 1] * p1[b] * p2[c] if a else 0)
@@ -91,7 +92,7 @@ def singular_conditions(cfg: PointConfig, point_id: int) -> tuple:
 def condition_rows(cfg: PointConfig, point_id: int) -> list:
     """Two of the point's singular rows, which span all of them modulo M.
 
-    M is the membership rows.  Simple point with s = p.integer_coords:
+    M is the membership rows.  Simple point with s = p.primitive:
     the gradient rows but the one at the last nonzero coordinate K of s,
     since Euler's relation sum_k s_k dF/dx_k(s) = d F(s) is d times the
     point's membership row.  Fat point with support s: one gradient row
@@ -105,10 +106,10 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
     kind, data = cfg.point(point_id)
     d = cfg.degree
     if kind == "simple":
-        s = data.integer_coords
+        s = data.primitive
         euler = max(k for k in range(3) if s[k])
         return [r for k, r in enumerate(gradient_rows(data, d)) if k != euler]
-    s = data.support.integer_coords
+    s = data.support.primitive
     frame, h = data.frame, data.h
     h1 = h[1] if len(h) > 1 else 0
     t = [frame.get(i, 1) + h1 * frame.get(i, 2) for i in range(3)]

@@ -317,11 +317,11 @@ def ambient_codim(fib, ids):
     naive_rank.  Subtracts the scheme's length, the fibre's
     codimension; no compressed coordinates and no integer echelon.
     """
-    from sheafloci.schemes import length
+    from sheafloci.schemes import expected_length
 
     echelon = _membership_echelon(fib.config)
     rest = [r for pid in ids for r in _singular_remainder(fib.config, pid)]
-    return len(echelon) + naive_rank(rest) - length(fib.config)
+    return len(echelon) + naive_rank(rest) - expected_length(fib.degree)
 
 
 def random_fat_config(d, seed, mults):

@@ -63,6 +63,15 @@ REMOVED = [
     ("sheafloci.exactalg", "rref_rows"),
     ("sheafloci.exactalg", "QMatrix.identity"),
     ("sheafloci.exactalg", "QMatrix.col"),
+    ("sheafloci.schemes", "SimplePoint.canonical"),
+    ("sheafloci.schemes", "SimplePoint.integer_coords"),
+    ("sheafloci.schemes", "length"),
+    ("sheafloci.schemes", "length_of"),
+    ("sheafloci.poly", "LocalPoly.scale"),
+    ("sheafloci.poly", "LocalPoly.__rmul__"),
+    ("sheafloci.poly", "LocalPoly.zero"),
+    ("sheafloci.exactalg", "rat_from_str"),
+    ("sheafloci.exactalg", "rat_to_str"),
 ]
 
 # library names that no other library code refers to, each with the reason

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import horner_eval, run_fresh_python
 from sheafloci.cli import console_main
-from sheafloci.exactalg import rat_to_str
 from sheafloci.localfree import default_truncation, random_membership_germ
 from sheafloci.poly import parse_homogeneous
 from sheafloci.rng import SplitMix64
@@ -171,41 +170,15 @@ class TestVerifyRemark6:
         cfg = tmp_path / "ref.json"
         code, _, _ = run(capsys, "verify-remark6", "--emit-config", str(cfg))
         assert code == 0
-        code, out, _ = run(capsys, "verify-remark6", "--config", str(cfg))
-        assert code == 0 and "59 of 59" in out
-
-    def test_mutated_config_fails(self, capsys, tmp_path):
-        cfg = tmp_path / "ref.json"
-        run(capsys, "verify-remark6", "--emit-config", str(cfg))
-        payload = json.loads(cfg.read_text())
-        payload["simple"][4] = ["1", "5", "7"]
-        mutated = write_json(tmp_path / "mut.json", payload)
-        code, out, _ = run(capsys, "verify-remark6", "--config", mutated)
-        assert code == 1
-        assert "FAIL: subset (1,2,3,4,5) codim 9" in out
-
-    def test_config_and_emit_config_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        run(capsys, "random", "--degree", "6", "--seed", "1", "--out", str(cfg))
-        emitted = tmp_path / "ref.json"
-        code, out, err = run(
-            capsys, "verify-remark6", "--config", str(cfg), "--emit-config", str(emitted)
+        code, out, _ = run(
+            capsys, "analyze", "--config", str(cfg),
+            "--subset", "1,2,3", "--subset", "1,2,3,4", "--subset", "1,2,3,4,5",
         )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "not both" in err
-        assert not emitted.exists()
-
-    @pytest.mark.parametrize("degree", [4, 7])
-    def test_other_degrees_are_rejected(self, capsys, tmp_path, degree):
-        cfg = tmp_path / "cfg.json"
-        run(capsys, "random", "--degree", str(degree), "--seed", "1", "--out", str(cfg))
-        code, out, err = run(capsys, "verify-remark6", "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"has degree {degree}" in err
+        assert code == 0
+        report = json.loads(out)
+        assert report["violations"] == []
+        got = {tuple(s["ids"]): s["codim"] for s in report["subsets"]}
+        assert got == {(1, 2, 3): 6, (1, 2, 3, 4): 8, (1, 2, 3, 4, 5): 9}
 
 
 class TestKronecker:
@@ -364,7 +337,6 @@ class TestUsageErrors:
         [
             ("analyze", "--config"),
             ("kronecker", "--config"),
-            ("verify-remark6", "--config"),
             ("localfree", "--in"),
         ],
     )
@@ -397,7 +369,6 @@ class TestUsageErrors:
         [
             ("analyze", "--config"),
             ("kronecker", "--config"),
-            ("verify-remark6", "--config"),
             ("localfree", "--in"),
         ],
     )
@@ -480,6 +451,14 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too long to read" in err
 
+    def test_trailing_star_in_poly_is_exit_one(self, capsys):
+        code, out, err = run(capsys, "localfree", "--poly=x^2 - y^3*", "--mult", "2")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "position 9" in err
+
     def test_non_integer_degree_is_exit_one(self, capsys):
         code, out, err = run(capsys, "random", "--degree", "six", "--seed", "1")
         assert code == 1
@@ -524,7 +503,7 @@ class TestInputCeilings:
         germ, data = random_membership_germ(SplitMix64(1), MAX_MULT, factor_degree=2)
         assert germ.f.total_degree() == 13
         assert default_truncation(germ, data) == 37
-        query = {"f": str(germ.f), "h": [rat_to_str(c) for c in data.h], "mult": MAX_MULT}
+        query = {"f": str(germ.f), "h": [str(c) for c in data.h], "mult": MAX_MULT}
         code, out, err = run(capsys, "localfree", "--in", write_json(tmp_path / "q.json", query))
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -568,6 +547,11 @@ _BASE = {"cli", "errors", "exactalg", "poly", "rng", "schemes"}
 ROUTE_MODULES = {
     "random": (["random", "--degree", "5", "--seed", "2"], 0, _BASE | {"serialize"}),
     "verify-remark6": (["verify-remark6"], 0, _BASE | {"linsys", "singloci"}),
+    "verify-remark6-emit-config": (
+        ["verify-remark6", "--emit-config", "{out}"],
+        0,
+        _BASE | {"serialize"},
+    ),
     "analyze": (
         ["analyze", "--config", "{cfg}", "--subset", "1,2,3"],
         0,
@@ -595,7 +579,7 @@ def test_each_command_loads_only_what_it_runs(capsys, tmp_path, route):
     cfg, query, loaded = tmp_path / "cfg.json", tmp_path / "query.json", tmp_path / "loaded.json"
     run(capsys, "random", "--degree", "5", "--seed", "1", "--out", str(cfg))
     write_json(query, {"f": "x^2 - y^3", "h": ["0"], "mult": 2})
-    argv = [arg.format(cfg=cfg, query=query) for arg in argv]
+    argv = [arg.format(cfg=cfg, query=query, out=tmp_path / "out.json") for arg in argv]
     script = (
         "import json, sys\n"
         "from sheafloci.cli import console_main\n"

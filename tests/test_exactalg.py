@@ -12,8 +12,6 @@ from sheafloci.exactalg import (
     inverse,
     kernel,
     rank_of_rows,
-    rat_from_str,
-    rat_to_str,
     reduced_echelon,
     solve,
 )
@@ -41,22 +39,6 @@ def rref_rows(rows):
     """(RREF rows, pivots): reduced_echelon's rows each over its pivot entry."""
     reduced = reduced_echelon(rows)
     return [[Fraction(a, row[c]) for a in row] for c, row in reduced.items()], tuple(reduced)
-
-
-def test_rational_round_trip():
-    assert rat_from_str("3/2") == Fraction(3, 2)
-    assert rat_from_str("-7") == Fraction(-7)
-    assert rat_from_str("+4/6") == Fraction(2, 3)
-    assert rat_to_str(Fraction(3, 2)) == "3/2"
-    assert rat_to_str(Fraction(5, 1)) == "5"
-    assert rat_to_str(Fraction(-1, 3)) == "-1/3"
-
-
-def test_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        rat_from_str("1/0")
-    with pytest.raises(ValueError):
-        rat_from_str("not a number")
 
 
 def test_rref_identity_fixed_point():
@@ -290,6 +272,52 @@ def test_extended_echelon_certifies_rank_of_rows(rows, split):
     assert rank_of_rows(rows + rows[:1], prefix, residues[split:]) == naive_rank(
         rows + rows[:1]
     )
+
+
+def _rank_mod_p(rows):
+    """Rank of residue rows modulo P, by Gauss-Jordan with modular inverses."""
+    rows = [[a % P for a in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, P)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 4),
+)
+def test_extend_mod_p_appends_the_new_rows_reduced(rows, split):
+    # locus_report reads a pair's two new rows as the last two entries
+    residues = [[a % P for a in r] for r in rows]
+    prefix = exactalg.extend_mod_p({}, residues[:split])
+    full = None if prefix is None else exactalg.extend_mod_p(prefix, residues[split:])
+    if full is None:
+        return
+    entries = list(full.items())
+    assert entries[: len(prefix)] == list(prefix.items())
+    assert len(entries) == len(rows)
+    for k, row in enumerate(residues[split:]):
+        before = [r for _, r in entries[: len(prefix) + k]]
+        column, stored = entries[len(prefix) + k]
+        assert column == next(j for j, a in enumerate(stored) if a)
+        # stored is row reduced modulo the entries before it
+        assert _rank_mod_p(before + [stored]) == len(before) + 1
+        assert _rank_mod_p(before + [stored, row]) == len(before) + 1
 
 
 def _trimmed(row):

@@ -197,7 +197,11 @@ class TestFibre:
         # The check must survive python -O, so it cannot be an assert.
         import sheafloci.linsys as linsys
 
-        monkeypatch.setattr(linsys, "length", lambda cfg: 11)
+        # the first membership row repeated: 11 rows of rank 10
+        rows = linsys.membership_conditions
+        monkeypatch.setattr(
+            linsys, "membership_conditions", lambda cfg, k: rows(cfg, k) + rows(cfg, k)[:1]
+        )
         with pytest.raises(DegenerateError) as info:
             fibre(ref_config())
         assert (info.value.expected, info.value.actual) == (11, 10)

@@ -83,8 +83,9 @@ def test_eval_matches_horner_oracle():
         pt = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
         if pt == (0, 0, 0):
             continue
-        row = simple_point_row(SimplePoint.of(*pt), d)
-        assert sum(a * c for a, c in zip(row, p.coeffs)) == horner_eval(p, pt)
+        point = SimplePoint.of(*pt)
+        row = simple_point_row(point, d)
+        assert sum(a * c for a, c in zip(row, p.coeffs)) == horner_eval(p, point.primitive)
         done += 1
 
 
@@ -235,6 +236,20 @@ def test_parse_error_positions():
         for text in ("x0 x1", "", "3/0*x0", "x0 +", "x0^y", "y x", "x^"):
             with pytest.raises(ParseError):
                 parser(text)
+
+
+def test_parse_rejects_a_trailing_star_at_its_position():
+    for parser, text in ((parse_homogeneous, "x0^2 - x1^2*"), (parse_local, "x^2 - y^3*")):
+        with pytest.raises(ParseError, match="dangling") as err:
+            parser(text)
+        assert err.value.position == text.index("*")
+
+
+def test_parse_homogeneous_pinned_degree():
+    with pytest.raises(ParseError, match="parsed degree 0 does not match required degree 2"):
+        parse_homogeneous("3", degree=2)
+    assert parse_homogeneous("1 - 1", degree=2) == HomPoly.zero(2)
+    assert parse_homogeneous("0", degree=3) == HomPoly.zero(3)
 
 
 def test_parse_rejects_mixed_families():

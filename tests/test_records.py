@@ -72,14 +72,14 @@ INVALID = {
     PointConfig: (lambda v: dict(v, degree=3), ConfigError, "degree must be at least 4"),
     KroneckerModule: (lambda v: dict(v, entries=v["entries"][:1]), ShapeError, "at least two rows"),
     SheafMatrix: (lambda v: dict(v, quad=v["quad"][:-1]), ShapeError, "quadratic column"),
-    CurveGerm: (lambda v: dict(v, f=LocalPoly.zero()), ConfigError, "nonzero"),
+    CurveGerm: (lambda v: dict(v, f=LocalPoly(())), ConfigError, "nonzero"),
     FatIdealData: (lambda v: dict(v, mult=0), ConfigError, "multiplicity must be at least 1"),
 }
 
 # class -> (cached property, the module and name of the function that
 # computes it)
 CACHED = {
-    SimplePoint: ("integer_coords", schemes, "integer_row"),
+    SimplePoint: ("primitive", schemes, "integer_row"),
     FatPoint: ("frame", schemes, "inverse"),
     PointConfig: ("admissible", schemes, "not_on_curve_of_degree"),
 }

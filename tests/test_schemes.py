@@ -22,7 +22,6 @@ from sheafloci.schemes import (
     collinear,
     expected_length,
     fat_point_rows,
-    length,
     low_degree_certificate,
     membership_conditions,
     not_on_curve_of_degree,
@@ -62,8 +61,8 @@ class TestSimplePoint:
         assert SimplePoint.of(1, 1, 0) != SimplePoint.of(1, -1, 0)
 
     def test_canonical_is_primitive(self):
-        assert SimplePoint.of(4, -6, 2).canonical() == (2, -3, 1)
-        assert SimplePoint.of(0, Fraction(-1, 3), Fraction(1, 6)).canonical() == (0, 2, -1)
+        assert SimplePoint.of(4, -6, 2).primitive == (2, -3, 1)
+        assert SimplePoint.of(0, Fraction(-1, 3), Fraction(1, 6)).primitive == (0, 2, -1)
 
     def test_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,7 +103,7 @@ class TestFatPoint:
 class TestConfigValidation:
     def test_reference_config_valid(self):
         cfg = ref_config()
-        assert length(cfg) == expected_length(6) == 10
+        assert len(membership_conditions(cfg, 6)) == expected_length(6) == 10
         assert cfg.stratum() == "generic"
 
     def test_wrong_length_reports_both_numbers(self):
@@ -206,7 +205,7 @@ class TestMembershipRows:
         ]
         cfg = PointConfig.of(d, others, [fp])
         ker = kernel(QMatrix.from_rows(membership_conditions(cfg, d)))
-        assert len(ker) == monomial_count(d) - length(cfg)
+        assert len(ker) == monomial_count(d) - expected_length(d)
         # Every kernel column really does vanish to order 2 along the branch
         # and at the simple points.
         for v in ker:
@@ -344,7 +343,7 @@ class TestRandomConfig:
         for d in (4, 5, 6):
             cfg = random_config(d, 99)
             assert cfg.stratum() == "generic"
-            assert length(cfg) == expected_length(d)
+            assert len(membership_conditions(cfg, d)) == expected_length(d)
             assert not_on_curve_of_degree(cfg, d - 3)
 
     def test_double_stratum_properties(self):
@@ -353,7 +352,7 @@ class TestRandomConfig:
             assert cfg.stratum() == "double"
             assert len(cfg.fat) == 1
             assert cfg.fat[0].mult == 2
-            assert length(cfg) == expected_length(d)
+            assert len(membership_conditions(cfg, d)) == expected_length(d)
             assert not_on_curve_of_degree(cfg, d - 3)
 
     @pytest.mark.parametrize(

@@ -133,7 +133,7 @@ class TestGradientRows:
             )
             rows = gradient_rows(pt, d)
             for v in range(3):
-                direct = horner_eval(partial(f, v), pt.coords)
+                direct = horner_eval(partial(f, v), pt.primitive)
                 assert sum(r * c for r, c in zip(rows[v], coeffs)) == direct
 
     def test_standard_point_rows_are_indicators(self):
@@ -888,7 +888,7 @@ class TestIntegerRows:
         for fp in cfg.fat:
             # q shares a factor with the support's leading coordinate, so the
             # three branch polynomials get different denominators
-            lead = next(c for c in fp.support.canonical() if c)
+            lead = next(c for c in fp.support.primitive if c)
             q = rng.randint(2, 9) * abs(int(lead))
             chart = QMatrix.from_rows([[q * a for a in fp.chart.row(i)] for i in range(3)])
             fat.append(FatPoint.of(fp.support, chart, fp.h, fp.mult))
@@ -953,7 +953,7 @@ class TestEulerRow:
         for pid in range(1, cfg.npoints + 1):
             kind, data = cfg.point(pid)
             support = data if kind == "simple" else data.support
-            s = support.integer_coords
+            s = support.primitive
             grad = gradient_rows(support, degree)
             weighted = [sum(map(mul, s, col)) for col in zip(*grad)]
             assert weighted == [degree * a for a in simple_point_row(support, degree)]
@@ -977,7 +977,7 @@ class TestEulerRow:
         dropped = set()
         for pid in range(1, fib.config.npoints + 1):
             assert exact.block(pid) == full_echelon(exact, pid)
-            s = fib.config.support_of(pid).integer_coords
+            s = fib.config.support_of(pid).primitive
             dropped.add(max(k for k in range(3) if s[k]))
         assert dropped == {0, 1, 2}
 
