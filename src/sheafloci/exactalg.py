@@ -36,13 +36,12 @@ proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
 prime.  The mod-P elimination is extend_mod_p, which extends an
-existing mod-P echelon without changing it; its rows may leave out
-trailing zeros.  A caller may hand rank_of_rows a certificate instead:
-an echelon and further rows mod P, all in the span of the rows' images
-under some fixed linear map mod P.  The images have rank at most rank_P
-of the rows, so as many independent vectors in their span as there are
-rows prove full row rank.  singloci ranks every singular locus this
-way, on shared prefixes of the images that linsys defines.
+existing mod-P echelon without changing it.  A caller may hand
+rank_of_rows a certificate instead: a nonzero multiple, mod P, of a
+maximal minor of the rows' images under some fixed linear map mod P.
+The images have rank at most rank_P of the rows, so a nonzero minor of
+as many images as there are rows proves full row rank.  singloci ranks
+every singular locus this way, on the images that linsys defines.
 """
 
 from __future__ import annotations
@@ -196,19 +195,11 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
     """A mod-_PRIME echelon extended by residue rows, or None if one falls dependent.
 
     pivots maps a column to a residue row whose first nonzero entry lies
-    in that column; it is copied, never changed, so one echelon can be
-    the shared prefix of many extensions.  The rows hold residues in
-    [0, _PRIME) and are reduced by the same cross-multiplication as
-    insert_row.  Any row, stored or new, may leave out trailing zeros:
-    rows of different lengths are read as padded with zeros to the
-    longer one, so short rows stay short while they meet only short
-    pivot rows.  Returns the extended echelon when every row adds a
-    pivot, that is when the stored rows and the new ones are linearly
-    independent modulo _PRIME.  Its entries run in insertion order: the
-    given pivots first, as given, then one per new row, in the order of
-    the rows, each the row as reduced against every entry before it.
-    singloci.locus_report relies on this: it reads a pair's two new
-    rows, so reduced, as the last two entries.
+    in that column; it is copied, never changed.  The rows hold residues
+    in [0, _PRIME), all of one length, and are reduced by the same
+    cross-multiplication as insert_row.  Returns the extended echelon
+    when every row adds a pivot, that is when the stored rows and the
+    new ones are linearly independent modulo _PRIME.
     """
     pivots = dict(pivots)
     for row in rows:
@@ -223,39 +214,25 @@ def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
             if top is None:
                 pivots[c] = row
                 break
-            if len(top) != n:
-                # pad the shorter of the two with the zeros it leaves out
-                n = max(n, len(top))
-                row = row + [0] * (n - len(row))
-                top = top + [0] * (n - len(top))
-            # both rows are zero before column c, so reduce at full width
+            # both rows are zero before column c
             p, f = top[c], row[c]
             c += 1
             row = [(p * a - f * b) % _PRIME for a, b in zip(row, top)]
     return pivots
 
 
-def rank_of_rows(
-    rows: Sequence[Sequence],
-    prefix: Optional[dict] = None,
-    residues: Iterable[list] = (),
-) -> int:
+def rank_of_rows(rows: Sequence[Sequence], minor: int = 0) -> int:
     """Rank of a list of row vectors of ints or Fractions.
 
-    prefix, when given, is an extend_mod_p echelon and residues are
-    further rows, all in the span of the rows' images mod P (see the
-    module docstring): typically prefix spans the images of some leading
-    rows and residues are the images of the rest.  If extending prefix
-    by residues gives one pivot per row, the rows are independent and
-    their count is returned without reading them; otherwise they are
-    ranked as below.  The certificate is not checked against the rows:
-    the caller must have computed it from these very rows, or the rank
-    may be wrong.
+    minor, when nonzero, is a certificate (see the module docstring): a
+    nonzero multiple mod P of a maximal minor of the rows' images, one
+    image per row.  Then the rows are independent and their count is
+    returned without reading them; otherwise they are ranked as below.
+    The certificate is not checked against the rows: the caller must
+    have computed it from these very rows, or the rank may be wrong.
     """
-    if prefix is not None:
-        echelon = extend_mod_p(prefix, residues)
-        if echelon is not None and len(echelon) == len(rows):
-            return len(rows)
+    if minor:
+        return len(rows)
     rows = [
         r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
     ]

@@ -10,7 +10,10 @@ the input ceilings; the payloads the builders emit are checked against
 their schemas by a test, not at run time.  canonical_dumps renders
 objects deterministically (sorted keys, two-space indent, trailing
 newline): the bytes of json.dumps(obj, sort_keys=True, indent=2),
-written without the pure-Python encoder that indent makes json use.
+written without the pure-Python encoder that indent makes json use.  A
+list of dicts with one key set and one value type per key, such as a
+report's pairs and triples, is rendered a key at a time, not a dict at
+a time.
 
 The payload functions import kronecker, localfree and singloci when they
 run, not with this module, so a command that writes only configurations
@@ -28,6 +31,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ConfigError
@@ -301,6 +306,10 @@ def _write(obj, pad: str, out: list) -> None:
         if all(type(v) is int for v in obj):
             out.append(f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{pad}]")
             return
+        entries = _records(obj, inner) if type(obj[0]) is dict else None
+        if entries is not None:
+            out.append(f"[\n{inner}{sep.join(entries)}\n{pad}]")
+            return
         lead = "[\n" + inner
         for v in obj:
             out.append(lead)
@@ -317,14 +326,61 @@ def _write(obj, pad: str, out: list) -> None:
         raise _Unwritable
 
 
+def _column(values: list, pad: str) -> Optional[list]:
+    """The values' texts at depth pad, or None unless all are int, all
+    bool, all str or all non-empty lists of ints."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds == {str}:
+        return list(map(_quote, values))
+    if kinds == {list} and all(values) and {*map(type, chain.from_iterable(values))} == {int}:
+        # repr gives "[[1, 2], [3]]"; each ", " becomes a line break, and
+        # the lists part where "], [" was
+        inner = pad + "  "
+        sep = ",\n" + inner
+        texts = repr(values)[2:-2].replace(", ", sep).split("]" + sep + "[")
+        return list(map(f"[\n{inner}{{}}\n{pad}]".format, texts))
+    return None
+
+
+def _records(rows: list, pad: str) -> Optional[list]:
+    """A list of dicts rendered by column at depth pad, or None.
+
+    The dicts must share one key set of str keys, and each key's values
+    must pass _column.  Each key's values are rendered in one pass, and
+    each entry is one join of its values and the text between them.
+    """
+    keys = sorted(rows[0]) if all(type(k) is str for k in rows[0]) else None
+    if not keys or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return None
+    inner = pad + "  "
+    lead = "{\n" + inner
+    parts = []
+    for key in keys:
+        try:
+            values = list(map(itemgetter(key), rows))
+        except KeyError:
+            return None
+        col = _column(values, inner)
+        if col is None:
+            return None
+        parts += (repeat(lead + _quote(key) + ": "), col)
+        lead = ",\n" + inner
+    return list(map("".join, zip(*parts, repeat("\n" + pad + "}"))))
+
+
 def canonical_dumps(obj: dict) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
 
     With indent, json runs its pure-Python encoder; _write renders the
     JSON types the payloads hold (str keys, str, int, bool, None, list,
-    tuple, dict) with json's own C string quoting.  Any other type goes
-    to json.dumps itself, which renders or rejects it, and so does a
-    cycle, which _write meets as a RecursionError.
+    tuple, dict) with json's own C string quoting, and a list of dicts
+    that share their keys and value types by column (_records).  Any
+    other type goes to json.dumps itself, which renders or rejects it,
+    and so does a cycle, which _write meets as a RecursionError.
     """
     out = []
     try:

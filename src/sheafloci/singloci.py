@@ -25,16 +25,18 @@ normal_space_dim rank [M; G_S] through one helper, _locus_codim.
 Each rank carries a certificate mod the prime P of exactalg, on the
 images of linsys, x -> (x Q, x at M's pivot columns): M's images span
 the last l coordinates, and modulo them a condition row's image is the
-six residues of x Q.  Images of full row rank prove
-rank([M; G_S]) = l + rows, since the rank of the images mod P never
-exceeds the rank over Q.  The subsets share prefixes: each point
-extends M's echelon by its residues, each pair extends its first
-point's echelon by the second point's, and a triple (i, j, k) hands
-rank_of_rows the pair's echelon and only k's residues, as already
-reduced against i's in the echelon of the pair (i, k).  A subset whose
-residues fall short, or that has more than six condition rows, is
-ranked exactly on the integer rows [M; G_S], with no reduced echelon
-form.
+six residues of x Q.  So [M; G_S] has full row rank if its 2|S| x 6
+residue block R_S has a maximal minor nonzero mod P, since the rank of
+the images mod P never exceeds the rank over Q.  A point passes a 2 x 2
+minor of its block R_i and keeps the RREF of R_i mod P; every later
+point k's block, reduced by those two rows, keeps four nonzero columns
+and their six 2 x 2 minors.  A pair (i, j) passes one of j's minors, and
+a triple (i, j, k) the 4 x 4 determinant of j's and k's reduced blocks,
+expanded along the first two rows into six products of their minors.
+Block elimination makes each value a nonzero multiple of a maximal
+minor of R_S, so it is nonzero exactly when R_S has full row rank mod
+P.  A subset whose value is 0, or that has more than three points, is
+ranked exactly on the integer rows [M; G_S].
 
 impose_singularities draws its curves from one exact kernel of the
 same rows [M; G_S], for the requested points S, in the coordinates of
@@ -44,18 +46,13 @@ fibre by Fibre.contains, one dot product per row of M.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError, Record
-from .exactalg import (
-    _PRIME,
-    QMatrix,
-    extend_mod_p,
-    kernel,
-    rank_of_rows,
-)
-from .linsys import _SKETCH_COLS, Fibre, random_weights
+from .exactalg import _PRIME, QMatrix, kernel, rank_of_rows
+from .linsys import Fibre, random_weights
 from .poly import HomPoly, monomials, powers
 from .rng import SplitMix64
 from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
@@ -123,17 +120,73 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
     return [gradient_rows(data.support, d)[j], order_m]
 
 
-def _locus_codim(
-    fib: Fibre, rows: list, prefix: Optional[dict] = None, residues=()
-) -> int:
+def _locus_codim(fib: Fibre, rows: list, minor: int = 0) -> int:
     """rank([M; rows]) - l: the codimension in the fibre cut by the rows.
 
-    M is the fibre's membership rows, of rank l, their count.  prefix
-    and residues, when given, are rank_of_rows's certificate for the
-    stacked rows.
+    M is the fibre's membership rows, of rank l, their count.  minor,
+    when nonzero, is rank_of_rows's certificate for the stacked rows.
     """
     membership = fib.membership
-    return rank_of_rows([*membership, *rows], prefix, residues) - len(membership)
+    return rank_of_rows([*membership, *rows], minor) - len(membership)
+
+
+def _point_echelon(block: list) -> tuple:
+    """(minor, RREF) of a point's 2 x 6 residue block mod P.
+
+    minor is the block's first nonzero 2 x 2 minor, at its pivot columns
+    c1 < c2, and RREF is (c1, c2, e1, e2), its reduced row echelon form
+    mod P; (0, None) when the block has rank below 2.
+    """
+    a, b = block
+    for c1, c2 in combinations(range(len(a)), 2):
+        minor = (a[c1] * b[c2] - a[c2] * b[c1]) % _PRIME
+        if minor:
+            # the inverse of the 2 x 2 block at c1, c2 times the rows
+            inv = pow(minor, -1, _PRIME)
+            e1 = [(b[c2] * x - a[c2] * y) * inv % _PRIME for x, y in zip(a, b)]
+            e2 = [(a[c1] * y - b[c1] * x) * inv % _PRIME for x, y in zip(a, b)]
+            return minor, (c1, c2, e1, e2)
+    return 0, None
+
+
+def _reduced_minors(rref: Optional[tuple], block: list) -> tuple:
+    """The six 2 x 2 minors mod P of a block reduced by a point's RREF.
+
+    The block's rows, less their entries at the pivot columns c1 and c2
+    times the RREF rows, vanish there; the minors are those of the four
+    other columns, in the order 01, 02, 03, 12, 13, 23.  All are 0 when
+    the point has no RREF.
+    """
+    if rref is None:
+        return (0,) * 6
+    c1, c2, e1, e2 = rref
+    free = [c for c in range(6) if c != c1 and c != c2]
+    u, v = ([(r[c] - r[c1] * e1[c] - r[c2] * e2[c]) % _PRIME for c in free] for r in block)
+    return (
+        (u[0] * v[1] - u[1] * v[0]) % _PRIME,
+        (u[0] * v[2] - u[2] * v[0]) % _PRIME,
+        (u[0] * v[3] - u[3] * v[0]) % _PRIME,
+        (u[1] * v[2] - u[2] * v[1]) % _PRIME,
+        (u[1] * v[3] - u[3] * v[1]) % _PRIME,
+        (u[2] * v[3] - u[3] * v[2]) % _PRIME,
+    )
+
+
+def _cofactors(m: tuple) -> tuple:
+    """Signed complementary minors: with n another block's reduced minors,
+    sum(map(mul, _cofactors(m), n)) is the 4 x 4 determinant of the two
+    blocks stacked, by Laplace expansion along the first two rows."""
+    return (m[5], -m[4], m[3], m[2], -m[1], m[0])
+
+
+def _subset_minor(blocks: list) -> int:
+    """A maximal minor mod P of one to three stacked residue blocks, up to
+    a nonzero factor, as locus_report takes it for a point, pair or triple."""
+    minor, rref = _point_echelon(blocks[0])
+    m = [_reduced_minors(rref, b) for b in blocks[1:]]
+    if len(m) == 2:
+        return sum(map(mul, _cofactors(m[0]), m[1])) % _PRIME
+    return next(filter(None, m[0]), 0) if m else minor
 
 
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
@@ -245,15 +298,13 @@ def locus_report(
     Each point's condition rows G_p and their residues mod P are
     computed once (see the module docstring).  Every point, pair, triple
     and extra subset S costs one rank_of_rows call on [M; G_S] with a
-    certificate, less l: a point passes M's echelon extended by its
-    residues, a pair that echelon extended by the second point's, a
-    triple (i, j, k) the pair's echelon and G_k's residues as reduced in
-    the pair (i, k)'s echelon, and an extra subset of at most three
-    points M's echelon and its stacked residues.
-    rank_of_rows reads the rows only when the certificate falls short;
-    an extra subset of more than three points passes none.  Extra
-    subsets must name distinct point ids in 1..npoints, else
-    ConfigError.
+    certificate, less l: a point passes its block's minor, a pair (i, j)
+    a minor of j's block reduced by i's RREF, a triple (i, j, k) the
+    determinant of j's and k's reduced blocks, and an extra subset of at
+    most three points the same value for its points in the given order.
+    rank_of_rows reads the rows only when that value is 0; an extra
+    subset of more than three points passes none.  Extra subsets must
+    name distinct point ids in 1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -270,62 +321,36 @@ def locus_report(
         pid: [[sum(map(mul, row, q)) % _PRIME for q in fib.members] for row in r]
         for pid, r in rows.items()
     }
-    base = None
-    if fib.members:
-        # M's images span 0^6 + F_P^l (see linsys): the unit rows at
-        # columns 6 to 6 + l - 1 are their echelon
-        end = _SKETCH_COLS + len(fib.membership)
-        base = {c: [0] * c + [1] for c in range(_SKETCH_COLS, end)}
+    echelons = {pid: _point_echelon(residues[pid]) for pid in ids}
     supports = {pid: cfg.support_of(pid) for pid in ids}
-
-    def extend(echelon, pid):
-        # the prefix's echelon extended by pid's residues, or None once
-        # the images fall dependent mod P
-        return None if echelon is None else extend_mod_p(echelon, residues[pid])
-
-    singles = {pid: extend(base, pid) for pid in ids}
     point_codims = tuple(
-        (pid, cfg.point(pid)[0], _locus_codim(fib, rows[pid], singles[pid]))
+        (pid, cfg.point(pid)[0], _locus_codim(fib, rows[pid], echelons[pid][0]))
         for pid in ids
     )
     pair_codims = []
     triple_codims = []
     if pairs or triples:
         for i in ids:
-            # i's pair echelons; extend_mod_p appends the two new rows,
-            # which are the later point's residues reduced against i's
-            with_i = {k: extend(singles[i], k) for k in ids[i:]}
-            reduced = {
-                k: residues[k] if e is None else [*e.values()][-2:]
-                for k, e in with_i.items()
-            }
+            rref = echelons[i][1]
+            minors = {k: _reduced_minors(rref, residues[k]) for k in ids[i:]}
             for j in ids[i:]:
-                prefix = with_i[j]
                 pair_rows = rows[i] + rows[j]
                 if pairs:
-                    pair_codims.append((i, j, _locus_codim(fib, pair_rows, prefix)))
+                    minor = next(filter(None, minors[j]), 0)
+                    pair_codims.append((i, j, _locus_codim(fib, pair_rows, minor)))
                 if not triples:
                     continue
+                cofactors = _cofactors(minors[j])
                 for k in ids[j:]:
-                    triple_codims.append(
-                        (
-                            i,
-                            j,
-                            k,
-                            _locus_codim(fib, pair_rows + rows[k], prefix, reduced[k]),
-                            collinear(supports[i], supports[j], supports[k]),
-                        )
-                    )
+                    minor = sum(map(mul, cofactors, minors[k])) % _PRIME
+                    codim = _locus_codim(fib, pair_rows + rows[k], minor)
+                    line = collinear(supports[i], supports[j], supports[k])
+                    triple_codims.append((i, j, k, codim, line))
 
     def extra_codim(subset):
-        # six residue columns hold at most six pivots besides M's, so a
-        # larger subset passes no certificate
-        stacked = [r for pid in subset for r in rows[pid]]
-        if len(stacked) > _SKETCH_COLS:
-            return _locus_codim(fib, stacked)
-        return _locus_codim(
-            fib, stacked, base, [r for pid in subset for r in residues[pid]]
-        )
+        blocks = [residues[pid] for pid in subset]
+        minor = _subset_minor(blocks) if 1 <= len(subset) <= 3 else 0
+        return _locus_codim(fib, [r for pid in subset for r in rows[pid]], minor)
 
     subset_codims = tuple((tuple(s), extra_codim(s)) for s in extra_subsets)
     return SingularLocusReport(

@@ -9,6 +9,9 @@ cross-checks exercise independent code paths:
 - naive_echelon, naive_rank, reduce_modulo, rank_modulo, naive_det,
   cofactor_det: first-nonzero Fraction elimination and cofactor
   expansion.
+- rank_mod_p: the rank modulo exactalg's prime, by Gauss-Jordan
+  elimination with modular inverses.
+- ReadRows: a list of rows that notes whether rank_of_rows read it.
 - degree_monomials, evaluation_rows, horner_eval, partial: monomial
   order, evaluation and differentiation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
@@ -114,6 +117,37 @@ def rank_modulo(echelon, rows):
     rank(E + rows) = len(E) + rank_modulo(E, rows).
     """
     return naive_rank(reduce_modulo(echelon, rows))
+
+
+class ReadRows(list):
+    """A list of rows that notes whether anything iterated it."""
+
+    read = False
+
+    def __iter__(self):
+        self.read = True
+        return super().__iter__()
+
+
+def rank_mod_p(rows):
+    """Rank of integer rows modulo exactalg's prime P, by Gauss-Jordan
+    elimination with modular inverses."""
+    from sheafloci.exactalg import _PRIME as P
+
+    rows = [[a % P for a in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, P)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def naive_det(rows):

@@ -1,6 +1,7 @@
 """Exact linear algebra: examples, frozen values, and bulk invariants."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from sheafloci.rng import SplitMix64
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    ReadRows,
     cofactor_det,
     evaluation_rows,
     identity_matrix,
@@ -28,6 +30,7 @@ from conftest import (
     naive_kernel,
     naive_rank,
     naive_solve,
+    rank_mod_p,
 )
 
 
@@ -251,45 +254,26 @@ def test_rank_of_rows_near_the_prime_matches_naive_rank(rows):
 @given(
     st.lists(
         st.lists(st.integers(-3, 3), min_size=5, max_size=5),
-        min_size=0,
-        max_size=6,
-    ),
-    st.integers(0, 6),
-)
-def test_extended_echelon_certifies_rank_of_rows(rows, split):
-    # entries of at most 3 on five columns keep every minor below P, so
-    # ranks mod P are ranks over Q
-    residues = [[a % P for a in r] for r in rows]
-    prefix = exactalg.extend_mod_p({}, residues[:split])
-    assert (prefix is not None) == (naive_rank(rows[:split]) == len(rows[:split]))
-    if prefix is None:
-        return
-    full = exactalg.extend_mod_p(prefix, residues[split:])
-    assert (full is not None) == (naive_rank(rows) == len(rows))
-    assert exactalg.extend_mod_p({}, residues[:split]) == prefix
-    assert rank_of_rows(rows, prefix, residues[split:]) == naive_rank(rows)
-    # a certificate for fewer rows than given proves nothing
-    assert rank_of_rows(rows + rows[:1], prefix, residues[split:]) == naive_rank(
-        rows + rows[:1]
+        min_size=1,
+        max_size=5,
     )
-
-
-def _rank_mod_p(rows):
-    """Rank of residue rows modulo P, by Gauss-Jordan with modular inverses."""
-    rows = [[a % P for a in r] for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, P)
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+)
+def test_nonzero_minor_certifies_rank_of_rows(rows):
+    # entries of at most 3 on five columns keep every minor below P, so
+    # a minor nonzero over Q is nonzero mod P
+    minors = (
+        naive_det([[r[c] for c in cols] for r in rows])
+        for cols in combinations(range(5), len(rows))
+    )
+    minor = next((m for m in minors if m), 0) % P
+    assert (minor != 0) == (naive_rank(rows) == len(rows))
+    if minor:
+        certified = ReadRows(rows)
+        assert rank_of_rows(certified, minor) == naive_rank(rows)
+        assert not certified.read
+    exact = ReadRows(rows)
+    assert rank_of_rows(exact, 0) == naive_rank(rows)
+    assert exact.read
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,7 +286,8 @@ def _rank_mod_p(rows):
     st.integers(0, 4),
 )
 def test_extend_mod_p_appends_the_new_rows_reduced(rows, split):
-    # locus_report reads a pair's two new rows as the last two entries
+    # the given echelon comes first, unchanged, then each new row as
+    # reduced against the entries before it
     residues = [[a % P for a in r] for r in rows]
     prefix = exactalg.extend_mod_p({}, residues[:split])
     full = None if prefix is None else exactalg.extend_mod_p(prefix, residues[split:])
@@ -316,40 +301,8 @@ def test_extend_mod_p_appends_the_new_rows_reduced(rows, split):
         column, stored = entries[len(prefix) + k]
         assert column == next(j for j, a in enumerate(stored) if a)
         # stored is row reduced modulo the entries before it
-        assert _rank_mod_p(before + [stored]) == len(before) + 1
-        assert _rank_mod_p(before + [stored, row]) == len(before) + 1
-
-
-def _trimmed(row):
-    """The row without its trailing zeros."""
-    row = list(row)
-    while row and not row[-1]:
-        row.pop()
-    return row
-
-
-def _padded(echelon, n):
-    return None if echelon is None else {c: r + [0] * (n - len(r)) for c, r in echelon.items()}
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from([0, 0, 0, 1, 2, P - 1]), min_size=5, max_size=5),
-        max_size=6,
-    ),
-    st.integers(0, 6),
-)
-def test_extend_mod_p_reads_trimmed_rows_as_zero_padded(rows, split):
-    short = [_trimmed(r) for r in rows]
-    prefix = exactalg.extend_mod_p({}, rows[:split])
-    full = None if prefix is None else exactalg.extend_mod_p(prefix, rows[split:])
-    # trimmed prefix rows, trimmed new rows, or both
-    for head, tail in ((short, rows), (rows, short), (short, short)):
-        got = exactalg.extend_mod_p({}, head[:split])
-        assert _padded(got, 5) == prefix
-        if got is not None:
-            assert _padded(exactalg.extend_mod_p(got, tail[split:]), 5) == full
+        assert rank_mod_p(before + [stored]) == len(before) + 1
+        assert rank_mod_p(before + [stored, row]) == len(before) + 1
 
 
 @st.composite

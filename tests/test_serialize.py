@@ -531,16 +531,68 @@ _AWKWARD = ['"', "\\", "[", "]", "{", "}", ":", ",", "\x00", "\n", "\t", "\x1f",
             "é", "\u2028", "\ud800", "\U0001f600"]
 _TEXT = st.text(st.characters() | st.sampled_from(_AWKWARD), max_size=6)
 _LEAVES = st.none() | st.booleans() | st.integers() | _TEXT
+_INT_LISTS = st.lists(st.integers(), min_size=1, max_size=3)
+
+
+def _records(inner):
+    """Lists of dicts that share one key set, each key's values drawn
+    from one column strategy: int, bool, str or int-list columns, which
+    canonical_dumps renders by column, and columns that it must not:
+    int mixed with bool, int lists that may be empty, int tuples, and
+    any JSON value, nested dicts included."""
+    column = st.sampled_from(
+        [
+            st.integers(),
+            st.booleans(),
+            _TEXT,
+            _INT_LISTS,
+            st.integers() | st.booleans(),
+            st.lists(st.integers(), max_size=2),
+            _INT_LISTS.map(tuple),
+            inner,
+        ]
+    )
+    return st.dictionaries(_TEXT, column, min_size=1, max_size=3).flatmap(
+        lambda kinds: st.lists(st.fixed_dictionaries(kinds), min_size=1, max_size=4)
+    )
+
+
 JSON_VALUES = st.recursive(
     _LEAVES | st.lists(st.integers(), max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_TEXT, inner, max_size=4),
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | _records(inner),
     max_leaves=24,
 )
 
 
-@given(JSON_VALUES)
+@st.composite
+def report_payloads(draw):
+    """report_to_dict of drawn codims: collinear triples, no pairs or no
+    triples, and every kind of violation are common."""
+    ids = st.integers(1, 9)
+
+    def lists(entry):
+        return st.lists(entry, max_size=3).map(tuple)
+
+    report = SingularLocusReport(
+        degree=draw(st.integers(4, 10)),
+        stratum=draw(st.sampled_from(["generic", "double", "deep"])),
+        fibre_dim=draw(st.integers(11, 29)),
+        point_codims=draw(
+            lists(st.tuples(ids, st.sampled_from(["simple", "fat"]), st.sampled_from([2, 1, 3])))
+        ),
+        pair_codims=draw(lists(st.tuples(ids, ids, st.sampled_from([4, 3])))),
+        triple_codims=draw(
+            lists(st.tuples(ids, ids, ids, st.sampled_from([6, 5]), st.booleans()))
+        ),
+        subset_codims=draw(lists(st.tuples(_INT_LISTS.map(tuple), st.integers(0, 9)))),
+    )
+    return report_to_dict(report)
+
+
+@given(JSON_VALUES | report_payloads())
 @settings(max_examples=300, deadline=None)
 def test_canonical_dumps_matches_json_on_json_values(obj):
     assert canonical_dumps(obj) == json_dumps(obj)
@@ -562,6 +614,12 @@ def test_canonical_dumps_matches_json_on_json_values(obj):
         True,
         -7,
         {"z": 1, "a": 2, "M": 3, "é": 4, "": 5},
+        # lists of dicts: uniform, then with keys or entries that differ
+        [{"ids": [1, 2], "ok": True, "n": "a"}, {"ids": [3], "ok": False, "n": ""}],
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": 1, "b": 2}, {"b": 3, "c": 4}],
+        [{"a": 1}, [1]],
+        [{}, {}],
     ],
     ids=repr,
 )

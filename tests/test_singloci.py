@@ -6,6 +6,7 @@ from itertools import combinations
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
 from sheafloci.exactalg import _PRIME as P, QMatrix, insert_row, inverse, rank_of_rows
@@ -25,6 +26,7 @@ from sheafloci.schemes import (
 from sheafloci.serialize import report_to_dict
 from sheafloci.singloci import (
     SingularLocusReport,
+    _subset_minor,
     asserted_violations,
     classify_curve,
     condition_rows,
@@ -37,6 +39,7 @@ from sheafloci.singloci import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    ReadRows,
     SEEDED_STRATA,
     ExactFibre,
     ambient_codim,
@@ -45,6 +48,7 @@ from conftest import (
     identity_matrix,
     partial,
     random_fat_config,
+    rank_mod_p,
     seeded_stratum_config,
 )
 
@@ -504,16 +508,6 @@ class TestReport:
         assert all(c == 2 for _, _, c in rep.point_codims)
 
 
-class ReadRows(list):
-    """A list of rows that notes whether anything iterated it."""
-
-    read = False
-
-    def __iter__(self):
-        self.read = True
-        return super().__iter__()
-
-
 def count_rank_calls(monkeypatch):
     """Record (rows, columns, rank, read) of every singloci.rank_of_rows call.
 
@@ -571,10 +565,11 @@ class TestSketch:
 
     Each point, pair, triple and extra subset S makes one rank_of_rows
     call on the l membership rows stacked with its condition rows, of
-    monomial_count(d) columns: a point passes M's echelon extended by
-    its residues, a pair the pair's echelon, a triple the pair's echelon
-    and the third point's residues.  Only a certificate that falls short
-    makes rank_of_rows read the rows.
+    monomial_count(d) columns, passing a maximal minor mod P of S's
+    residue block: a point its block's minor, a pair (i, j) a minor of
+    j's block reduced by i's RREF, a triple the determinant of the two
+    later points' reduced blocks.  Only a minor of 0 makes rank_of_rows
+    read the rows.
     """
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
@@ -630,14 +625,14 @@ class TestSketch:
     ):
         import sheafloci.singloci as singloci
 
-        # six residue columns hold at most six pivots besides M's, so a
-        # certificate for more condition rows must fall short
+        # six residue columns have no nonzero minor on more than six
+        # condition rows, so a subset of more than three points passes none
         original = singloci.rank_of_rows
         seen = []
 
-        def spy(rows, prefix=None, residues=()):
-            seen.append((len(rows), prefix is not None))
-            return original(rows, prefix, residues)
+        def spy(rows, minor=0):
+            seen.append((len(rows), minor != 0))
+            return original(rows, minor)
 
         monkeypatch.setattr(singloci, "rank_of_rows", spy)
         extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
@@ -754,6 +749,46 @@ class TestSketchDifferential:
         assert rep == expected
         assert all(read for _rows, _cols, _r, read in calls)
         assert [normal_space_dim(fib, pid) for pid in range(1, cfg.npoints + 1)] == [2] * cfg.npoints
+
+
+_RESIDUE = st.one_of(st.sampled_from([0, 0, 0, 1, P - 1]), st.integers(0, P - 1))
+
+
+@st.composite
+def residue_blocks(draw):
+    """Three 2 x 6 residue blocks; zero, repeated and dependent rows are common."""
+    rows = []
+    for _ in range(6):
+        kind = draw(st.sampled_from(["free", "free", "zero", "repeat", "span"]))
+        if kind == "free":
+            row = draw(st.lists(_RESIDUE, min_size=6, max_size=6))
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "span" and rows:
+            weights = draw(st.lists(_RESIDUE, min_size=len(rows), max_size=len(rows)))
+            row = [sum(map(mul, weights, col)) % P for col in zip(*rows)]
+        else:
+            row = [0] * 6
+        rows.append(row)
+    return [rows[0:2], rows[2:4], rows[4:6]]
+
+
+_E = [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(residue_blocks())
+# a zero first row; a first row zero at the second row's pivot
+@example([[[0] * 6, _E[3]], [_E[0], _E[1]], [_E[2], _E[4]]])
+@example([[_E[2], [5, 0, 7, 0, 0, 0]], [_E[1], _E[3]], [_E[4], _E[5]]])
+# a repeated row; a row in the span of the others
+@example([[_E[0], _E[1]], [_E[2], _E[0]], [_E[4], _E[5]]])
+@example([[_E[0], _E[1]], [_E[2], _E[3]], [_E[4], [1, 2, 3, 4, 0, 0]]])
+def test_subset_minors_are_nonzero_iff_full_row_rank_mod_p(blocks):
+    # the point, pair and triple minors of locus_report's certificates
+    for n in (1, 2, 3):
+        stacked = [r for b in blocks[:n] for r in b]
+        assert (_subset_minor(blocks[:n]) != 0) == (rank_mod_p(stacked) == 2 * n)
 
 
 class TestAmbientOracle:
