@@ -118,9 +118,8 @@ def _read_json(path: str) -> dict:
         raise SheafLociError(
             f"{path} is not UTF-8 text: {e.reason} at byte {e.start}"
         ) from None
-    except json.JSONDecodeError:
-        # a ValueError too, reported by console_main as invalid JSON
-        raise
+    except json.JSONDecodeError as e:
+        raise SheafLociError(f"invalid JSON: {e}") from None
     except ValueError as e:
         # an integer literal over Python's digit limit for int conversion
         raise SheafLociError(f"{path} holds a number too long to read: {e}") from None
@@ -246,7 +245,8 @@ def _cmd_localfree(args) -> int:
             "h": [part.strip() for part in ("0" if args.h is None else args.h).split(",")],
             "mult": args.mult,
         }
-    if args.truncation is not None:
+    # a payload that is not an object fails validation in germ_query_from_dict
+    if args.truncation is not None and isinstance(query, dict):
         query["truncation"] = args.truncation
     germ, data, trunc = germ_query_from_dict(query)
     _emit(args.out, canonical_dumps(localfree_result_to_dict(germ, data, trunc)))
@@ -268,9 +268,6 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except SheafLociError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -35,8 +35,8 @@ nonzero over Q and rank_P <= rank_Q.  Full row rank mod P therefore
 proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
-prime.  The mod-P elimination is extend_mod_p, which extends an
-existing mod-P echelon without changing it.  A caller may hand
+prime.  The mod-P elimination is echelon_mod_p, which reduces integer
+rows mod P and eliminates them from an empty echelon.  A caller may hand
 rank_of_rows a certificate instead: a nonzero multiple, mod P, of a
 maximal minor of the rows' images under some fixed linear map mod P.
 The images have rank at most rank_P of the rows, so a nonzero minor of
@@ -191,18 +191,18 @@ def reduced_echelon(rows: Sequence) -> dict:
     return out
 
 
-def extend_mod_p(pivots: dict, rows: Iterable[list]) -> Optional[dict]:
-    """A mod-_PRIME echelon extended by residue rows, or None if one falls dependent.
+def echelon_mod_p(rows: Iterable[Sequence[int]]) -> Optional[dict]:
+    """The mod-_PRIME echelon of integer rows, or None if one falls dependent.
 
-    pivots maps a column to a residue row whose first nonzero entry lies
-    in that column; it is copied, never changed.  The rows hold residues
-    in [0, _PRIME), all of one length, and are reduced by the same
-    cross-multiplication as insert_row.  Returns the extended echelon
-    when every row adds a pivot, that is when the stored rows and the
-    new ones are linearly independent modulo _PRIME.
+    Each row, all of one length, is reduced mod _PRIME and then against
+    the rows stored before it, by the same cross-multiplication as
+    insert_row.  Returns the echelon, a column to the residue row whose
+    first nonzero entry lies in that column, when every row adds a
+    pivot, that is when the rows are linearly independent modulo _PRIME.
     """
-    pivots = dict(pivots)
+    pivots = {}
     for row in rows:
+        row = [a % _PRIME for a in row]
         n = len(row)
         c = 0
         while True:
@@ -237,7 +237,7 @@ def rank_of_rows(rows: Sequence[Sequence], minor: int = 0) -> int:
         r if all(type(a) is int for a in r) else integer_row(r)[0] for r in rows
     ]
     # full row rank mod P is a certificate (see the module docstring)
-    if extend_mod_p({}, ([a % _PRIME for a in r] for r in rows)) is not None:
+    if echelon_mod_p(rows) is not None:
         return len(rows)
     pivots = {}
     return sum(insert_row(pivots, r) is not None for r in rows)

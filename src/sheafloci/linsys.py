@@ -9,14 +9,15 @@ row of M annihilates it, and every locus codimension is a rank of rows
 stacked under M (see singloci).
 
 fibre decides the fibre's dimension modulo the prime P of exactalg.  It
-eliminates M mod P once; l pivots prove rank(M) = l, since
-rank_P <= rank_Q <= rows, and only when they fall short is M ranked
-exactly.  It then keeps six seeded fibre members mod P, the columns of
-Q = K R, where K spans the kernel of M mod P and R is a fixed seeded
-3d x 6 sketch matrix.  The image of a row x is (x Q, x at M's pivot
-columns), a fixed linear map mod P.  The rows of M map onto
-0^6 + F_P^l, so modulo their images a row's image is the six entries
-of x Q; singloci certifies every locus codimension on these.
+eliminates M mod P once, by echelon_mod_p; l pivots prove
+rank(M) = l, since rank_P <= rank_Q <= rows, and only when they fall
+short is M ranked exactly.  It then keeps six seeded fibre members mod
+P, the columns of Q = K R, where K spans the kernel of M mod P and R
+is a fixed seeded 3d x 6 sketch matrix.  The image of a row x is
+(x Q, x at M's pivot columns), a fixed linear map mod P.  The rows of
+M map onto 0^6 + F_P^l, so modulo their images a row's image is the
+six entries of x Q; singloci certifies every locus codimension on
+these.
 
 ProjSubspace, a subspace stored as the graph of its pivot coordinates
 over its free ones (the reduced row echelon form of the cutting
@@ -38,7 +39,7 @@ from .errors import DegenerateError, Record, ShapeError
 from .exactalg import (
     _PRIME,
     QMatrix,
-    extend_mod_p,
+    echelon_mod_p,
     integer_row,
     kernel,
     rank_of_rows,
@@ -217,7 +218,7 @@ def _members_mod_p(rows: Sequence[Sequence]) -> tuple:
     pivot entries follow by back-substitution through the echelon, from
     the last pivot up.
     """
-    echelon = extend_mod_p({}, ([a % _PRIME for a in r] for r in rows))
+    echelon = echelon_mod_p(rows)
     if echelon is None:
         return ()
     n = len(rows[0])

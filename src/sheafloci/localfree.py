@@ -249,23 +249,20 @@ def random_membership_germ(
     regular and degenerate branches of the freeness criterion both occur.
     """
 
-    def local_below(deg: int, force_nonzero: bool) -> LocalPoly:
-        while True:
-            d = {}
-            for t in range(deg + 1):
-                for i in range(t + 1):
-                    c = Fraction(rng.randint(-4, 4))
-                    if c != 0:
-                        d[(i, t - i)] = c
-            p = LocalPoly.from_dict(d)
-            if not force_nonzero or not p.is_zero():
-                return p
+    def local_below(deg: int) -> LocalPoly:
+        d = {}
+        for t in range(deg + 1):
+            for i in range(t + 1):
+                c = Fraction(rng.randint(-4, 4))
+                if c != 0:
+                    d[(i, t - i)] = c
+        return LocalPoly.from_dict(d)
 
     h = [_ZERO] + [Fraction(rng.randint(-3, 3)) for _ in range(mult - 1)]
     data = FatIdealData.of(h, mult)
     while True:
-        a = local_below(factor_degree, force_nonzero=False)
-        b = local_below(factor_degree, force_nonzero=False)
+        a = local_below(factor_degree)
+        b = local_below(factor_degree)
         f = a * data.x_minus_h() + b * data.y_power()
         if f.is_zero():
             continue

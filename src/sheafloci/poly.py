@@ -498,14 +498,15 @@ def parse_homogeneous(text: str, degree: Optional[int] = None) -> HomPoly:
     hom, loc = _term_families(terms)
     if loc:
         raise ParseError("local variables x, y are not allowed in a homogeneous form")
-    degs = [sum(exps.values()) for _, exps in terms]
+    triples = [tuple(exps.get(v, 0) for v in _HOM_VARS) for _, exps in terms]
+    degs = list(map(sum, triples))
     seen = set(degs)
     if len(seen) > 1:
         # Name an offending monomial: one whose degree differs from the first.
         d0 = degs[0]
-        for (coeff, exps), d in zip(terms, degs):
+        for (coeff, _), triple, d in zip(terms, triples, degs):
             if d != d0:
-                mono = _monomial_text(exps, ("x0", "x1", "x2")) or str(coeff)
+                mono = _monomial_text(triple, ("x0", "x1", "x2")) or str(coeff)
                 raise ParseError(
                     f"inhomogeneous input: term {mono!r} has degree {d}, "
                     f"earlier terms have degree {d0}"
@@ -517,8 +518,7 @@ def parse_homogeneous(text: str, degree: Optional[int] = None) -> HomPoly:
             raise ParseError(f"parsed degree {d} does not match required degree {degree}")
         return HomPoly.zero(degree)
     out = [_ZERO] * monomial_count(d)
-    for coeff, exps in terms:
-        triple = [exps.get("x0", 0), exps.get("x1", 0), exps.get("x2", 0)]
+    for (coeff, _), triple in zip(terms, triples):
         out[monomial_index(d, triple)] += coeff
     return HomPoly(d, tuple(out))
 
@@ -536,13 +536,9 @@ def parse_local(text: str) -> LocalPoly:
     return LocalPoly.from_dict(d)
 
 
-def _monomial_text(exps_or_tuple, names) -> str:
+def _monomial_text(exps: Sequence[int], names) -> str:
     parts = []
-    if isinstance(exps_or_tuple, dict):
-        items = [(name, exps_or_tuple.get(name, 0)) for name in names]
-    else:
-        items = list(zip(names, exps_or_tuple))
-    for name, e in items:
+    for name, e in zip(names, exps):
         if e == 0:
             continue
         parts.append(name if e == 1 else f"{name}^{e}")

@@ -35,14 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError, Record
 from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank_of_rows
-from .poly import (
-    HomPoly,
-    monomials,
-    powers,
-    upoly_coeff,
-    upoly_mul,
-    upoly_trim,
-)
+from .poly import HomPoly, monomials, powers, upoly_add, upoly_coeff, upoly_mul
 from .rng import SplitMix64
 
 _ZERO = Fraction(0)
@@ -153,18 +146,11 @@ class FatPoint(Record):
         divisible by y^mult: this parametrizes the curvilinear branch in
         the original coordinates.
         """
-        cinv = self.frame
-        h = list(self.h)
-        out = []
-        for i in range(3):
-            w = [cinv.get(i, 0), cinv.get(i, 1)]
-            for k, c in enumerate(h):
-                if c != 0:
-                    while len(w) <= k:
-                        w.append(_ZERO)
-                    w[k] += cinv.get(i, 2) * c
-            out.append(upoly_trim(w))
-        return tuple(out)
+        f = self.frame
+        return tuple(
+            upoly_add([f.get(i, 0), f.get(i, 1)], [f.get(i, 2) * c for c in self.h])
+            for i in range(3)
+        )
 
 
 class PointConfig(Record):

@@ -53,6 +53,14 @@ _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
 _MATRIX3 = {"type": "array", "items": _TRIPLE, "minItems": 3, "maxItems": 3}
 _IDS = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1}
+_CODIM = {"type": "integer", "minimum": 0}
+# a report's pair or extra subset: its point ids and their locus codimension
+_IDS_CODIM = {
+    "type": "object",
+    "required": ["ids", "codim"],
+    "additionalProperties": False,
+    "properties": {"ids": _IDS, "codim": _CODIM},
+}
 
 SCHEMAS = {
     "config": {
@@ -117,22 +125,11 @@ SCHEMAS = {
                     "properties": {
                         "id": {"type": "integer", "minimum": 1},
                         "kind": {"enum": ["simple", "fat"]},
-                        "codim": {"type": "integer", "minimum": 0},
+                        "codim": _CODIM,
                     },
                 },
             },
-            "pairs": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["ids", "codim"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "ids": _IDS,
-                        "codim": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
+            "pairs": {"type": "array", "items": _IDS_CODIM},
             "triples": {
                 "type": "array",
                 "items": {
@@ -141,23 +138,12 @@ SCHEMAS = {
                     "additionalProperties": False,
                     "properties": {
                         "ids": _IDS,
-                        "codim": {"type": "integer", "minimum": 0},
+                        "codim": _CODIM,
                         "collinear": {"type": "boolean"},
                     },
                 },
             },
-            "subsets": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["ids", "codim"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "ids": _IDS,
-                        "codim": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
+            "subsets": {"type": "array", "items": _IDS_CODIM},
             "violations": {"type": "array", "items": {"type": "string"}},
         },
     },
@@ -303,9 +289,6 @@ def _write(obj, pad: str, out: list) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        if all(type(v) is int for v in obj):
-            out.append(f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{pad}]")
-            return
         entries = _records(obj, inner) if type(obj[0]) is dict else None
         if entries is not None:
             out.append(f"[\n{inner}{sep.join(entries)}\n{pad}]")

@@ -18,9 +18,10 @@ condition_rows gives two rows per point, leaving out rows that exact
 identities put in the span of M and the rows kept: at a simple point
 the gradient row that Euler's relation fixes, at a fat point all
 gradient rows but one, since Euler's relation and the chain rule make
-two independent combinations of them multiples of the order-0 and
-order-1 branch rows, which are rows of M.  locus_report and
-normal_space_dim rank [M; G_S] through one helper, _locus_codim.
+their combinations along the branch's point and tangent at y = 0
+multiples of the order-0 and order-1 branch rows, which are rows of M.
+locus_report and normal_space_dim rank [M; G_S] through one helper,
+_locus_codim.
 
 Each rank carries a certificate mod the prime P of exactalg, on the
 images of linsys, x -> (x Q, x at M's pivot columns): M's images span
@@ -53,7 +54,7 @@ from typing import Optional, Sequence
 from .errors import ConfigError, DegenerateError, NotInFibreError, Record
 from .exactalg import _PRIME, QMatrix, kernel, rank_of_rows
 from .linsys import Fibre, random_weights
-from .poly import HomPoly, monomials, powers
+from .poly import HomPoly, monomials, powers, upoly_coeff
 from .rng import SplitMix64
 from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
 
@@ -92,13 +93,15 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
     M is the membership rows.  Simple point with s = p.primitive:
     the gradient rows but the one at the last nonzero coordinate K of s,
     since Euler's relation sum_k s_k dF/dx_k(s) = d F(s) is d times the
-    point's membership row.  Fat point with support s: one gradient row
-    j and the order-m row.  With t = frame (0, 1, h_1) the branch's
-    tangent direction, Euler's relation makes s . grad F(s) a multiple
-    of the order-0 branch row, and the chain rule makes t . grad F(s) a
-    multiple of the order-1 branch row; both are rows of M.  So every
-    gradient row lies in the span of M and row j, for any j with
-    (s x t)_j != 0, that is with e_j off the plane of s and t.
+    point's membership row.  Fat point with branch w(y) (see
+    FatPoint.branch_coordinates): one gradient row j and the order-m
+    row.  With s = w(0), a nonzero multiple of the support, and
+    t = w'(0) the branch's tangent direction, Euler's relation makes
+    s . grad F(s) a multiple of the order-0 branch row, and the chain
+    rule makes t . grad F(s) a multiple of the order-1 branch row; both
+    are rows of M.  So every gradient row lies in the span of M and row
+    j, for any j with (s x t)_j != 0, that is with e_j off the plane of
+    s and t.
     """
     kind, data = cfg.point(point_id)
     d = cfg.degree
@@ -106,10 +109,9 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
         s = data.primitive
         euler = max(k for k in range(3) if s[k])
         return [r for k, r in enumerate(gradient_rows(data, d)) if k != euler]
-    s = data.support.primitive
-    frame, h = data.frame, data.h
-    h1 = h[1] if len(h) > 1 else 0
-    t = [frame.get(i, 1) + h1 * frame.get(i, 2) for i in range(3)]
+    w = data.branch_coordinates()
+    s = [upoly_coeff(wi, 0) for wi in w]
+    t = [upoly_coeff(wi, 1) for wi in w]
     cross = (
         s[1] * t[2] - s[2] * t[1],
         s[2] * t[0] - s[0] * t[2],
@@ -192,21 +194,14 @@ def _subset_minor(blocks: list) -> int:
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
     """Codimension of the point's singular locus inside the fibre.
 
-    Equals rank([M; G_p]) - l for the point's condition rows G_p; for a
-    simple point the ambient gradient rows must have rank 3, so that the
-    Euler relation accounts for exactly one condition lost to the fibre.
+    Equals rank([M; G_p]) - l for the point's condition rows G_p.  At a
+    simple point p the three gradient rows have rank 3, so that Euler's
+    relation accounts for exactly one condition lost to the fibre: with
+    p_K != 0, their columns at x_K^d and x_k x_K^(d-1), k != K, form a
+    triangular minor d p_K^(3(d-1)) != 0.
     """
     k = _locus_codim(fib, condition_rows(fib.config, point_id))
-    kind, data = fib.config.point(point_id)
-    if kind == "simple":
-        ambient = rank_of_rows(gradient_rows(data, fib.degree))
-        if ambient != 3:
-            raise DegenerateError(
-                f"gradient rows at point {point_id} have rank {ambient}, "
-                f"expected 3",
-                expected=3,
-                actual=ambient,
-            )
+    kind = fib.config.point(point_id)[0]
     if k != 2:
         raise DegenerateError(
             f"normal space at {kind} point {point_id} has dimension {k}, "

@@ -307,7 +307,7 @@ class TestUsageErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         code, _, err = run(capsys, "analyze", "--config", str(path))
-        assert code == 1 and "JSON" in err
+        assert code == 1 and err.startswith("error: invalid JSON: ")
 
     def test_schema_violation_is_exit_one(self, capsys, tmp_path):
         path = write_json(tmp_path / "bad.json", {"degree": 4, "simple": []})
@@ -404,6 +404,18 @@ class TestUsageErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", ["[]", '"x"', "3", "null"])
+    def test_non_object_query_with_truncation_is_exit_one(self, capsys, tmp_path, payload):
+        # --truncation joins the query only after the file passed as an object
+        path = tmp_path / "query.json"
+        path.write_text(payload)
+        code, out, err = run(capsys, "localfree", "--in", str(path), "--truncation", "8")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not of type 'object'" in err
 
     @pytest.mark.parametrize(
         "command,flag,field,value",

@@ -282,23 +282,21 @@ def test_nonzero_minor_certifies_rank_of_rows(rows):
         st.lists(st.integers(-3, 3), min_size=5, max_size=5),
         min_size=1,
         max_size=5,
-    ),
-    st.integers(0, 4),
+    )
 )
-def test_extend_mod_p_appends_the_new_rows_reduced(rows, split):
-    # the given echelon comes first, unchanged, then each new row as
-    # reduced against the entries before it
-    residues = [[a % P for a in r] for r in rows]
-    prefix = exactalg.extend_mod_p({}, residues[:split])
-    full = None if prefix is None else exactalg.extend_mod_p(prefix, residues[split:])
-    if full is None:
+def test_echelon_mod_p_stores_each_row_reduced(rows):
+    # the echelon holds the rows in order, each reduced mod P against
+    # the entries before it; None exactly when they are dependent mod P
+    echelon = exactalg.echelon_mod_p(rows)
+    assert (echelon is None) == (rank_mod_p(rows) < len(rows))
+    if echelon is None:
         return
-    entries = list(full.items())
-    assert entries[: len(prefix)] == list(prefix.items())
+    entries = list(echelon.items())
     assert len(entries) == len(rows)
-    for k, row in enumerate(residues[split:]):
-        before = [r for _, r in entries[: len(prefix) + k]]
-        column, stored = entries[len(prefix) + k]
+    for k, row in enumerate(rows):
+        before = [r for _, r in entries[:k]]
+        column, stored = entries[k]
+        assert all(0 <= a < P for a in stored)
         assert column == next(j for j, a in enumerate(stored) if a)
         # stored is row reduced modulo the entries before it
         assert rank_mod_p(before + [stored]) == len(before) + 1

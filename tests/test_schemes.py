@@ -99,6 +99,34 @@ class TestFatPoint:
         assert w1 == [0, 1]
         assert w2 == [0, 3]
 
+    @pytest.mark.parametrize(
+        "d,seed,mults",
+        [(d, seed, (2,)) for d, seed in ((5, 1), (6, 2), (7, 3), (8, 4))]
+        + [(6, seed, mults) for seed, mults in ((1, (3,)), (2, (4,)), (3, (5,)), (4, (3, 2)))],
+        ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_branch_coordinates_are_the_frame_times_the_branch(self, d, seed, mults):
+        if mults == (2,):
+            cfg = random_config(d, seed, stratum="double")
+        else:
+            cfg = random_fat_config(d, seed, mults)
+        assert sorted(fp.mult for fp in cfg.fat) == sorted(mults)
+        for fp in cfg.fat:
+            # (1, y, h(y)) coefficient by coefficient, then frame times it
+            n = max(2, len(fp.h))
+            branch = [
+                [Fraction(k == 0) for k in range(n)],
+                [Fraction(k == 1) for k in range(n)],
+                [Fraction(fp.h[k]) if k < len(fp.h) else Fraction(0) for k in range(n)],
+            ]
+            expected = []
+            for i in range(3):
+                w = [sum(fp.frame.get(i, j) * branch[j][k] for j in range(3)) for k in range(n)]
+                while w and w[-1] == 0:
+                    w.pop()
+                expected.append(w)
+            assert list(fp.branch_coordinates()) == expected
+
 
 class TestConfigValidation:
     def test_reference_config_valid(self):

@@ -46,6 +46,7 @@ from conftest import (
     ambient_singular_subspace,
     horner_eval,
     identity_matrix,
+    naive_rank,
     partial,
     random_fat_config,
     rank_mod_p,
@@ -139,6 +140,16 @@ class TestGradientRows:
             for v in range(3):
                 direct = horner_eval(partial(f, v), pt.primitive)
                 assert sum(r * c for r, c in zip(rows[v], coeffs)) == direct
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, 0, 1, -1]) | st.integers(-20, 20), min_size=3, max_size=3)
+        .filter(any),
+        st.integers(1, 10),
+    )
+    def test_rank_is_three_at_every_point(self, coords, d):
+        # normal_space_dim relies on this theorem without ranking the rows
+        assert naive_rank(gradient_rows(SimplePoint.of(*coords), d)) == 3
 
     def test_standard_point_rows_are_indicators(self):
         rows = gradient_rows(SimplePoint.of(1, 0, 0), 4)
@@ -452,7 +463,7 @@ class TestNoExactFibre:
     def test_short_membership_echelon(self, monkeypatch):
         import sheafloci.linsys as linsys
 
-        monkeypatch.setattr(linsys, "extend_mod_p", lambda pivots, rows: None)
+        monkeypatch.setattr(linsys, "echelon_mod_p", lambda rows: None)
         self.check(random_config(6, 4, stratum="double"))
 
 
@@ -740,7 +751,7 @@ class TestSketchDifferential:
         cfg = random_config(6, 4, stratum=stratum)
         fast = fibre(cfg)
         expected = locus_report(fast, pairs=True, triples=True, extra_subsets=[(1, 2, 3)])
-        monkeypatch.setattr(linsys, "extend_mod_p", lambda pivots, rows: None)
+        monkeypatch.setattr(linsys, "echelon_mod_p", lambda rows: None)
         fib = fibre(cfg)
         assert fib.members == () and fib.membership == fast.membership
         assert fib.proj_dim == fast.proj_dim == 17
