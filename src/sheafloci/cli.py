@@ -259,18 +259,22 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
-    except GenericityError as e:
-        from .serialize import canonical_dumps, genericity_error_to_dict
+        try:
+            return args.func(args)
+        except GenericityError as e:
+            from .serialize import canonical_dumps, genericity_error_to_dict
 
-        payload = genericity_error_to_dict(str(e), e.certificate)
-        sys.stdout.write(canonical_dumps(payload))
-        return 2
-    except SheafLociError as e:
+            payload = genericity_error_to_dict(str(e), e.certificate)
+            sys.stdout.write(canonical_dumps(payload))
+            return 2
+    except (SheafLociError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except ValueError as e:
+        # an output number past Python's digit limit for int-to-str conversion
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"error: an output number is too long to print: {e}", file=sys.stderr)
         return 1
 
 

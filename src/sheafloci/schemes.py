@@ -70,8 +70,8 @@ class SimplePoint(Record):
     def primitive(self) -> tuple:
         """Primitive integer representative with positive leading entry.
 
-        Computed once per point; equality, hashing, collinear and every
-        row built at the point read it.
+        Computed once per point; equality, hashing and every row built
+        at the point read it.
         """
         ints = integer_row(self.coords)[0]
         g = gcd(*ints)
@@ -304,22 +304,6 @@ def require_generic(cfg: PointConfig) -> None:
             f"configuration lies on a degree-{k} curve",
             certificate=low_degree_certificate(cfg, k),
         )
-
-
-def collinear(p: SimplePoint, q: SimplePoint, r: SimplePoint) -> bool:
-    """Whether three pairwise distinct points lie on a common line.
-
-    Decided by the integer 3x3 determinant of the points' primitive
-    representatives.
-    """
-    a, b, c = p.primitive, q.primitive, r.primitive
-    if a == b or a == c or b == c:
-        raise ConfigError("collinearity is only defined for distinct points")
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    ) == 0
 
 
 # ---------------------------------------------------------------------------

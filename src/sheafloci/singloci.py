@@ -36,8 +36,12 @@ a triple (i, j, k) the 4 x 4 determinant of j's and k's reduced blocks,
 expanded along the first two rows into six products of their minors.
 Block elimination makes each value a nonzero multiple of a maximal
 minor of R_S, so it is nonzero exactly when R_S has full row rank mod
-P.  A subset whose value is 0, or that has more than three points, is
-ranked exactly on the integer rows [M; G_S].
+P.  A point, pair or triple whose value is 0 is ranked exactly on the
+integer rows [M; G_S].  An extra subset passes no value: rank_of_rows
+takes its own certificate mod P from the rows, or ranks them exactly.
+A triple is collinear when the 3 x 3 determinant of its supports'
+primitive vectors is 0, the dot product of the third with the cross
+product of the first two, which is taken once per pair.
 
 impose_singularities draws its curves from one exact kernel of the
 same rows [M; G_S], for the requested points S, in the coordinates of
@@ -56,16 +60,19 @@ from .exactalg import _PRIME, QMatrix, kernel, rank_of_rows
 from .linsys import Fibre, random_weights
 from .poly import HomPoly, monomials, powers, upoly_coeff
 from .rng import SplitMix64
-from .schemes import PointConfig, SimplePoint, collinear, fat_point_rows
+from .schemes import PointConfig, SimplePoint, fat_point_rows
 
-def gradient_rows(p: SimplePoint, d: int) -> list:
-    """Three rows evaluating a degree-d form's partials at p.primitive."""
-    p0, p1, p2 = (powers(x, d) for x in p.primitive)
-    rows = [[], [], []]
-    for (a, b, c) in monomials(d):
-        rows[0].append(a * p0[a - 1] * p1[b] * p2[c] if a else 0)
-        rows[1].append(b * p0[a] * p1[b - 1] * p2[c] if b else 0)
-        rows[2].append(c * p0[a] * p1[b] * p2[c - 1] if c else 0)
+def gradient_rows(p: SimplePoint, d: int, partials: Sequence[int] = (0, 1, 2)) -> list:
+    """Rows evaluating a degree-d form's partials d/dx_k, k in partials, at p.primitive."""
+    pw = [powers(x, d) for x in p.primitive]
+    rows = []
+    for k in partials:
+        # d/dx_k replaces x_k^n by n x_k^(n-1)
+        t0, t1, t2 = (
+            [0] + [n * x for n, x in enumerate(pk[:-1], 1)] if i == k else pk
+            for i, pk in enumerate(pw)
+        )
+        rows.append([t0[a] * t1[b] * t2[c] for a, b, c in monomials(d)])
     return rows
 
 
@@ -108,18 +115,21 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
     if kind == "simple":
         s = data.primitive
         euler = max(k for k in range(3) if s[k])
-        return [r for k, r in enumerate(gradient_rows(data, d)) if k != euler]
+        return gradient_rows(data, d, [k for k in range(3) if k != euler])
     w = data.branch_coordinates()
-    s = [upoly_coeff(wi, 0) for wi in w]
-    t = [upoly_coeff(wi, 1) for wi in w]
-    cross = (
+    cross = _cross([upoly_coeff(wi, 0) for wi in w], [upoly_coeff(wi, 1) for wi in w])
+    j = next(k for k in range(3) if cross[k])
+    return gradient_rows(data.support, d, [j]) + fat_point_rows(data, d, orders=[data.mult])
+
+
+def _cross(s: Sequence, t: Sequence) -> tuple:
+    """The cross product s x t: zero exactly when s and t are parallel, and
+    its dot product with r is the 3 x 3 determinant of s, t and r."""
+    return (
         s[1] * t[2] - s[2] * t[1],
         s[2] * t[0] - s[0] * t[2],
         s[0] * t[1] - s[1] * t[0],
     )
-    j = next(k for k in range(3) if cross[k])
-    (order_m,) = fat_point_rows(data, d, orders=[data.mult])
-    return [gradient_rows(data.support, d)[j], order_m]
 
 
 def _locus_codim(fib: Fibre, rows: list, minor: int = 0) -> int:
@@ -179,16 +189,6 @@ def _cofactors(m: tuple) -> tuple:
     sum(map(mul, _cofactors(m), n)) is the 4 x 4 determinant of the two
     blocks stacked, by Laplace expansion along the first two rows."""
     return (m[5], -m[4], m[3], m[2], -m[1], m[0])
-
-
-def _subset_minor(blocks: list) -> int:
-    """A maximal minor mod P of one to three stacked residue blocks, up to
-    a nonzero factor, as locus_report takes it for a point, pair or triple."""
-    minor, rref = _point_echelon(blocks[0])
-    m = [_reduced_minors(rref, b) for b in blocks[1:]]
-    if len(m) == 2:
-        return sum(map(mul, _cofactors(m[0]), m[1])) % _PRIME
-    return next(filter(None, m[0]), 0) if m else minor
 
 
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
@@ -292,14 +292,13 @@ def locus_report(
 
     Each point's condition rows G_p and their residues mod P are
     computed once (see the module docstring).  Every point, pair, triple
-    and extra subset S costs one rank_of_rows call on [M; G_S] with a
-    certificate, less l: a point passes its block's minor, a pair (i, j)
-    a minor of j's block reduced by i's RREF, a triple (i, j, k) the
-    determinant of j's and k's reduced blocks, and an extra subset of at
-    most three points the same value for its points in the given order.
-    rank_of_rows reads the rows only when that value is 0; an extra
-    subset of more than three points passes none.  Extra subsets must
-    name distinct point ids in 1..npoints, else ConfigError.
+    and extra subset S costs one rank_of_rows call on [M; G_S], less l.
+    A point passes its block's minor, a pair (i, j) a minor of j's block
+    reduced by i's RREF, a triple (i, j, k) the determinant of j's and
+    k's reduced blocks; rank_of_rows reads the rows only when that value
+    is 0.  An extra subset passes none, so rank_of_rows reads its rows.
+    Extra subsets must name distinct point ids in 1..npoints, else
+    ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
@@ -317,7 +316,7 @@ def locus_report(
         for pid, r in rows.items()
     }
     echelons = {pid: _point_echelon(residues[pid]) for pid in ids}
-    supports = {pid: cfg.support_of(pid) for pid in ids}
+    supports = {pid: cfg.support_of(pid).primitive for pid in ids}
     point_codims = tuple(
         (pid, cfg.point(pid)[0], _locus_codim(fib, rows[pid], echelons[pid][0]))
         for pid in ids
@@ -336,18 +335,17 @@ def locus_report(
                 if not triples:
                     continue
                 cofactors = _cofactors(minors[j])
+                # i, j and k are collinear iff k is on the line i x j
+                line = _cross(supports[i], supports[j])
                 for k in ids[j:]:
                     minor = sum(map(mul, cofactors, minors[k])) % _PRIME
                     codim = _locus_codim(fib, pair_rows + rows[k], minor)
-                    line = collinear(supports[i], supports[j], supports[k])
-                    triple_codims.append((i, j, k, codim, line))
-
-    def extra_codim(subset):
-        blocks = [residues[pid] for pid in subset]
-        minor = _subset_minor(blocks) if 1 <= len(subset) <= 3 else 0
-        return _locus_codim(fib, [r for pid in subset for r in rows[pid]], minor)
-
-    subset_codims = tuple((tuple(s), extra_codim(s)) for s in extra_subsets)
+                    on_line = sum(map(mul, line, supports[k])) == 0
+                    triple_codims.append((i, j, k, codim, on_line))
+    subset_codims = tuple(
+        (tuple(s), _locus_codim(fib, [r for pid in s for r in rows[pid]]))
+        for s in extra_subsets
+    )
     return SingularLocusReport(
         degree=cfg.degree,
         stratum=cfg.stratum(),

@@ -73,6 +73,8 @@ REMOVED = [
     ("sheafloci.exactalg", "rat_from_str"),
     ("sheafloci.exactalg", "rat_to_str"),
     ("sheafloci.exactalg", "extend_mod_p"),
+    ("sheafloci.schemes", "collinear"),
+    ("sheafloci.singloci", "_subset_minor"),
 ]
 
 # library names that no other library code refers to, each with the reason

@@ -463,6 +463,31 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too long to read" in err
 
+    @pytest.mark.parametrize("case", ["kronecker", "analyze-certificate", "localfree"])
+    def test_over_long_output_number_is_exit_one(self, capsys, tmp_path, case):
+        # schema-valid input whose answer holds an integer past Python's
+        # 4300-digit limit on int-to-str conversion
+        nines = "9" * 4300
+        if case == "localfree":
+            argv = ["localfree", "--poly", f"{nines}*x + {nines}*x - y^2", "--mult", "1"]
+        else:
+            if case == "kronecker":
+                # three points with coordinates of about 800 digits
+                points = [[1, 7**946, 11**768], [13**718, 1, 17**650], [19**626, 23**588, 1]]
+            else:
+                # p, q and p + q, of about 2500 digits: their line's
+                # coefficients have about 5000
+                p, q = (7**2960, 11**2400, 13**2244), (17**2031, 19**1955, 23**1835)
+                points = [p, q, [a + b for a, b in zip(p, q)]]
+            config = {"degree": 4, "simple": [[str(c) for c in pt] for pt in points], "fat": []}
+            argv = [case.split("-")[0], "--config", write_json(tmp_path / "c.json", config)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too long to print" in err
+
     def test_trailing_star_in_poly_is_exit_one(self, capsys):
         code, out, err = run(capsys, "localfree", "--poly=x^2 - y^3*", "--mult", "2")
         assert code == 1

@@ -19,7 +19,6 @@ from sheafloci.schemes import (
     FatPoint,
     PointConfig,
     SimplePoint,
-    collinear,
     expected_length,
     fat_point_rows,
     low_degree_certificate,
@@ -340,22 +339,6 @@ class TestGenericity:
         locus_report(fibre(random_config(7, 3, "double")))
         # one inverse builds the chart, one gives the fat point's frame
         assert calls == [3, 3]
-
-
-class TestCollinear:
-    def test_reference_examples(self):
-        pts = [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6]
-        # Points 2..5 lie on x0 = 0.
-        assert collinear(pts[1], pts[2], pts[3])
-        assert collinear(pts[1], pts[3], pts[4])
-        # Points 1, 2, 6 span: (1,0,0), (0,1,0), (1,-2,0) are on x2 = 0.
-        assert collinear(pts[0], pts[1], pts[5])
-        assert not collinear(pts[0], pts[1], pts[2])
-
-    def test_distinctness_required(self):
-        p = SimplePoint.of(1, 2, 3)
-        with pytest.raises(ConfigError):
-            collinear(p, SimplePoint.of(2, 4, 6), SimplePoint.of(0, 1, 0))
 
 
 class TestRandomConfig:

@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul
 
 import pytest
@@ -17,7 +17,6 @@ from sheafloci.schemes import (
     FatPoint,
     PointConfig,
     SimplePoint,
-    collinear,
     fat_point_rows,
     membership_conditions,
     random_config,
@@ -26,7 +25,9 @@ from sheafloci.schemes import (
 from sheafloci.serialize import report_to_dict
 from sheafloci.singloci import (
     SingularLocusReport,
-    _subset_minor,
+    _cofactors,
+    _point_echelon,
+    _reduced_minors,
     asserted_violations,
     classify_curve,
     condition_rows,
@@ -56,6 +57,16 @@ from conftest import (
 
 def ref_config():
     return PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6])
+
+
+def support_det(cfg, ids):
+    """The integer 3 x 3 determinant of three points' primitive supports."""
+    a, b, c = (cfg.support_of(pid).primitive for pid in ids)
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
 
 def standard_d4_config():
@@ -380,7 +391,7 @@ class TestImposeKernel:
         triple = next(
             s
             for s in combinations(range(1, n + 1), 3)
-            if not collinear(*(cfg.support_of(pid) for pid in s))
+            if support_det(cfg, s) != 0
         )
         requests = [[1], [n], [1, n], [2, 3], list(triple)]
         for k, ids in enumerate(requests):
@@ -474,7 +485,7 @@ class TestReport:
             fib,
             pairs=True,
             triples=True,
-            extra_subsets=[(1, 2, 3, 4), (1, 2, 3, 4, 5)],
+            extra_subsets=[(1, 2, 3, 4), (1, 2, 3, 4, 5), (4, 3, 2, 1), (5, 1, 4, 2, 3)],
         )
         assert rep.degree == 6
         assert rep.stratum == "generic"
@@ -489,8 +500,8 @@ class TestReport:
         assert (1, 2, 6) in collinear_flagged
         assert (1, 2, 3) not in collinear_flagged
         subsets = dict(rep.subset_codims)
-        assert subsets[(1, 2, 3, 4)] == 8
-        assert subsets[(1, 2, 3, 4, 5)] == 9
+        assert subsets[(1, 2, 3, 4)] == subsets[(4, 3, 2, 1)] == 8
+        assert subsets[(1, 2, 3, 4, 5)] == subsets[(5, 1, 4, 2, 3)] == 9
         assert asserted_violations(rep) == []
 
     def test_violations_detected(self):
@@ -517,6 +528,49 @@ class TestReport:
         kinds = {kind for _, kind, _ in rep.point_codims}
         assert kinds == {"simple", "fat"}
         assert all(c == 2 for _, _, c in rep.point_codims)
+
+
+class TestCollinearFlag:
+    """A triple's collinear flag is the vanishing of its support determinant."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("stratum", ["generic", "double"])
+    @pytest.mark.parametrize("degree", [5, 6, 7, 8])
+    def test_flag_is_a_zero_support_determinant(self, degree, stratum, seed):
+        cfg = random_config(degree, seed, stratum=stratum)
+        rep = locus_report(fibre(cfg), pairs=False, triples=True)
+        assert len(rep.triple_codims) == len(list(combinations(range(cfg.npoints), 3)))
+        for i, j, k, _codim, flag in rep.triple_codims:
+            assert flag == (support_det(cfg, (i, j, k)) == 0)
+
+    def test_reference_examples(self):
+        # points 2..5 lie on x0 = 0; (1:0:0), (0:1:0) and (1:-2:0) on x2 = 0
+        cfg = ref_config()
+        rep = locus_report(fibre(cfg), pairs=False, triples=True)
+        flags = {(i, j, k): flag for i, j, k, _codim, flag in rep.triple_codims}
+        assert flags == {s: support_det(cfg, s) == 0 for s in flags}
+        assert flags[(2, 3, 4)] and flags[(2, 4, 5)] and flags[(1, 2, 6)]
+        assert not flags[(1, 2, 3)]
+
+
+class TestExtraSubsets:
+    """An extra subset's codim does not depend on how it is ranked."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ref_config(), random_config(5, 1), random_config(5, 1, stratum="double")],
+        ids=["remark6", "generic-5", "double-5"],
+    )
+    def test_small_subsets_in_any_order_match_the_report(self, cfg):
+        n = cfg.npoints
+        extra = [s for size in (1, 2, 3) for s in permutations(range(1, n + 1), size)]
+        rep = locus_report(fibre(cfg), pairs=True, triples=True, extra_subsets=extra)
+        own = {(pid,): codim for pid, _kind, codim in rep.point_codims}
+        own.update({(i, j): codim for i, j, codim in rep.pair_codims})
+        own.update({(i, j, k): codim for i, j, k, codim, _ in rep.triple_codims})
+        assert len(rep.subset_codims) == len(extra)
+        for ids, codim in rep.subset_codims:
+            assert codim == own[tuple(sorted(ids))]
 
 
 def count_rank_calls(monkeypatch):
@@ -576,11 +630,12 @@ class TestSketch:
 
     Each point, pair, triple and extra subset S makes one rank_of_rows
     call on the l membership rows stacked with its condition rows, of
-    monomial_count(d) columns, passing a maximal minor mod P of S's
-    residue block: a point its block's minor, a pair (i, j) a minor of
-    j's block reduced by i's RREF, a triple the determinant of the two
-    later points' reduced blocks.  Only a minor of 0 makes rank_of_rows
-    read the rows.
+    monomial_count(d) columns.  A point, pair or triple passes a maximal
+    minor mod P of S's residue block: a point its block's minor, a pair
+    (i, j) a minor of j's block reduced by i's RREF, a triple the
+    determinant of the two later points' reduced blocks.  Only a minor of
+    0 makes rank_of_rows read the rows.  An extra subset passes none, so
+    rank_of_rows reads its rows and takes its own certificate from them.
     """
 
     @pytest.mark.parametrize("stratum", ["generic", "double"])
@@ -622,12 +677,12 @@ class TestSketch:
         subsets = len(rep.pair_codims) + len(rep.triple_codims) + len(extra)
         assert subsets == 45 + 120 + 3
         assert len(calls) == len(rep.point_codims) + subsets
-        # the residues certify every locus of at most six condition rows;
-        # the subsets of 4 and 5 points stack 8 and 10 condition rows
+        # the residues certify every point, pair and triple; the extra
+        # subsets of 3, 4 and 5 points stack 6, 8 and 10 condition rows
         # under the 10 membership rows, of 28 columns
         assert all(r == rows for rows, _cols, r, read in calls if not read)
         read = [(rows, cols, r) for rows, cols, r, read in calls if read]
-        assert read == [(18, 28, 18), (20, 28, 19)]
+        assert read == [(16, 28, 16), (18, 28, 18), (20, 28, 19)]
         assert all(codim == 4 for _i, _j, codim in rep.pair_codims)
         assert dict(rep.subset_codims)[(1, 2, 3, 4, 5)] == 9
 
@@ -636,8 +691,9 @@ class TestSketch:
     ):
         import sheafloci.singloci as singloci
 
-        # six residue columns have no nonzero minor on more than six
-        # condition rows, so a subset of more than three points passes none
+        # an extra subset passes no certificate, whatever its size; six
+        # residue columns have no nonzero minor on more than six condition
+        # rows anyway
         original = singloci.rank_of_rows
         seen = []
 
@@ -649,7 +705,7 @@ class TestSketch:
         extra = [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
         locus_report(fibre(ref_config()), pairs=False, extra_subsets=extra)
         # ten points, then the subsets, under the 10 membership rows
-        assert seen == [(12, True)] * 10 + [(16, True), (18, False), (20, False)]
+        assert seen == [(12, True)] * 10 + [(16, False), (18, False), (20, False)]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_generic_d8_triples_make_no_exact_rank_call(self, monkeypatch, seed):
@@ -795,11 +851,35 @@ _E = [[int(i == j) for j in range(6)] for i in range(6)]
 # a repeated row; a row in the span of the others
 @example([[_E[0], _E[1]], [_E[2], _E[0]], [_E[4], _E[5]]])
 @example([[_E[0], _E[1]], [_E[2], _E[3]], [_E[4], [1, 2, 3, 4, 0, 0]]])
+# a first block whose RREF rows are nonzero off its pivot columns, and a
+# second block whose second row is twice the first block's first row
+# plus its second: a wrong or partly applied RREF leaves that row's
+# reduction nonzero
+@example(
+    [
+        [[2, 1, 3, 0, 0, 0], [2, 0, 1, 0, 0, 3]],
+        [[3, 0, 1, 0, 3, 0], [6, 2, 7, 0, 0, 3]],
+        [[0, 1, 0, 3, 0, 1], [0, 1, 2, 3, 1, 0]],
+    ]
+)
+# a triple of rank 5 whose six cofactor products are all nonzero, so a
+# flipped cofactor sign makes its value nonzero
+@example(
+    [
+        [_E[0], _E[1]],
+        [[0, 0, 1, 2, 3, 5], [0, 0, 7, 11, 13, 17]],
+        [[0, 0, 8, 13, 16, 22], [0, 0, 1, 4, 9, 16]],
+    ]
+)
 def test_subset_minors_are_nonzero_iff_full_row_rank_mod_p(blocks):
-    # the point, pair and triple minors of locus_report's certificates
-    for n in (1, 2, 3):
+    # the point, pair and triple minors of locus_report's certificates,
+    # composed as its loop composes them
+    minor, rref = _point_echelon(blocks[0])
+    m1, m2 = (_reduced_minors(rref, b) for b in blocks[1:])
+    values = [minor, next(filter(None, m1), 0), sum(map(mul, _cofactors(m1), m2)) % P]
+    for n, value in zip((1, 2, 3), values):
         stacked = [r for b in blocks[:n] for r in b]
-        assert (_subset_minor(blocks[:n]) != 0) == (rank_mod_p(stacked) == 2 * n)
+        assert (value != 0) == (rank_mod_p(stacked) == 2 * n)
 
 
 class TestAmbientOracle:
