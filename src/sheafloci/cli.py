@@ -103,7 +103,6 @@ def _build_parser() -> _Parser:
         help="comma-separated coefficients of h(y) from y^0 (default 0)",
     )
     p.add_argument("--mult", type=int, help="multiplicity of the fat point")
-    p.add_argument("--truncation", type=int, help="jet order override")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_localfree)
 
@@ -245,11 +244,8 @@ def _cmd_localfree(args) -> int:
             "h": [part.strip() for part in ("0" if args.h is None else args.h).split(",")],
             "mult": args.mult,
         }
-    # a payload that is not an object fails validation in germ_query_from_dict
-    if args.truncation is not None and isinstance(query, dict):
-        query["truncation"] = args.truncation
-    germ, data, trunc = germ_query_from_dict(query)
-    _emit(args.out, canonical_dumps(localfree_result_to_dict(germ, data, trunc)))
+    germ, data = germ_query_from_dict(query)
+    _emit(args.out, canonical_dumps(localfree_result_to_dict(germ, data)))
     return 0
 
 

@@ -8,16 +8,15 @@ a module over the local ring of the curve exactly when the germ is
 regular or u(0) is nonzero.
 
 The criterion is checked independently by a jet computation: inside the
-jet algebra k[x,y]/(m^N) the dimension of I/mI is found by exact
+jet algebra k[x,y]/(m^(m+1)) the dimension of I/mI is found by exact
 linear algebra, and Nakayama's lemma says the ideal is principal (hence
 free, as it has finite colength) precisely when that dimension is one.
-Each row of that computation is a monomial shift of a generator's
-integer coefficients, so the oracle forms no polynomial product and
-never substitutes x = h(y), the step the criterion itself takes.  One
-elimination at N + 2, with columns ordered by degree, gives the
-dimension at both N and N + 2.  The shifts of y^m go in first, then
-those of x - h(y), then the curve's: the first two are rows of one and
-of at most m + 1 entries that mostly take a free pivot at once, so each
+The order m + 1 is read off the input and is exact for every germ (see
+_nakayama_dim).  Each row of that computation is a monomial shift of a
+generator's integer coefficients, so the oracle forms no polynomial
+product and never substitutes x = h(y), the step the criterion itself
+takes.  The shifts of x - h(y), rows of at most m + 1 entries, go in
+before the curve's: they mostly take a free pivot at once, so each
 dense curve row is cleared against sparse rows and the echelon does not
 fill in.  The answer does not depend on that order.
 """
@@ -26,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import ConfigError, DegenerateError, Record
+from .errors import ConfigError, Record
 from .exactalg import insert_row, integer_row
 from .poly import HomPoly, LocalPoly, substitute_linear, upoly_coeff
 from .rng import SplitMix64
@@ -122,47 +121,44 @@ def fat_ideal_free(germ: CurveGerm, data: FatIdealData) -> bool:
 # Independent jet-algebra check
 
 
-def _nakayama_dims(germ: CurveGerm, data: FatIdealData, trunc: int) -> tuple:
-    """dim I/mI inside k[x,y]/(m^trunc) and inside k[x,y]/(m^(trunc+2)).
+def _nakayama_dim(germ: CurveGerm, data: FatIdealData) -> int:
+    """dim I/(mI + (f)) inside k[x,y]/(m^(m+1)), where it is exact.
 
-    I is generated by x - h(y), y^m and the curve equation; mI replaces
+    I is generated by x - h(y), y^m and the curve equation f; mI replaces
     the two ideal generators by their products with the maximal ideal
-    while keeping all multiples of the curve equation (the curve is zero
-    on the germ's local ring, so its multiples cost nothing in I/mI).
-    The dimension is the number of the two ideal generators that stay
-    independent after eliminating everything in mI.
+    while keeping all multiples of f (the curve is zero on the germ's
+    local ring, so its multiples cost nothing in I/mI).  The dimension is
+    the number of the two ideal generators that stay independent after
+    eliminating everything in mI.
+
+    Cutting at order m + 1 loses nothing.  Modulo J = (x - h(y), y^m)
+    x is congruent to h(y), and h(0) = 0, so a monomial x^a y^b with
+    a + b = m is congruent to h(y)^a y^b, of y-order at least m, which
+    lies in J.  So m^m lies in J, and m^(m+1) in mJ, inside mI + (f):
+    the quotient is the same in k[x,y] and in k[x,y]/(m^(m+1)), and so
+    at every higher order.  Order m is not enough: for the node x*y
+    and the double point only x - h(y) = x survives below degree 2, so
+    the count there is 1, not 2.
 
     Each row is a monomial multiple x^i y^j g of a generator g, that is
     g's integer coefficients moved to the shifted exponents and cut at
-    total degree trunc + 2; g is cleared of denominators once.
+    total degree m + 1; g is cleared of denominators once.
 
-    Both levels come from that one elimination.  The columns run by
-    degree, so cutting at trunc projects onto the first trunc(trunc+1)/2
-    columns, where the rows of order trunc or more vanish.  In an echelon
-    the rows pivoting in that prefix span the projection, so an ideal
-    generator counts at trunc too when its stored pivot lies there.
-
-    The rows of mI go in as the shifts of y^m (single monomials), then
-    those of x - h(y) (at most m + 1 terms), then the curve's; the two
-    generators go in last.  Most of the sparse shifts take a free pivot
-    at once, and each dense curve shift is then cleared against rows of
-    one to m + 1 entries; with the curve's shifts first, every sparse
+    The multiples of y^m in mI have order m + 1 or more and vanish, so
+    the rows of mI are the shifts of x - h(y) (at most m + 1 terms),
+    then the curve's; the two generators go in last.  Most of the sparse
+    shifts take a free pivot at once, and each dense curve shift is then
+    cleared against them; with the curve's shifts first, every sparse
     shift would be reduced through dense rows that fill in at each step.
-    The order cannot change the answer.  The columns holding pivots are
-    the leading columns of the span of the rows stored, whatever their
-    order.  A generator g not in a span V keeps the largest leading
-    column of g - w over all w in V: reducing g to g - w with a leading
-    column c outside the pivots of V, any other g - w - v leads at the
-    leading column of v when that lies before c, and at c otherwise.  So
-    the pair returned depends only on the span of the rows of mI (y^m
-    is reduced against that span plus x - h(y), as before).
+    The order cannot change the answer: the rank of the generators
+    modulo the span of the rows of mI depends on that span alone.
     """
-    high = trunc + 2
+    high = data.mult + 1
     mons = [(i, t - i) for t in range(high) for i in range(t + 1)]
     index = {m: k for k, m in enumerate(mons)}
 
     def shifts(g: LocalPoly) -> list:
-        """The rows x^i y^j g of order below trunc + 2, (i, j) in the order of mons."""
+        """The rows x^i y^j g of order below m + 1, (i, j) in the order of mons."""
         exps, coeffs = zip(*g.coeffs)
         coeffs = integer_row(coeffs)[0]
         top = high - g.order()
@@ -179,43 +175,24 @@ def _nakayama_dims(germ: CurveGerm, data: FatIdealData, trunc: int) -> tuple:
         return rows
 
     pivots = {}
-    gens = [shifts(data.x_minus_h()), shifts(data.y_power())]
-    for row in gens[1][1:] + gens[0][1:] + shifts(germ.f):
+    x_minus_h = shifts(data.x_minus_h())
+    for row in x_minus_h[1:] + shifts(germ.f):
         insert_row(pivots, row)
-    # rows[0] is the generator itself, if its order is below trunc + 2
-    kept = [insert_row(pivots, rows[0]) for rows in gens if rows]
-    kept = [k for k in kept if k is not None]
-    prefix = trunc * (trunc + 1) // 2
-    return sum(k[0] < prefix for k in kept), len(kept)
+    # the first shift is the generator itself; y^m has order m, below m + 1
+    gens = (x_minus_h[0], shifts(data.y_power())[0])
+    return sum(insert_row(pivots, row) is not None for row in gens)
 
 
-def default_truncation(germ: CurveGerm, data: FatIdealData) -> int:
-    """The oracle's jet order when none is given: 2m + deg f + 2."""
-    return 2 * data.mult + germ.f.total_degree() + 2
-
-
-def jet_principality_oracle(
-    germ: CurveGerm, data: FatIdealData, truncation: Optional[int] = None
-) -> bool:
+def jet_principality_oracle(germ: CurveGerm, data: FatIdealData) -> bool:
     """Principality of the fat-point ideal on the curve, via jets.
 
-    Computes dim I/mI at the default truncation 2m + deg f + 2 and two
-    orders higher, from one elimination; the two must agree, otherwise
-    the truncation was too small and DegenerateError is raised.  By
-    Nakayama the ideal is principal, equivalently free here, exactly when
-    the dimension is 1.
+    Computes dim I/mI in k[x,y]/(m^(m+1)), where cutting the jets loses
+    nothing (see _nakayama_dim).  By Nakayama the ideal is principal,
+    equivalently free here, exactly when the dimension is 1.
     """
     if not membership(germ, data):
         raise ConfigError("the fat point scheme does not lie on the curve")
-    if truncation is None:
-        truncation = default_truncation(germ, data)
-    dim, dim_again = _nakayama_dims(germ, data, truncation)
-    if dim != dim_again:
-        raise DegenerateError(
-            f"jet dimension did not stabilize: {dim} at truncation "
-            f"{truncation}, {dim_again} at {truncation + 2}"
-        )
-    return dim == 1
+    return _nakayama_dim(germ, data) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ RATIONAL_PATTERN = r"^[+-]?\d+(/[1-9]\d*)?$"
 # README ("Input ceilings") gives the measurement behind them
 MAX_MULT = 11
 MAX_GERM_DEGREE = 25
-# the largest default truncation 2m + deg f + 2 within the other two
-MAX_TRUNCATION = 2 * MAX_MULT + MAX_GERM_DEGREE + 2
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
@@ -155,7 +153,6 @@ SCHEMAS = {
             "f": {"type": "string"},
             "h": {"type": "array", "items": _RATIONAL},
             "mult": {"type": "integer", "minimum": 1},
-            "truncation": {"type": "integer", "minimum": 2},
         },
     },
     "localfree_result": {
@@ -498,11 +495,11 @@ def _at_most(what: str, value: int, ceiling: int) -> None:
 
 
 def germ_query_from_dict(d: dict):
-    """(germ, ideal data, truncation or None) from a query payload.
+    """(germ, ideal data) from a query payload.
 
-    The multiplicity, the germ's degree and a given jet truncation are
-    held to MAX_MULT, MAX_GERM_DEGREE and MAX_TRUNCATION; the default
-    truncation then lies within MAX_TRUNCATION too.
+    The multiplicity and the germ's degree are held to MAX_MULT and
+    MAX_GERM_DEGREE.  A query holds f, h and mult only: the jet oracle
+    reads its order, m + 1, off the multiplicity.
     """
     from .localfree import CurveGerm, FatIdealData
 
@@ -512,15 +509,12 @@ def germ_query_from_dict(d: dict):
         raise ConfigError('the first entry of "h" must be "0" in queries')
     germ = CurveGerm(parse_local(d["f"]))
     data = FatIdealData.of(h, d["mult"])
-    truncation = d.get("truncation")
     _at_most("mult", data.mult, MAX_MULT)
     _at_most("germ degree", germ.f.total_degree(), MAX_GERM_DEGREE)
-    if truncation is not None:
-        _at_most("truncation", truncation, MAX_TRUNCATION)
-    return germ, data, truncation
+    return germ, data
 
 
-def localfree_result_to_dict(germ, data, truncation: Optional[int] = None) -> dict:
+def localfree_result_to_dict(germ, data) -> dict:
     """Run the freeness criterion and the jet oracle, as one payload.
 
     germ is a localfree.CurveGerm and data a localfree.FatIdealData.
@@ -542,9 +536,7 @@ def localfree_result_to_dict(germ, data, truncation: Optional[int] = None) -> di
         "regular": is_regular(germ),
         "u_at_zero": str(Fraction(u_at_zero(germ, data))) if member else None,
         "free": fat_ideal_free(germ, data) if member else None,
-        "jet_free": (
-            jet_principality_oracle(germ, data, truncation) if member else None
-        ),
+        "jet_free": jet_principality_oracle(germ, data) if member else None,
     }
 
 

@@ -35,6 +35,10 @@ cross-checks exercise independent code paths:
 
 run_fresh_python runs a script in a new interpreter, for checks on what
 a process imports: the test process itself has loaded every module.
+
+The "deterministic" hypothesis profile, loaded here before any test
+module is imported, makes every @given test draw the same examples on
+every run, with no example database carrying failures between runs.
 """
 
 import os
@@ -45,6 +49,10 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 # Reference configuration: ten points in the plane, degree 6, used for the

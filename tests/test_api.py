@@ -75,6 +75,9 @@ REMOVED = [
     ("sheafloci.exactalg", "extend_mod_p"),
     ("sheafloci.schemes", "collinear"),
     ("sheafloci.singloci", "_subset_minor"),
+    ("sheafloci.localfree", "default_truncation"),
+    ("sheafloci.localfree", "_nakayama_dims"),
+    ("sheafloci.serialize", "MAX_TRUNCATION"),
 ]
 
 # library names that no other library code refers to, each with the reason

@@ -7,11 +7,11 @@ import pytest
 
 from conftest import horner_eval, run_fresh_python
 from sheafloci.cli import console_main
-from sheafloci.localfree import default_truncation, random_membership_germ
+from sheafloci.localfree import random_membership_germ
 from sheafloci.poly import parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import MAX_DEGREE
-from sheafloci.serialize import MAX_GERM_DEGREE, MAX_MULT, MAX_TRUNCATION
+from sheafloci.serialize import MAX_GERM_DEGREE, MAX_MULT
 
 CONIC_D5 = {
     "degree": 5,
@@ -407,10 +407,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("payload", ["[]", '"x"', "3", "null"])
     def test_non_object_query_with_truncation_is_exit_one(self, capsys, tmp_path, payload):
-        # --truncation joins the query only after the file passed as an object
+        # the schema's type check refuses the payload before any field is read
         path = tmp_path / "query.json"
         path.write_text(payload)
-        code, out, err = run(capsys, "localfree", "--in", str(path), "--truncation", "8")
+        code, out, err = run(capsys, "localfree", "--in", str(path))
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
@@ -418,17 +418,18 @@ class TestUsageErrors:
         assert "is not of type 'object'" in err
 
     @pytest.mark.parametrize(
-        "command,flag,field,value",
+        "command,flag,field,value,message",
         [
-            ("localfree", "--in", "mult", 2.0),
-            ("localfree", "--in", "truncation", 4.0),
-            ("localfree", "--in", "mult", True),
-            ("analyze", "--config", "degree", 6.0),
+            ("localfree", "--in", "mult", 2.0, "at mult: 2.0 is not of type 'integer'"),
+            # a query holds f, h and mult only: the jet order is not an input
+            ("localfree", "--in", "truncation", 4.0, "'truncation' was unexpected"),
+            ("localfree", "--in", "mult", True, "at mult: True is not of type 'integer'"),
+            ("analyze", "--config", "degree", 6.0, "at degree: 6.0 is not of type 'integer'"),
         ],
         ids=["float-mult", "float-truncation", "bool-mult", "float-degree"],
     )
     def test_non_int_integer_field_is_exit_one(
-        self, capsys, tmp_path, command, flag, field, value
+        self, capsys, tmp_path, command, flag, field, value, message
     ):
         # JSON Schema counts 2.0 as an integer, but the code behind it needs an int
         if flag == "--in":
@@ -444,7 +445,7 @@ class TestUsageErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"at {field}: {value!r} is not of type 'integer'" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -520,11 +521,9 @@ class TestInputCeilings:
             ["random", "--degree", str(MAX_DEGREE + 1), "--seed", "1"],
             ["analyze", "--config", "over.json"],
             ["localfree", "--poly", "x*y", "--mult", str(MAX_MULT + 1)],
-            ["localfree", "--poly", "x*y", "--mult", "2",
-             "--truncation", str(MAX_TRUNCATION + 1)],
             ["localfree", "--poly", f"x*y + y^{MAX_GERM_DEGREE + 1}", "--mult", "2"],
         ],
-        ids=["random-degree", "config-degree", "mult", "truncation", "poly-degree"],
+        ids=["random-degree", "config-degree", "mult", "poly-degree"],
     )
     def test_over_ceiling_is_exit_one(self, capsys, tmp_path, monkeypatch, argv):
         write_json(tmp_path / "over.json", {"degree": MAX_DEGREE + 1, "simple": [], "fat": []})
@@ -536,10 +535,9 @@ class TestInputCeilings:
         assert "ceiling" in err or "maximum" in err
 
     def test_default_truncation_within_the_ceilings_is_answered(self, capsys, tmp_path):
-        # README's mult-11 germ: degree 13, default truncation 2*11 + 13 + 2 = 37
+        # README's mult-11 germ, of degree 13; the jet oracle works at order 12
         germ, data = random_membership_germ(SplitMix64(1), MAX_MULT, factor_degree=2)
         assert germ.f.total_degree() == 13
-        assert default_truncation(germ, data) == 37
         query = {"f": str(germ.f), "h": [str(c) for c in data.h], "mult": MAX_MULT}
         code, out, err = run(capsys, "localfree", "--in", write_json(tmp_path / "q.json", query))
         assert (code, err) == (0, "")

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from sheafloci import localfree
-from sheafloci.errors import ConfigError, DegenerateError
+from sheafloci.errors import ConfigError
 from sheafloci.linsys import fibre, random_weights
 from sheafloci.localfree import (
     CurveGerm,
     FatIdealData,
-    _nakayama_dims,
+    _nakayama_dim,
     branch_restriction,
     fat_ideal_free,
     germ_at_fat_point,
@@ -190,32 +190,19 @@ class TestMaximalIdeal:
 class TestJetOracle:
     def test_nakayama_dims(self):
         d = double_point()
-        assert _nakayama_dims(germ("x*y"), d, 8) == (2, 2)
-        assert _nakayama_dims(germ("x^2 - y^2"), d, 8) == (1, 1)
-        assert _nakayama_dims(germ("x - y^2"), d, 8) == (1, 1)
-
-    def test_unstable_truncation_is_refused(self):
-        # Below order 2 the node x*y leaves no row and y^2 no generator.
-        with pytest.raises(DegenerateError, match="1 at truncation 2, 2 at 4"):
-            jet_principality_oracle(germ("x*y"), double_point(), truncation=2)
-
-    def test_truncation_choice_does_not_matter(self):
-        g = germ("x^2 - y^3")
-        d = double_point()
-        assert jet_principality_oracle(g, d) == jet_principality_oracle(
-            g, d, truncation=11
-        )
+        assert _nakayama_dim(germ("x*y"), d) == 2
+        assert _nakayama_dim(germ("x^2 - y^2"), d) == 1
+        assert _nakayama_dim(germ("x - y^2"), d) == 1
 
     def test_sparse_elimination_matches_dense_ranks(self):
         # Recompute dim I/mI as the dense rank of the two generators modulo
         # the rows of mI, using the Fraction oracle rather than the integer
         # core the jet check uses, and rows built as LocalPoly products
         # rather than monomial shifts.
-        # Criterion 6's canonical germs and seeded mult 1-3 germs, at
-        # truncations 1-6, where the two levels often differ, and t; each
-        # call answers for trunc and trunc + 2.  In x - y^3 = x - y * y^2
-        # the cofactor of y^2 vanishes at the origin, so only the
-        # multiples of y^2 put x into mI.
+        # Criterion 6's canonical germs and seeded mult 1-3 germs, at every
+        # truncation from m + 1 to 8.  In x - y^3 = x - y * y^2 the cofactor
+        # of y^2 vanishes at the origin, so only the multiples of y^2 put x
+        # into mI.
         rng = SplitMix64(90)
         cases = [
             (germ(text), double_point())
@@ -225,22 +212,50 @@ class TestJetOracle:
             random_membership_germ(rng, 1 + k % 3, factor_degree=1) for k in range(6)
         ]
         for g, d in cases:
-            t = 2 * d.mult + g.f.total_degree() + 2
-            dense = {k: dense_dim(g, d, k) for k in {*range(1, 9), t, t + 2}}
-            for trunc in (1, 2, 3, 4, 5, 6, t):
-                assert _nakayama_dims(g, d, trunc) == (dense[trunc], dense[trunc + 2])
+            dim = _nakayama_dim(g, d)
+            assert [dense_dim(g, d, t) for t in range(d.mult + 1, 9)] == [dim] * (8 - d.mult)
 
     def test_dense_ranks_at_the_benchmark_shape(self):
         # The cli workload's germs: A (x - h) + B y^m with A, B of degree 2,
-        # at the default truncation t, where the shifts of y^m and x - h
-        # go into the echelon before the curve's.  Seed 72 draws a free
-        # double point and a non-free triple point.
+        # against the dense rank at m + 1 and at 2m + deg f + 2, far past
+        # the order the oracle works at.  Seed 72 draws a free double point
+        # and a non-free triple point.
         rng = SplitMix64(72)
         cases = [random_membership_germ(rng, mult) for mult in (2, 3)]
         assert [fat_ideal_free(g, d) for g, d in cases] == [True, False]
         for g, d in cases:
             t = 2 * d.mult + g.f.total_degree() + 2
-            assert _nakayama_dims(g, d, t) == (dense_dim(g, d, t), dense_dim(g, d, t + 2))
+            dim = _nakayama_dim(g, d)
+            assert (dense_dim(g, d, d.mult + 1), dense_dim(g, d, t)) == (dim, dim)
+
+    def test_order_m_plus_one_is_exact(self):
+        # m^(m+1) lies in mI + (f), so cutting the jets at m + 1 keeps the
+        # dimension: the oracle matches the criterion on seeded germs whose
+        # branch h is not zero, the dense rank at m + 1 matches every higher
+        # order, and order m falls short on the node.
+        rng = SplitMix64(34)
+        seen = {True: 0, False: 0}
+        for k in range(300):
+            mult = 1 + k % 7
+            while True:
+                g, d = random_membership_germ(rng, mult, factor_degree=1 + k % 3)
+                if mult == 1 or any(d.h):
+                    break
+            verdict = fat_ideal_free(g, d)
+            assert (_nakayama_dim(g, d) == 1) == verdict, (k, str(g.f), d)
+            seen[verdict] += 1
+        assert min(seen.values()) > 0, seen
+        cases = [
+            (germ("x*y"), double_point()),
+            (germ("x^2 - y^3"), double_point((1,))),
+            (germ("x - y^3"), double_point()),
+        ]
+        cases += [random_membership_germ(rng, mult, factor_degree=1) for mult in (1, 2, 3)]
+        for g, d in cases:
+            low = dense_dim(g, d, d.mult + 1)
+            assert [dense_dim(g, d, t) for t in range(d.mult + 2, 9)] == [low] * (7 - d.mult)
+        assert dense_dim(germ("x*y"), double_point(), 2) == 1
+        assert dense_dim(germ("x*y"), double_point(), 3) == 2
 
     def test_dims_never_substitute_or_multiply(self, monkeypatch):
         # The oracle checks the criterion, which reads f(h(y), y); its rows
@@ -251,8 +266,7 @@ class TestJetOracle:
         ]
         rng = SplitMix64(41)
         cases += [random_membership_germ(rng, 1 + k % 3) for k in range(6)]
-        truncs = [(g, d, 2 * d.mult + g.f.total_degree() + 2) for g, d in cases]
-        expected = [_nakayama_dims(g, d, t) for g, d, t in truncs]
+        expected = [_nakayama_dim(g, d) for g, d in cases]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the jet oracle must not substitute or multiply")
@@ -260,7 +274,7 @@ class TestJetOracle:
         monkeypatch.setattr(LocalPoly, "substitute_x", forbidden)
         monkeypatch.setattr(LocalPoly, "__mul__", forbidden)
         monkeypatch.setattr(localfree, "branch_restriction", forbidden)
-        assert [_nakayama_dims(g, d, t) for g, d, t in truncs] == expected
+        assert [_nakayama_dim(g, d) for g, d in cases] == expected
 
     def test_branch_restriction(self):
         g = germ("x^2 - y^3")

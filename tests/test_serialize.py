@@ -183,12 +183,10 @@ class TestReportAndSubspace:
 
 class TestLocalFreePayloads:
     def test_query_round_trip(self):
-        germ, data, trunc = germ_query_from_dict(
-            {"f": "x^2 - y^3", "h": ["0", "1"], "mult": 2, "truncation": 12}
-        )
+        germ, data = germ_query_from_dict({"f": "x^2 - y^3", "h": ["0", "1"], "mult": 2})
         assert germ.f == parse_local("x^2 - y^3")
         assert data.h == (0, 1)
-        assert trunc == 12
+        assert data.mult == 2
 
     def test_query_requires_zero_constant(self):
         with pytest.raises(ConfigError, match="h"):
@@ -345,7 +343,7 @@ MUTANT_VALUES = [
     0, 1, 2, 3, 4, 6, 10, 11, -1, 2.5, 2.0, 6.0, 0.0, float("nan"),
     True, False, None, [], {}, ["0"], ["1", "2", "3"], {"a": 1},
 ]
-MUTANT_KEYS = ["extra", "degree", "simple", "fat", "mult", "h", "truncation", "chart", "f"]
+MUTANT_KEYS = ["extra", "degree", "simple", "fat", "mult", "h", "chart", "f"]
 
 
 def containers(obj):
@@ -422,7 +420,7 @@ def test_checker_agrees_with_jsonschema_on_mutated_payloads():
              for d in (4, 5) for s in ("generic", "double")]
     bases += [
         ("localfree_query", {"f": "x^2 - y^3", "h": ["0", "1/2"], "mult": 2}),
-        ("localfree_query", {"f": "x*y", "h": [], "mult": 1, "truncation": 6}),
+        ("localfree_query", {"f": "x*y", "h": [], "mult": 1}),
     ]
     validators = {
         kind: jsonschema.validators.validator_for(SCHEMAS[kind])(SCHEMAS[kind])
