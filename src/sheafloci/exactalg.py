@@ -35,13 +35,13 @@ nonzero over Q and rank_P <= rank_Q.  Full row rank mod P therefore
 proves full row rank over Q, and the row count is returned at once;
 only rows that turn out dependent mod P go on to the exact integer
 echelon.  The answer is exact either way; only the speed depends on the
-prime.  The mod-P elimination is echelon_mod_p, which reduces integer
-rows mod P and eliminates them from an empty echelon.  A caller may hand
-rank_of_rows a certificate instead: a nonzero multiple, mod P, of a
-maximal minor of the rows' images under some fixed linear map mod P.
-The images have rank at most rank_P of the rows, so a nonzero minor of
-as many images as there are rows proves full row rank.  singloci ranks
-every singular locus this way, on the images that linsys defines.
+prime.  The one mod-P elimination is echelon_mod_p; linsys and
+singloci read fibre members and RREFs off its monic pivot rows.  A
+caller may hand rank_of_rows a certificate instead: a nonzero multiple,
+mod P, of a maximal minor of the rows' images under some fixed linear
+map mod P.  The images have rank at most rank_P of the rows, so a
+nonzero minor of as many images as there are rows proves full row rank.
+singloci ranks every singular locus this way, on linsys's images.
 """
 
 from __future__ import annotations
@@ -192,12 +192,12 @@ def reduced_echelon(rows: Sequence) -> dict:
 
 
 def echelon_mod_p(rows: Iterable[Sequence[int]]) -> Optional[dict]:
-    """The mod-_PRIME echelon of integer rows, or None if one falls dependent.
+    """The monic mod-_PRIME echelon of integer rows, or None if one falls dependent.
 
-    Each row, all of one length, is reduced mod _PRIME and then against
-    the rows stored before it, by the same cross-multiplication as
-    insert_row.  Returns the echelon, a column to the residue row whose
-    first nonzero entry lies in that column, when every row adds a
+    Each row, all of one length, is reduced mod _PRIME, then from each
+    stored pivot c it meets on: row[c + 1:] -= row[c] * pivot_row[c + 1:].
+    A row that reaches a free column is stored there monic, zero before
+    it.  Returns the echelon, a column to its row, when every row adds a
     pivot, that is when the rows are linearly independent modulo _PRIME.
     """
     pivots = {}
@@ -212,12 +212,13 @@ def echelon_mod_p(rows: Iterable[Sequence[int]]) -> Optional[dict]:
                 return None
             top = pivots.get(c)
             if top is None:
-                pivots[c] = row
+                inv = pow(row[c], -1, _PRIME)
+                pivots[c] = [0] * c + [a * inv % _PRIME for a in row[c:]]
                 break
-            # both rows are zero before column c
-            p, f = top[c], row[c]
+            # this step zeroes the row through c; row[:c + 1] is not read again
+            f = row[c]
             c += 1
-            row = [(p * a - f * b) % _PRIME for a, b in zip(row, top)]
+            row[c:] = [(a - f * b) % _PRIME for a, b in zip(row[c:], top[c:])]
     return pivots
 
 

@@ -12,12 +12,12 @@ fibre decides the fibre's dimension modulo the prime P of exactalg.  It
 eliminates M mod P once, by echelon_mod_p; l pivots prove
 rank(M) = l, since rank_P <= rank_Q <= rows, and only when they fall
 short is M ranked exactly.  It then keeps six seeded fibre members mod
-P, the columns of Q = K R, where K spans the kernel of M mod P and R
-is a fixed seeded 3d x 6 sketch matrix.  The image of a row x is
-(x Q, x at M's pivot columns), a fixed linear map mod P.  The rows of
-M map onto 0^6 + F_P^l, so modulo their images a row's image is the
-six entries of x Q; singloci certifies every locus codimension on
-these.
+P, the columns of Q = K R, where K spans the kernel of M mod P, read
+off the monic echelon, and R is a fixed seeded 3d x 6 sketch matrix.
+The image of a row x is (x Q, x at M's pivot columns), a fixed linear
+map mod P.  The rows of M map onto 0^6 + F_P^l, so modulo their images
+a row's image is the six entries of x Q; singloci certifies every locus
+codimension on these.
 
 ProjSubspace, a subspace stored as the graph of its pivot coordinates
 over its free ones (the reduced row echelon form of the cutting
@@ -216,24 +216,21 @@ def _members_mod_p(rows: Sequence[Sequence]) -> tuple:
     of the rows mod P per free column of their echelon, with a 1 there.
     So each member takes a column of R at the free columns, and its
     pivot entries follow by back-substitution through the echelon, from
-    the last pivot up.
+    the last pivot up; each pivot row is monic, so no inverse is taken.
     """
     echelon = echelon_mod_p(rows)
     if echelon is None:
         return ()
     n = len(rows[0])
     free = [j for j in range(n) if j not in echelon]
-    steps = [
-        (c, echelon[c][c + 1 :], pow(-echelon[c][c], -1, _PRIME))
-        for c in sorted(echelon, reverse=True)
-    ]
+    steps = [(c, echelon[c][c + 1 :]) for c in sorted(echelon, reverse=True)]
     members = []
     for col in _sketch_matrix(len(free)):
         v = [0] * n
         for j, a in zip(free, col):
             v[j] = a % _PRIME
-        for c, tail, inv in steps:
-            v[c] = sum(map(mul, tail, v[c + 1 :])) * inv % _PRIME
+        for c, tail in steps:
+            v[c] = -sum(map(mul, tail, v[c + 1 :])) % _PRIME
         members.append(tuple(v))
     return tuple(members)
 

@@ -355,6 +355,7 @@ def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
     the simple points.  Coordinates are integers in [-20, 20] drawn from
     SplitMix64(seed); candidates are rejected until no degree-(d-3)
     curve passes through the scheme, with a hard cap of 10^4 rejections.
+    A seed outside [0, 2^64), which SplitMix64 would alias, is a ConfigError.
     """
     if d < 4:
         raise ConfigError("degree must be at least 4")
@@ -362,6 +363,8 @@ def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
         raise ConfigError(f"degree {d} is above the ceiling {MAX_DEGREE}")
     if stratum not in _STRATUM_FAT_MULTS:
         raise ConfigError(f"unknown stratum {stratum!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed} is outside 0..2^64 - 1")
     mults = _STRATUM_FAT_MULTS[stratum]
     rng = SplitMix64(seed)
     l = expected_length(d)

@@ -28,12 +28,13 @@ images of linsys, x -> (x Q, x at M's pivot columns): M's images span
 the last l coordinates, and modulo them a condition row's image is the
 six residues of x Q.  So [M; G_S] has full row rank if its 2|S| x 6
 residue block R_S has a maximal minor nonzero mod P, since the rank of
-the images mod P never exceeds the rank over Q.  A point passes a 2 x 2
-minor of its block R_i and keeps the RREF of R_i mod P; every later
-point k's block, reduced by those two rows, keeps four nonzero columns
-and their six 2 x 2 minors.  A pair (i, j) passes one of j's minors, and
-a triple (i, j, k) the 4 x 4 determinant of j's and k's reduced blocks,
-expanded along the first two rows into six products of their minors.
+the images mod P never exceeds the rank over Q.  A point reads the RREF
+of its block R_i off exactalg's monic echelon mod P and passes 1 when
+it has two pivots; every later point k's block, reduced by those two
+rows, keeps four nonzero columns and their six 2 x 2 minors.  A pair
+(i, j) passes one of j's minors, and a triple (i, j, k) the 4 x 4
+determinant of j's and k's reduced blocks, expanded along the first two
+rows into six products of their minors.
 Block elimination makes each value a nonzero multiple of a maximal
 minor of R_S, so it is nonzero exactly when R_S has full row rank mod
 P.  A point, pair or triple whose value is 0 is ranked exactly on the
@@ -51,12 +52,11 @@ fibre by Fibre.contains, one dot product per row of M.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError, Record
-from .exactalg import _PRIME, QMatrix, kernel, rank_of_rows
+from .exactalg import _PRIME, QMatrix, echelon_mod_p, kernel, rank_of_rows
 from .linsys import Fibre, random_weights
 from .poly import HomPoly, monomials, powers, upoly_coeff
 from .rng import SplitMix64
@@ -145,20 +145,17 @@ def _locus_codim(fib: Fibre, rows: list, minor: int = 0) -> int:
 def _point_echelon(block: list) -> tuple:
     """(minor, RREF) of a point's 2 x 6 residue block mod P.
 
-    minor is the block's first nonzero 2 x 2 minor, at its pivot columns
-    c1 < c2, and RREF is (c1, c2, e1, e2), its reduced row echelon form
-    mod P; (0, None) when the block has rank below 2.
+    RREF is (c1, c2, e1, e2): the block's monic echelon mod P, pivots
+    c1 < c2, with e1 cleared at c2.  minor is then 1, a nonzero multiple
+    of the block's 2 x 2 minor at c1, c2; (0, None) below rank 2.
     """
-    a, b = block
-    for c1, c2 in combinations(range(len(a)), 2):
-        minor = (a[c1] * b[c2] - a[c2] * b[c1]) % _PRIME
-        if minor:
-            # the inverse of the 2 x 2 block at c1, c2 times the rows
-            inv = pow(minor, -1, _PRIME)
-            e1 = [(b[c2] * x - a[c2] * y) * inv % _PRIME for x, y in zip(a, b)]
-            e2 = [(a[c1] * y - b[c1] * x) * inv % _PRIME for x, y in zip(a, b)]
-            return minor, (c1, c2, e1, e2)
-    return 0, None
+    echelon = echelon_mod_p(block)
+    if echelon is None:
+        return 0, None
+    c1, c2 = sorted(echelon)
+    e1, e2 = echelon[c1], echelon[c2]
+    f = e1[c2]
+    return 1, (c1, c2, [(a - f * b) % _PRIME for a, b in zip(e1, e2)], e2)
 
 
 def _reduced_minors(rref: Optional[tuple], block: list) -> tuple:

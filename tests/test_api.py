@@ -215,6 +215,25 @@ def test_library_has_no_assert_statement():
     assert found == []
 
 
+def test_only_exactalg_takes_a_modular_inverse():
+    # one mod-P core: linsys and singloci read exactalg's monic echelon
+    found = []
+    for path in sorted(Path(sheafloci.__file__).parent.glob("*.py")):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "pow"
+            and len(node.args) == 3
+            and ast.unparse(node.args[1]) == "-1"
+        )
+    assert found == []
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 

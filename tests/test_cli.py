@@ -534,6 +534,14 @@ class TestInputCeilings:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ceiling" in err or "maximum" in err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["negative", "2^64"])
+    def test_seed_outside_64_bits_is_exit_one(self, capsys, seed):
+        # SplitMix64 keeps 64 bits, so such a seed would alias another
+        code, out, err = run(capsys, "random", "--degree", "5", "--seed", str(seed))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: seed {seed} is outside 0..2^64 - 1\n"
+
     def test_default_truncation_within_the_ceilings_is_answered(self, capsys, tmp_path):
         # README's mult-11 germ, of degree 13; the jet oracle works at order 12
         germ, data = random_membership_germ(SplitMix64(1), MAX_MULT, factor_degree=2)

@@ -286,7 +286,8 @@ def test_nonzero_minor_certifies_rank_of_rows(rows):
 )
 def test_echelon_mod_p_stores_each_row_reduced(rows):
     # the echelon holds the rows in order, each reduced mod P against
-    # the entries before it; None exactly when they are dependent mod P
+    # the entries before it and made monic; None exactly when they are
+    # dependent mod P
     echelon = exactalg.echelon_mod_p(rows)
     assert (echelon is None) == (rank_mod_p(rows) < len(rows))
     if echelon is None:
@@ -298,6 +299,7 @@ def test_echelon_mod_p_stores_each_row_reduced(rows):
         column, stored = entries[k]
         assert all(0 <= a < P for a in stored)
         assert column == next(j for j, a in enumerate(stored) if a)
+        assert stored[column] == 1
         # stored is row reduced modulo the entries before it
         assert rank_mod_p(before + [stored]) == len(before) + 1
         assert rank_mod_p(before + [stored, row]) == len(before) + 1

@@ -1,12 +1,15 @@
 """Projective subspaces and fibres of the singular-locus bundle."""
 
+import hashlib
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafloci.errors import DegenerateError, GenericityError, ShapeError
-from sheafloci.linsys import ProjSubspace, fibre, random_weights
+from sheafloci.exactalg import _PRIME as P
+from sheafloci.linsys import ProjSubspace, _sketch_matrix, fibre, random_weights
 from sheafloci.poly import HomPoly, monomial_count, parse_homogeneous
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import PointConfig, SimplePoint, random_config
@@ -205,3 +208,38 @@ class TestFibre:
         with pytest.raises(DegenerateError) as info:
             fibre(ref_config())
         assert (info.value.expected, info.value.actual) == (11, 10)
+
+
+class TestMembers:
+    """The six fibre members mod P that every locus certificate reads.
+
+    A member off ker M mod P, or with the wrong free entries, would let
+    a certificate pass for rows that are dependent over Q.
+    """
+
+    def check(self, fib):
+        free = ExactFibre(fib).space.free_columns
+        sketch = _sketch_matrix(len(free))
+        assert len(fib.members) == len(sketch) == 6
+        for q, col in zip(fib.members, sketch):
+            assert all(0 <= a < P for a in q)
+            assert [q[j] for j in free] == [a % P for a in col]
+            assert not any(sum(map(mul, row, q)) % P for row in fib.membership)
+
+    @pytest.mark.parametrize("d,stratum,mults", SEEDED_STRATA)
+    def test_seeded_strata(self, d, stratum, mults):
+        self.check(fibre(seeded_stratum_config(d, stratum, mults)))
+
+    def test_remark6_reference(self):
+        self.check(fibre(ref_config()))
+
+    def test_members_are_pinned(self):
+        digest = hashlib.sha256()
+        for d in range(5, 9):
+            for stratum in ("generic", "double"):
+                for seed in (1, 2, 3):
+                    fib = fibre(random_config(d, seed, stratum=stratum))
+                    digest.update(repr(fib.members).encode())
+        assert digest.hexdigest() == (
+            "2707f69827a686169490806a304f3da5ddf63a1d5fc5d97516d77861f8ca6b6b"
+        )

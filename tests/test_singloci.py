@@ -882,6 +882,30 @@ def test_subset_minors_are_nonzero_iff_full_row_rank_mod_p(blocks):
         assert (value != 0) == (rank_mod_p(stacked) == 2 * n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(residue_blocks())
+def test_point_echelon_is_the_block_rref(blocks):
+    # the identity at the pivots, zeros before each, the block's span,
+    # and the first pivot pair in the order the certificates rely on
+    for block in blocks:
+        minor, rref = _point_echelon(block)
+        a, b = block
+        pairs = [
+            (c1, c2)
+            for c1, c2 in combinations(range(6), 2)
+            if (a[c1] * b[c2] - a[c2] * b[c1]) % P
+        ]
+        assert (minor != 0) == (rref is not None) == bool(pairs)
+        if rref is None:
+            continue
+        c1, c2, e1, e2 = rref
+        assert (c1, c2) == pairs[0]
+        assert [e1[c1], e1[c2], e2[c1], e2[c2]] == [1, 0, 0, 1]
+        assert not any(e1[:c1]) and not any(e2[:c2])
+        assert all(0 <= x < P for x in e1 + e2)
+        assert rank_mod_p([e1, e2]) == rank_mod_p([e1, e2, *block]) == 2
+
+
 class TestAmbientOracle:
     """Every locus_report codimension against ambient_codim.
 
