@@ -35,9 +35,9 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+from . import exactalg
 from .errors import DegenerateError, Record, ShapeError
 from .exactalg import (
-    _PRIME,
     QMatrix,
     echelon_mod_p,
     integer_row,
@@ -221,6 +221,7 @@ def _members_mod_p(rows: Sequence[Sequence]) -> tuple:
     echelon = echelon_mod_p(rows)
     if echelon is None:
         return ()
+    prime = exactalg._PRIME
     n = len(rows[0])
     free = [j for j in range(n) if j not in echelon]
     steps = [(c, echelon[c][c + 1 :]) for c in sorted(echelon, reverse=True)]
@@ -228,9 +229,9 @@ def _members_mod_p(rows: Sequence[Sequence]) -> tuple:
     for col in _sketch_matrix(len(free)):
         v = [0] * n
         for j, a in zip(free, col):
-            v[j] = a % _PRIME
+            v[j] = a % prime
         for c, tail in steps:
-            v[c] = -sum(map(mul, tail, v[c + 1 :])) % _PRIME
+            v[c] = -sum(map(mul, tail, v[c + 1 :])) % prime
         members.append(tuple(v))
     return tuple(members)
 

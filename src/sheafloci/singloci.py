@@ -56,7 +56,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DegenerateError, NotInFibreError, Record
-from .exactalg import _PRIME, QMatrix, echelon_mod_p, kernel, rank_of_rows
+from . import exactalg
+from .exactalg import QMatrix, echelon_mod_p, kernel, rank_of_rows
 from .linsys import Fibre, random_weights
 from .poly import HomPoly, monomials, powers, upoly_coeff
 from .rng import SplitMix64
@@ -155,7 +156,7 @@ def _point_echelon(block: list) -> tuple:
     c1, c2 = sorted(echelon)
     e1, e2 = echelon[c1], echelon[c2]
     f = e1[c2]
-    return 1, (c1, c2, [(a - f * b) % _PRIME for a, b in zip(e1, e2)], e2)
+    return 1, (c1, c2, [(a - f * b) % exactalg._PRIME for a, b in zip(e1, e2)], e2)
 
 
 def _reduced_minors(rref: Optional[tuple], block: list) -> tuple:
@@ -169,15 +170,16 @@ def _reduced_minors(rref: Optional[tuple], block: list) -> tuple:
     if rref is None:
         return (0,) * 6
     c1, c2, e1, e2 = rref
+    prime = exactalg._PRIME
     free = [c for c in range(6) if c != c1 and c != c2]
-    u, v = ([(r[c] - r[c1] * e1[c] - r[c2] * e2[c]) % _PRIME for c in free] for r in block)
+    u, v = ([(r[c] - r[c1] * e1[c] - r[c2] * e2[c]) % prime for c in free] for r in block)
     return (
-        (u[0] * v[1] - u[1] * v[0]) % _PRIME,
-        (u[0] * v[2] - u[2] * v[0]) % _PRIME,
-        (u[0] * v[3] - u[3] * v[0]) % _PRIME,
-        (u[1] * v[2] - u[2] * v[1]) % _PRIME,
-        (u[1] * v[3] - u[3] * v[1]) % _PRIME,
-        (u[2] * v[3] - u[3] * v[2]) % _PRIME,
+        (u[0] * v[1] - u[1] * v[0]) % prime,
+        (u[0] * v[2] - u[2] * v[0]) % prime,
+        (u[0] * v[3] - u[3] * v[0]) % prime,
+        (u[1] * v[2] - u[2] * v[1]) % prime,
+        (u[1] * v[3] - u[3] * v[1]) % prime,
+        (u[2] * v[3] - u[3] * v[2]) % prime,
     )
 
 
@@ -307,9 +309,10 @@ def locus_report(
         if len(set(s)) != len(s):
             raise ConfigError(f"subset {tuple(s)} repeats a point id")
     rows = {pid: condition_rows(cfg, pid) for pid in ids}
+    prime = exactalg._PRIME
     # a row's image modulo M's is x Q, its M part's zeros left out
     residues = {
-        pid: [[sum(map(mul, row, q)) % _PRIME for q in fib.members] for row in r]
+        pid: [[sum(map(mul, row, q)) % prime for q in fib.members] for row in r]
         for pid, r in rows.items()
     }
     echelons = {pid: _point_echelon(residues[pid]) for pid in ids}
@@ -335,7 +338,7 @@ def locus_report(
                 # i, j and k are collinear iff k is on the line i x j
                 line = _cross(supports[i], supports[j])
                 for k in ids[j:]:
-                    minor = sum(map(mul, cofactors, minors[k])) % _PRIME
+                    minor = sum(map(mul, cofactors, minors[k])) % prime
                     codim = _locus_codim(fib, pair_rows + rows[k], minor)
                     on_line = sum(map(mul, line, supports[k])) == 0
                     triple_codims.append((i, j, k, codim, on_line))

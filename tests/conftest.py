@@ -32,6 +32,7 @@ cross-checks exercise independent code paths:
   past the two strata random_config draws.
 - SEEDED_STRATA, seeded_stratum_config: one seeded configuration per
   degree 4-8 and stratum, fat points of multiplicity 3 and 2+2 included.
+- tiny_prime: a fixture that sets exactalg's modulus to 2, then to 3.
 
 run_fresh_python runs a script in a new interpreter, for checks on what
 a process imports: the test process itself has loaded every module.
@@ -417,6 +418,20 @@ def seeded_stratum_config(d, stratum, mults):
     if mults:
         return random_fat_config(d, d, mults)
     return random_config(d, d, stratum=stratum)
+
+
+@pytest.fixture(params=[2, 3])
+def tiny_prime(request, monkeypatch):
+    """exactalg's modulus set to 2, then to 3, for the test's duration.
+
+    linsys and singloci read the modulus from exactalg at call time, so
+    every certificate runs at the tiny prime, where most of them are 0
+    and their exact fallbacks run.
+    """
+    from sheafloci import exactalg
+
+    monkeypatch.setattr(exactalg, "_PRIME", request.param)
+    return request.param
 
 
 def ambient_singular_subspace(fib, pid):

@@ -234,6 +234,23 @@ def test_only_exactalg_takes_a_modular_inverse():
     assert found == []
 
 
+def test_only_exactalg_binds_the_modulus():
+    # linsys and singloci read exactalg._PRIME at call time, so the
+    # tiny-prime test sets the modulus of every certificate in one place
+    found = []
+    for path in sorted(Path(sheafloci.__file__).parent.glob("*.py")):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(
+            f"{path.name}:{getattr(node, 'lineno', '')}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_PRIME")
+            or (isinstance(node, ast.alias) and "_PRIME" in (node.name, node.asname))
+        )
+    assert found == []
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 

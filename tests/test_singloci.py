@@ -1,14 +1,18 @@
 """Singular-sheaf loci: codimensions, transversality, classification."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sheafloci import exactalg, singloci
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
+from sheafloci.kronecker import kronecker_from_points
 from sheafloci.exactalg import _PRIME as P, QMatrix, insert_row, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
 from sheafloci.poly import HomPoly, monomial_count, monomial_index, monomials
@@ -22,7 +26,7 @@ from sheafloci.schemes import (
     random_config,
     simple_point_row,
 )
-from sheafloci.serialize import report_to_dict
+from sheafloci.serialize import canonical_dumps, report_to_dict, resolution_to_dict
 from sheafloci.singloci import (
     SingularLocusReport,
     _cofactors,
@@ -1188,3 +1192,84 @@ class TestChainRule:
         assert rep.point_codims == ((1, "simple", 2), (2, "fat", 2))
         assert [codim for _i, _j, codim in rep.pair_codims] == [4]
         assert normal_space_dim(fib, 2) == ambient_codim(fib, [2]) == 2
+
+
+# extra subsets of the tiny-prime run, where a configuration has the points
+TINY_PRIME_SUBSETS = ((1, 2, 3), (3, 1), (1, 2, 3, 4))
+
+
+def tiny_prime_configs():
+    """SEEDED_STRATA up to degree 6, and the Remark 6 reference.
+
+    At a tiny prime nearly every pair and triple is ranked exactly; at
+    degrees 7 and 8 that takes 0.4-2.6 s per configuration.
+    """
+    cfgs = [seeded_stratum_config(*p.values) for p in SEEDED_STRATA if p.values[0] <= 6]
+    return cfgs + [ref_config()]
+
+
+def output_bytes(cfg):
+    """The outputs that rest on certificates mod P, as text.
+
+    The report with triples and extra subsets, the kronecker payload, a
+    curve imposed at the first three points with its classification,
+    and every point's normal_space_dim.
+    """
+    fib = fibre(cfg)
+    subsets = [s for s in TINY_PRIME_SUBSETS if max(s) <= cfg.npoints]
+    rep = locus_report(fib, pairs=True, triples=True, extra_subsets=subsets)
+    curve = impose_singularities(fib, range(1, min(3, cfg.npoints) + 1), SplitMix64(cfg.degree))
+    return "\n".join([
+        canonical_dumps(report_to_dict(rep)),
+        canonical_dumps(resolution_to_dict(kronecker_from_points(cfg))),
+        str(curve),
+        repr(sorted(classify_curve(fib, curve))),
+        repr([normal_space_dim(fib, pid) for pid in range(1, cfg.npoints + 1)]),
+    ])
+
+
+@cache
+def real_prime_bytes():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exactalg, "_PRIME", P)
+        return [output_bytes(cfg) for cfg in tiny_prime_configs()]
+
+
+class TestTinyPrime:
+    """At P = 2 and 3 every fallback runs and no output byte changes.
+
+    Each certificate is nonzero mod P only when the exact value is
+    nonzero, so a wrong fallback shows only where certificates vanish,
+    which at the real prime almost never happens.  The test counts each
+    kind of fallback, so that it cannot pass without running them: a
+    fibre with no members, a point with no RREF, a pair or triple whose
+    value is 0, and the exact path of rank_of_rows.
+    """
+
+    def test_outputs_match_the_real_prime(self, tiny_prime, monkeypatch):
+        want = real_prime_bytes()
+        counts = Counter()
+
+        def count(name, fn, fell_back):
+            def counted(*args):
+                out = fn(*args)
+                counts[name] += fell_back(args, out)
+                return out
+
+            return counted
+
+        # rank_of_rows reads echelon_mod_p through exactalg; linsys and
+        # singloci hold their own bindings, which stay uncounted
+        monkeypatch.setattr(exactalg, "echelon_mod_p", count(
+            "exact rank", exactalg.echelon_mod_p, lambda args, out: out is None))
+        monkeypatch.setattr(singloci, "_point_echelon", count(
+            "no RREF", singloci._point_echelon, lambda args, out: out[1] is None))
+        # points, pairs and triples pass their value; extra subsets pass none
+        monkeypatch.setattr(singloci, "_locus_codim", count(
+            "zero pair or triple", singloci._locus_codim,
+            lambda args, out: len(args) == 3 and args[2] == 0 and len(args[1]) > 2))
+        cfgs = tiny_prime_configs()
+        assert [output_bytes(cfg) for cfg in cfgs] == want
+        counts["no members"] = sum(not fibre(cfg).members for cfg in cfgs)
+        kinds = ("exact rank", "no RREF", "zero pair or triple", "no members")
+        assert all(counts[k] for k in kinds), counts
