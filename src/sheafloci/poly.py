@@ -159,8 +159,10 @@ class HomPoly(Record):
 def powers(x, upto: int) -> list:
     """[1, x, x^2, ..., x^upto]; ints stay ints, Fractions stay Fractions."""
     out = [1]
+    p = 1
     for _ in range(upto):
-        out.append(out[-1] * x)
+        p *= x
+        out.append(p)
     return out
 
 

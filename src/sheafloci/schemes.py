@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError, Record
@@ -39,7 +40,8 @@ from .poly import HomPoly, monomials, powers, upoly_add, upoly_coeff, upoly_mul
 from .rng import SplitMix64
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+# e_0, e_1, e_2, the frame columns of a simple point after the first
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def expected_length(d: int) -> int:
@@ -47,14 +49,63 @@ def expected_length(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-class SimplePoint(Record):
+class CurvilinearPoint(Record):
+    """A point of the scheme as support, frame, branch data h and multiplicity m.
+
+    frame is an invertible matrix sending (1:0:0) to the support.  In
+    the frame's affine coordinates around (1:0:0), local y along its
+    second column and local x along its third, the local ideal is
+    (x - h(y), y^m), with h(0) = 0 and deg h < m (see branch_polynomial).
+    A fat point gives all four; a simple point is m = 1 and h = 0, whose
+    ideal (x, y) is the maximal ideal in any frame.  Every row the
+    package builds at a point reads only this data (see branch_rows).
+    """
+
+    def branch_coordinates(self) -> tuple:
+        """Three univariate polynomials w(y) with w = frame (1, y, h(y)).
+
+        A form F contains the point iff F(w0(y), w1(y), w2(y)) is
+        divisible by y^mult: this parametrizes the curvilinear branch in
+        the plane's coordinates.
+        """
+        f = self.frame
+        return tuple(
+            upoly_add([f.get(i, 0), f.get(i, 1)], [f.get(i, 2) * c for c in self.h])
+            for i in range(3)
+        )
+
+    @cached_property
+    def branch(self) -> tuple:
+        """w(y) as int coefficient lists, cleared over one common denominator."""
+        w = self.branch_coordinates()
+        common = lcm(*(c.denominator for wi in w for c in wi))
+        return tuple([c.numerator * (common // c.denominator) for c in wi] for wi in w)
+
+    @cached_property
+    def axes(self) -> tuple:
+        """(n, s, t): the frame's third column cleared to ints, w(0) and w'(0).
+
+        s and t are the branch's point and tangent, the frame's first
+        column and its second plus h_1 times its third, scaled by w's
+        denominator; n is the chart's transverse axis.  Since the frame
+        is invertible the three are a basis.
+        """
+        n = integer_row([self.frame.get(i, 2) for i in range(3)])[0]
+        s, t = ([upoly_coeff(wi, j) for wi in self.branch] for j in (0, 1))
+        return n, s, t
+
+
+class SimplePoint(CurvilinearPoint):
     """Point of the projective plane, stored as an exact representative.
 
     Equality and hashing go through the primitive representative, so
-    proportional coordinate vectors give equal points.
+    proportional coordinate vectors give equal points.  As a curvilinear
+    point it is its own support, with m = 1, h = 0 and an integer frame.
     """
 
     coords: tuple
+    h = ()
+    mult = 1
 
     def __post_init__(self):
         if len(self.coords) != 3:
@@ -78,6 +129,26 @@ class SimplePoint(Record):
         if next(v for v in ints if v) < 0:
             g = -g
         return tuple(v // g for v in ints)
+
+    @property
+    def support(self) -> "SimplePoint":
+        return self
+
+    @cached_property
+    def axes(self) -> tuple:
+        """(e_{k+2}, p.primitive, e_{k+1}), k the first index with p_k != 0.
+
+        These are the frame's columns, all integers, so no inverse or
+        denominator is needed; the frame's determinant is p_k != 0.
+        """
+        v = self.primitive
+        k = 0 if v[0] else 1 if v[1] else 2
+        return _UNITS[k - 1], v, _UNITS[k - 2]
+
+    @cached_property
+    def frame(self) -> QMatrix:
+        n, s, t = self.axes
+        return QMatrix.from_rows(zip(s, t, n))
 
     def __eq__(self, other):
         if not isinstance(other, SimplePoint):
@@ -106,12 +177,13 @@ def branch_polynomial(h: Sequence, mult: int) -> tuple:
     return h
 
 
-class FatPoint(Record):
+class FatPoint(CurvilinearPoint):
     """Curvilinear fat point: support, chart, branch data h, multiplicity.
 
     chart is a 3x3 invertible matrix with chart @ support proportional to
-    (1,0,0); h is the univariate coefficient tuple of h(y) from y^0 up,
-    with h(0) = 0 and deg h < mult (see branch_polynomial).
+    (1,0,0); its inverse is the frame.  h is the univariate coefficient
+    tuple of h(y) from y^0 up, with h(0) = 0 and deg h < mult (see
+    branch_polynomial).
     """
 
     support: SimplePoint
@@ -139,19 +211,6 @@ class FatPoint(Record):
         """chart^{-1}, inverted once per fat point: chart coordinates to plane ones."""
         return inverse(self.chart)
 
-    def branch_coordinates(self) -> tuple:
-        """Three univariate polynomials w(y) with w = chart^{-1} (1, y, h(y)).
-
-        A form F contains the fat point iff F(w0(y), w1(y), w2(y)) is
-        divisible by y^mult: this parametrizes the curvilinear branch in
-        the original coordinates.
-        """
-        f = self.frame
-        return tuple(
-            upoly_add([f.get(i, 0), f.get(i, 1)], [f.get(i, 2) * c for c in self.h])
-            for i in range(3)
-        )
-
 
 class PointConfig(Record):
     """Length-validated configuration: simple points first, then fat points.
@@ -167,14 +226,14 @@ class PointConfig(Record):
     def __post_init__(self):
         if self.degree < 4:
             raise ConfigError("degree must be at least 4")
-        total = len(self.simple) + sum(f.mult for f in self.fat)
+        total = sum(p.mult for p in self.points)
         expected = expected_length(self.degree)
         if total != expected:
             raise ConfigError(
                 f"configuration length {total} does not match the required "
                 f"(d-1)(d-2)/2 = {expected} for degree {self.degree}"
             )
-        supports = [p for p in self.simple] + [f.support for f in self.fat]
+        supports = [p.support for p in self.points]
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):
                 if supports[i] == supports[j]:
@@ -185,6 +244,11 @@ class PointConfig(Record):
     @classmethod
     def of(cls, degree: int, simple: Sequence[SimplePoint], fat: Sequence[FatPoint] = ()) -> "PointConfig":
         return cls(degree, tuple(simple), tuple(fat))
+
+    @property
+    def points(self) -> tuple:
+        """Every point in id order, simple then fat."""
+        return self.simple + self.fat
 
     @property
     def npoints(self) -> int:
@@ -199,8 +263,7 @@ class PointConfig(Record):
         return ("fat", self.fat[point_id - 1 - len(self.simple)])
 
     def support_of(self, point_id: int) -> SimplePoint:
-        kind, data = self.point(point_id)
-        return data if kind == "simple" else data.support
+        return self.point(point_id)[1].support
 
     def stratum(self) -> str:
         """"generic" (all simple), "double" (one m=2 fat point), or "deep"."""
@@ -224,37 +287,69 @@ class PointConfig(Record):
 # Membership conditions
 
 
-def simple_point_row(p: SimplePoint, k: int) -> list:
-    """Evaluation of the degree-k monomials at p.primitive (one row)."""
-    p0, p1, p2 = (powers(x, k) for x in p.primitive)
-    return [p0[a] * p1[b] * p2[c] for (a, b, c) in monomials(k)]
+def branch_rows(pt: CurvilinearPoint, k: int, orders: Sequence[int], directions: Sequence = ()) -> list:
+    """Rows on degree-k forms F: v . grad F(s) per direction v, then [y^j] F(w(y)) per order j.
 
-
-def fat_point_rows(fp: FatPoint, k: int, orders: Optional[Sequence[int]] = None) -> list:
-    """Rows of the y-order coefficient functionals along the fat point's branch.
-
-    Row for order j sends a degree-k form F to the coefficient of y^j in
-    F(w(y)) where w parametrizes the branch (see branch_coordinates).
-    Defaults to orders 0..mult-1, the membership conditions.  w is
-    first cleared over the common denominator of its three polynomials.
+    w is the point's branch (CurvilinearPoint.branch) and s = w(0).
+    Order 0 is evaluation at s, and order 1, by the chain rule, the
+    direction w'(0); each partial derivative these need is read once
+    off s's powers.  Only orders 2 and up expand the series of F(w(y)),
+    whose y^0 and y^1 coefficients the closed forms equal.
     """
-    if orders is None:
-        orders = range(fp.mult)
-    orders = list(orders)
-    w = fp.branch_coordinates()
-    common = lcm(*(c.denominator for wi in w for c in wi))
+    _n, s, t = pt.axes
+    pw = p0, p1, p2 = powers(s[0], k), powers(s[1], k), powers(s[2], k)
+    mons = monomials(k)
+    partials = {}
+    rows = []
+    for v in directions:
+        rows.append(_derivative_row(pw, mons, partials, v))
+    series = None
+    for j in orders:
+        if j == 0:
+            rows.append([p0[a] * p1[b] * p2[c] for a, b, c in mons])
+        elif j == 1:
+            rows.append(_derivative_row(pw, mons, partials, t))
+        else:
+            series = series or _series_rows(pt.branch, k, [i for i in orders if i > 1])
+            rows.append(series[j])
+    return rows
+
+
+def _derivative_row(pw: list, mons: tuple, partials: dict, v: Sequence) -> list:
+    """The row of F -> v . grad F(s), from s's powers pw.
+
+    partials caches the row of each d/dx_i it builds, for the point's
+    other directions; a unit direction's row is that row itself.
+    """
+    terms = []
+    for i, c in enumerate(v):
+        if c:
+            if i not in partials:
+                # d/dx_i replaces x_i^n by n x_i^(n-1)
+                q = list(pw)
+                q[i] = [0, *map(mul, range(1, len(q[i])), q[i])]
+                q0, q1, q2 = q
+                partials[i] = [q0[a] * q1[b] * q2[e] for a, b, e in mons]
+            terms.append((c, partials[i]))
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    cs, gs = zip(*terms)
+    return [sum(map(mul, cs, col)) for col in zip(*gs)]
+
+
+def _series_rows(w: tuple, k: int, orders: Sequence[int]) -> dict:
+    """Order j to the row sending a degree-k form F to [y^j] F(w(y)), j in orders."""
     pw = []
     for wi in w:
-        wi = [c.numerator * (common // c.denominator) for c in wi]
         levels = [[1]]
         for _ in range(k):
             levels.append(upoly_mul(levels[-1], wi))
         pw.append(levels)
-    rows = [[] for _ in orders]
+    rows = {j: [] for j in orders}
     for (a, b, c) in monomials(k):
         series = upoly_mul(upoly_mul(pw[0][a], pw[1][b]), pw[2][c])
-        for slot, j in enumerate(orders):
-            rows[slot].append(upoly_coeff(series, j))
+        for j, row in rows.items():
+            row.append(upoly_coeff(series, j))
     return rows
 
 
@@ -262,11 +357,12 @@ def membership_conditions(cfg: PointConfig, k: int) -> list:
     """One int row per length unit: the degree-k conditions for containing Z.
 
     A form f of degree k vanishes on the whole scheme (with
-    multiplicities) iff every row annihilates its coefficient vector.
+    multiplicities) iff every row annihilates its coefficient vector:
+    at each point, the orders 0 .. m - 1 of its branch rows.
     """
-    rows = [simple_point_row(p, k) for p in cfg.simple]
-    for fp in cfg.fat:
-        rows.extend(fat_point_rows(fp, k))
+    rows = []
+    for pt in cfg.points:
+        rows += branch_rows(pt, k, range(pt.mult))
     return rows
 
 
@@ -323,22 +419,10 @@ def _random_point(rng: SplitMix64) -> SimplePoint:
             return SimplePoint(coords)
 
 
-def _completion_matrix(p: SimplePoint) -> QMatrix:
-    """Invertible matrix whose first column is p (primitive representative)."""
-    v = p.primitive
-    k = next(i for i in range(3) if v[i] != 0)
-    cols = [list(v)]
-    for idx in ((k + 1) % 3, (k + 2) % 3):
-        e = [_ZERO, _ZERO, _ZERO]
-        e[idx] = _ONE
-        cols.append(e)
-    return QMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
-
-
 def _random_fat_point(rng: SplitMix64, mult: int) -> FatPoint:
     """A fat point at a random support with h(y) = c1 y + ... + c_{m-1} y^{m-1}."""
     support = _random_point(rng)
-    chart = inverse(_completion_matrix(support))
+    chart = inverse(support.frame)
     h = [_ZERO] + [Fraction(rng.randint(-5, 5)) for _ in range(mult - 1)]
     return FatPoint.of(support, chart, h, mult)
 

@@ -55,72 +55,41 @@ from __future__ import annotations
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DegenerateError, NotInFibreError, Record
 from . import exactalg
+from .errors import ConfigError, DegenerateError, NotInFibreError, Record
 from .exactalg import QMatrix, echelon_mod_p, kernel, rank_of_rows
 from .linsys import Fibre, random_weights
-from .poly import HomPoly, monomials, powers, upoly_coeff
+from .poly import HomPoly
 from .rng import SplitMix64
-from .schemes import PointConfig, SimplePoint, fat_point_rows
-
-def gradient_rows(p: SimplePoint, d: int, partials: Sequence[int] = (0, 1, 2)) -> list:
-    """Rows evaluating a degree-d form's partials d/dx_k, k in partials, at p.primitive."""
-    pw = [powers(x, d) for x in p.primitive]
-    rows = []
-    for k in partials:
-        # d/dx_k replaces x_k^n by n x_k^(n-1)
-        t0, t1, t2 = (
-            [0] + [n * x for n, x in enumerate(pk[:-1], 1)] if i == k else pk
-            for i, pk in enumerate(pw)
-        )
-        rows.append([t0[a] * t1[b] * t2[c] for a, b, c in monomials(d)])
-    return rows
+from .schemes import PointConfig, branch_rows
 
 
 def singular_conditions(cfg: PointConfig, point_id: int) -> tuple:
     """Rows of the functionals whose common vanishing marks the sheaf singular.
 
-    Simple point: the three partial derivatives at the point.  Fat point:
-    the three partial derivatives at the support plus the order-m
-    coefficient functional along the branch, whose vanishing says the
-    unit in the local presentation of the ideal degenerates.
+    With the point's axes (n, s, t) (CurvilinearPoint.axes): the
+    gradient at s along n, s and t, which vanishes iff grad F(s) does,
+    and the order-m coefficient functional along the branch, whose
+    vanishing says the unit in the local presentation of the ideal
+    degenerates.  The first and last rows are condition_rows'.
     """
-    kind, data = cfg.point(point_id)
-    d = cfg.degree
-    if kind == "simple":
-        rows = gradient_rows(data, d)
-    else:
-        rows = gradient_rows(data.support, d)
-        rows.extend(fat_point_rows(data, d, orders=[data.mult]))
-    return tuple(tuple(r) for r in rows)
+    pt = cfg.point(point_id)[1]
+    return tuple(tuple(r) for r in branch_rows(pt, cfg.degree, [pt.mult], pt.axes))
 
 
 def condition_rows(cfg: PointConfig, point_id: int) -> list:
-    """Two of the point's singular rows, which span all of them modulo M.
+    """n . grad F(s) and the order-m row: they span the singular rows modulo M.
 
-    M is the membership rows.  Simple point with s = p.primitive:
-    the gradient rows but the one at the last nonzero coordinate K of s,
-    since Euler's relation sum_k s_k dF/dx_k(s) = d F(s) is d times the
-    point's membership row.  Fat point with branch w(y) (see
-    FatPoint.branch_coordinates): one gradient row j and the order-m
-    row.  With s = w(0), a nonzero multiple of the support, and
-    t = w'(0) the branch's tangent direction, Euler's relation makes
-    s . grad F(s) a multiple of the order-0 branch row, and the chain
-    rule makes t . grad F(s) a multiple of the order-1 branch row; both
-    are rows of M.  So every gradient row lies in the span of M and row
-    j, for any j with (s x t)_j != 0, that is with e_j off the plane of
-    s and t.
+    M is the membership rows, (n, s, t) the point's axes and w its
+    branch, s = w(0) and t = w'(0).  By Euler's relation s . grad F(s)
+    is d times the order-0 row, and by the chain rule t . grad F(s) is
+    the order-1 row.  The axes are a basis, so grad F(s) lies in the
+    span of those two rows and the n-row.  When m >= 2 the order-0 and
+    order-1 rows are rows of M; when m = 1 the order-0 row is, and the
+    order-1 row is the order-m row kept.
     """
-    kind, data = cfg.point(point_id)
-    d = cfg.degree
-    if kind == "simple":
-        s = data.primitive
-        euler = max(k for k in range(3) if s[k])
-        return gradient_rows(data, d, [k for k in range(3) if k != euler])
-    w = data.branch_coordinates()
-    cross = _cross([upoly_coeff(wi, 0) for wi in w], [upoly_coeff(wi, 1) for wi in w])
-    j = next(k for k in range(3) if cross[k])
-    return gradient_rows(data.support, d, [j]) + fat_point_rows(data, d, orders=[data.mult])
+    pt = cfg.point(point_id)[1]
+    return branch_rows(pt, cfg.degree, [pt.mult], pt.axes[:1])
 
 
 def _cross(s: Sequence, t: Sequence) -> tuple:

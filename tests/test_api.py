@@ -78,6 +78,10 @@ REMOVED = [
     ("sheafloci.localfree", "default_truncation"),
     ("sheafloci.localfree", "_nakayama_dims"),
     ("sheafloci.serialize", "MAX_TRUNCATION"),
+    ("sheafloci.schemes", "simple_point_row"),
+    ("sheafloci.schemes", "fat_point_rows"),
+    ("sheafloci.schemes", "_completion_matrix"),
+    ("sheafloci.singloci", "gradient_rows"),
 ]
 
 # library names that no other library code refers to, each with the reason

@@ -167,9 +167,9 @@ class TestFibre:
         # Evaluation at a point off the scheme cuts the fibre by one.
         cfg = ref_config()
         fib = fibre(cfg)
-        from sheafloci.schemes import simple_point_row
+        from sheafloci.schemes import branch_rows
 
-        row = simple_point_row(SimplePoint.of(3, 1, 1), 6)
+        row = branch_rows(SimplePoint.of(3, 1, 1), 6, [0])[0]
         comp = ExactFibre(fib).space.compress_functional(row)
         assert any(c != 0 for c in comp)
 

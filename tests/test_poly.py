@@ -21,7 +21,7 @@ from sheafloci.poly import (
     upoly_mul,
 )
 from sheafloci.rng import SplitMix64
-from sheafloci.schemes import SimplePoint, simple_point_row
+from sheafloci.schemes import SimplePoint, branch_rows
 
 from conftest import (
     cofactor_det,
@@ -84,7 +84,7 @@ def test_eval_matches_horner_oracle():
         if pt == (0, 0, 0):
             continue
         point = SimplePoint.of(*pt)
-        row = simple_point_row(point, d)
+        row = branch_rows(point, d, [0])[0]
         assert sum(a * c for a, c in zip(row, p.coeffs)) == horner_eval(p, point.primitive)
         done += 1
 

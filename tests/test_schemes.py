@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafloci.errors import ConfigError, GenericityError
-from sheafloci.exactalg import QMatrix, inverse, kernel, rank_of_rows
+from sheafloci.exactalg import QMatrix, det as qdet, inverse, kernel, rank_of_rows
 from sheafloci.poly import (
     HomPoly,
     monomial_count,
@@ -18,14 +18,14 @@ from sheafloci.poly import (
 from sheafloci.schemes import (
     FatPoint,
     PointConfig,
+    CurvilinearPoint,
     SimplePoint,
+    branch_rows,
     expected_length,
-    fat_point_rows,
     low_degree_certificate,
     membership_conditions,
     not_on_curve_of_degree,
     random_config,
-    simple_point_row,
 )
 
 from conftest import (
@@ -90,6 +90,19 @@ class TestFatPoint:
             standard_double_point(h=(0, 1, 1), mult=2)
         with pytest.raises(ConfigError):
             standard_double_point(mult=1)
+
+    @pytest.mark.parametrize("coords", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -3, 2), (4, 0, -1), (-6, 10, 15)])
+    def test_simple_point_is_the_m1_branch_of_its_frame(self, coords):
+        # the integer axes a simple point keeps are those CurvilinearPoint
+        # reads off its frame, whose branch is p + y e_(k+1), k = first p_k != 0
+        p = SimplePoint.of(*coords)
+        generic = CurvilinearPoint.axes.func(p)
+        assert tuple(map(tuple, generic)) == tuple(map(tuple, p.axes))
+        k = next(i for i in range(3) if p.primitive[i])
+        t = [int(i == (k + 1) % 3) for i in range(3)]
+        assert p.branch == tuple([a, b] if b else [a] if a else [] for a, b in zip(p.primitive, t))
+        assert (p.support, p.h, p.mult) == (p, (), 1)
+        assert qdet(p.frame) == p.primitive[k]
 
     def test_branch_coordinates_identity_chart(self):
         fp = standard_double_point(h=(0, 3), mult=2)
@@ -176,20 +189,20 @@ class TestConfigValidation:
 class TestMembershipRows:
     def test_simple_row_at_standard_point_is_indicator(self):
         # At (1:0:0) only x0^k survives, the first monomial in the order.
-        row = simple_point_row(SimplePoint.of(1, 0, 0), 5)
+        row = branch_rows(SimplePoint.of(1, 0, 0), 5, [0])[0]
         assert row[0] == 1
         assert all(c == 0 for c in row[1:])
 
     def test_simple_row_matches_direct_evaluation(self):
         p = SimplePoint.of(2, -1, 3)
-        row = simple_point_row(p, 4)
+        row = branch_rows(p, 4, [0])[0]
         for i, exp in enumerate(monomials(4)):
             mono = HomPoly.monomial(4, exp)
             assert row[i] == horner_eval(mono, p.coords)
 
     def test_simple_rows_agree_with_oracle_matrix(self):
         pts = [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6]
-        lib = [simple_point_row(p, 3) for p in pts]
+        lib = [branch_rows(p, 3, [0])[0] for p in pts]
         assert lib == evaluation_rows(REFERENCE_POINTS_D6, 3)
 
     def test_double_point_rows_standard_position(self):
@@ -197,7 +210,7 @@ class TestMembershipRows:
         # the coefficients of x0^d and x0^(d-1) x1 vanish.
         d = 5
         fp = standard_double_point()
-        rows = fat_point_rows(fp, d)
+        rows = branch_rows(fp, d, range(fp.mult))
         i0 = monomial_index(d, (d, 0, 0))
         i1 = monomial_index(d, (d - 1, 1, 0))
         for j, target in enumerate((i0, i1)):
@@ -209,7 +222,7 @@ class TestMembershipRows:
         # the order-1 row pairs x0^(d-1) x1 with 2 x0^(d-1) x2.
         d = 4
         fp = standard_double_point(h=(0, 2))
-        rows = fat_point_rows(fp, d)
+        rows = branch_rows(fp, d, range(fp.mult))
         i0 = monomial_index(d, (d, 0, 0))
         assert rows[0][i0] == 1
         assert sum(1 for c in rows[0] if c != 0) == 1
@@ -250,8 +263,8 @@ class TestMembershipRows:
         support = SimplePoint(tuple(inverse(g).apply(fp_std.support.coords)))
         chart = QMatrix.from_rows(matrix_product(fp_std.chart.row_lists(), g.row_lists()))
         fp_moved = FatPoint.of(support, chart, fp_std.h, 2)
-        rows_std = QMatrix.from_rows(fat_point_rows(fp_std, d))
-        rows_moved = QMatrix.from_rows(fat_point_rows(fp_moved, d))
+        rows_std = QMatrix.from_rows(branch_rows(fp_std, d, range(fp_std.mult)))
+        rows_moved = QMatrix.from_rows(branch_rows(fp_moved, d, range(fp_moved.mult)))
         # Pull back: f in ideal at moved point iff f(g^{-1} .) in ideal at std.
         ginv = inverse(g)
         for j in range(rows_std.rows):

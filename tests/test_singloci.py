@@ -21,10 +21,10 @@ from sheafloci.schemes import (
     FatPoint,
     PointConfig,
     SimplePoint,
-    fat_point_rows,
+    _series_rows,
+    branch_rows,
     membership_conditions,
     random_config,
-    simple_point_row,
 )
 from sheafloci.serialize import canonical_dumps, report_to_dict, resolution_to_dict
 from sheafloci.singloci import (
@@ -35,7 +35,6 @@ from sheafloci.singloci import (
     asserted_violations,
     classify_curve,
     condition_rows,
-    gradient_rows,
     impose_singularities,
     locus_report,
     normal_space_dim,
@@ -61,6 +60,14 @@ from conftest import (
 
 def ref_config():
     return PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6])
+
+
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def gradient_rows(pt, d):
+    """The rows of d/dx_0, d/dx_1 and d/dx_2 at the point's s = w(0)."""
+    return branch_rows(pt, d, [], UNITS)
 
 
 def support_det(cfg, ids):
@@ -177,9 +184,13 @@ class TestGradientRows:
 
 
 class TestSingularConditions:
-    def test_simple_point_has_three_rows(self):
+    def test_simple_point_has_four_rows(self):
+        # the gradient along n, s and t, and the order-1 row, which is the t-row
         cfg = ref_config()
-        assert len(singular_conditions(cfg, 1)) == 3
+        for pid in range(1, cfg.npoints + 1):
+            rows = singular_conditions(cfg, pid)
+            assert len(rows) == 4 and rows[2] == rows[3]
+            assert naive_rank(rows) == 3
 
     def test_fat_point_has_four_rows(self):
         cfg = random_config(5, 11, stratum="double")
@@ -1014,11 +1025,11 @@ class TestIntegerRows:
         cfg = random_config(degree, seed, stratum=stratum)
         rows = []
         for p in cfg.simple:
-            rows.append(simple_point_row(p, degree))
+            rows.append(branch_rows(p, degree, [0])[0])
             rows.extend(gradient_rows(p, degree))
         for fp in cfg.fat:
-            rows.extend(fat_point_rows(fp, degree))
-            rows.extend(fat_point_rows(fp, degree, orders=[fp.mult]))
+            rows.extend(branch_rows(fp, degree, range(fp.mult)))
+            rows.extend(branch_rows(fp, degree, [fp.mult]))
         for pid in range(1, cfg.npoints + 1):
             rows.extend(singular_conditions(cfg, pid))
         rows.extend(membership_conditions(cfg, degree))
@@ -1091,12 +1102,31 @@ def full_echelon(exact, pid):
     return list(echelon.values())
 
 
-class TestEulerRow:
-    """condition_rows leaves out the gradient row that Euler's relation fixes.
+class TestClosedForms:
+    """branch_rows' order-0 and order-1 rows equal the series rows.
 
-    With s a point's integer coordinates (its support's, for a fat point)
-    and K its last nonzero index, sum_k s_k (gradient row k) is d times a
-    membership row, so row K adds nothing modulo the fibre.
+    branch_rows reads the order-0 row as evaluation at s = w(0) and the
+    order-1 row as t . grad F(s), t = w'(0), and expands F(w(y)) only
+    from order 2 on; the series gives every order.  Checked at every
+    point, simple or fat, in the degrees of the fibre, the Kronecker
+    resolution and the admissibility test.
+    """
+
+    @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
+    def test_orders_0_and_1_equal_the_series(self, degree, stratum, seed, mults):
+        cfg = euler_config(degree, stratum, seed, mults)
+        for pt in cfg.points:
+            for k in (degree, degree - 2, degree - 3):
+                series = _series_rows(pt.branch, k, [0, 1])
+                assert branch_rows(pt, k, [0, 1]) == [series[0], series[1]]
+
+
+class TestEulerRow:
+    """The s-row of the gradient is d times the order-0 row, a row of M.
+
+    With s = w(0) a point's branch point, Euler's relation makes
+    sum_k s_k (gradient row k) d times the evaluation at s, the order-0
+    branch row, at every point.
     """
 
     @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
@@ -1104,19 +1134,13 @@ class TestEulerRow:
         self, degree, stratum, seed, mults
     ):
         cfg = euler_config(degree, stratum, seed, mults)
-        for pid in range(1, cfg.npoints + 1):
-            kind, data = cfg.point(pid)
-            support = data if kind == "simple" else data.support
-            s = support.primitive
-            grad = gradient_rows(support, degree)
-            weighted = [sum(map(mul, s, col)) for col in zip(*grad)]
-            assert weighted == [degree * a for a in simple_point_row(support, degree)]
-            if kind == "fat":
-                # the order-0 branch row is a nonzero multiple of it
-                (order0,) = fat_point_rows(data, degree, orders=[0])
-                i = next(i for i, a in enumerate(order0) if a)
-                assert weighted[i] != 0
-                assert all(weighted[i] * b == order0[i] * a for a, b in zip(weighted, order0))
+        membership = membership_conditions(cfg, degree)
+        for pt in cfg.points:
+            _n, s, _t = pt.axes
+            weighted = [sum(map(mul, s, col)) for col in zip(*gradient_rows(pt, degree))]
+            (order0,) = branch_rows(pt, degree, [0])
+            assert weighted == [degree * a for a in order0]
+            assert order0 in membership
 
     @pytest.mark.parametrize("degree,stratum,seed,mults", EULER_STRATA, ids=EULER_IDS)
     def test_block_is_the_echelon_of_every_singular_row(self, degree, stratum, seed, mults):
@@ -1124,35 +1148,17 @@ class TestEulerRow:
         for pid in range(1, exact.fibre.config.npoints + 1):
             assert exact.block(pid) == full_echelon(exact, pid)
 
-    def test_reference_points_drop_every_index(self):
-        # (1:0:0), (1:-2:0) and (0:0:1) drop gradient rows 0, 1 and 2
-        fib = fibre(ref_config())
-        exact = ExactFibre(fib)
-        dropped = set()
-        for pid in range(1, fib.config.npoints + 1):
-            assert exact.block(pid) == full_echelon(exact, pid)
-            s = fib.config.support_of(pid).primitive
-            dropped.add(max(k for k in range(3) if s[k]))
-        assert dropped == {0, 1, 2}
-
-
-def tangent(fp):
-    """t = frame (0, 1, h_1): the fat point's branch direction at y = 0."""
-    frame = fp.frame
-    h1 = fp.h[1] if len(fp.h) > 1 else 0
-    return [frame.get(i, 1) + h1 * frame.get(i, 2) for i in range(3)]
-
 
 FAT_STRATA = [x for x in EULER_STRATA if x[1] != "generic"]
 
 
 class TestChainRule:
-    """condition_rows keeps one gradient row at a fat point, by the chain rule.
+    """The t-row of the gradient is the order-1 row, by the chain rule.
 
-    With t the branch's tangent direction, t . (gradient rows at the
-    support) is a nonzero multiple of the order-1 branch row, as Euler's
-    weighting by the support is of the order-0 row.  Both are membership
-    rows, so the kept row j needs only (s x t)_j != 0.
+    With t = w'(0) the branch's tangent, t . grad F(s) is the y^1
+    coefficient of F(w(y)).  At a fat point it is a row of M; at a
+    simple point it is the order-m row that condition_rows keeps.  So
+    the n-row and the order-m row span every singular row modulo M.
     """
 
     @pytest.mark.parametrize(
@@ -1166,28 +1172,28 @@ class TestChainRule:
         cfg = euler_config(degree, stratum, seed, mults)
         assert cfg.fat
         fib = fibre(cfg)
-        for pid in range(len(cfg.simple) + 1, cfg.npoints + 1):
-            fp = cfg.point(pid)[1]
-            t = tangent(fp)
-            grad = gradient_rows(fp.support, degree)
+        membership = membership_conditions(cfg, degree)
+        for pid, pt in enumerate(cfg.points, 1):
+            n, _s, t = pt.axes
+            grad = gradient_rows(pt, degree)
             weighted = [sum(map(mul, t, col)) for col in zip(*grad)]
-            (order1,) = fat_point_rows(fp, degree, orders=[1])
-            i = next(i for i, a in enumerate(order1) if a)
-            assert weighted[i] != 0
-            assert all(weighted[i] * b == order1[i] * a for a, b in zip(weighted, order1))
+            (order1,) = branch_rows(pt, degree, [1])
+            assert weighted == order1 == _series_rows(pt.branch, degree, [1])[1]
+            assert (order1 in membership) == (pt.mult > 1)
             # the two rows kept span all four modulo the membership rows
             rows = singular_conditions(cfg, pid)
             kept = condition_rows(cfg, pid)
+            assert kept[0] == [sum(map(mul, n, col)) for col in zip(*grad)]
             assert kept[1] == list(rows[3]) and tuple(kept[0]) in rows[:3]
             assert normal_space_dim(fib, pid) == ambient_codim(fib, [pid]) == 2
 
     def test_standard_double_point_keeps_the_normal_gradient_row(self):
-        # the double point (x1^2, x2) at (1:0:0): s x t = e2, so only the
-        # x2-derivative is a condition modulo the membership rows
+        # the double point (x1^2, x2) at (1:0:0): its chart is the identity,
+        # so n = e2, and only the x2-derivative is a condition modulo M
         fp = FatPoint.of(SimplePoint.of(1, 0, 0), identity_matrix(3), (), 2)
         cfg = PointConfig.of(4, [SimplePoint.of(0, 0, 1)], [fp])
         fib = fibre(cfg)
-        assert condition_rows(cfg, 2)[0] == gradient_rows(fp.support, 4)[2]
+        assert condition_rows(cfg, 2)[0] == gradient_rows(fp, 4)[2]
         rep = locus_report(fib)
         assert rep.point_codims == ((1, "simple", 2), (2, "fat", 2))
         assert [codim for _i, _j, codim in rep.pair_codims] == [4]
