@@ -57,10 +57,9 @@ _ONE = Fraction(1)
 
 # The largest prime below 2^30: each residue fits in one 30-bit CPython
 # digit and a product of two in 60 bits, and a random rank drop mod P
-# (about one in 10^9 per row) only costs the exact fallback.  This is
-# the package's one binding of the modulus: linsys and singloci read
-# exactalg._PRIME at call time, so setting it here moves every
-# certificate and fallback to another prime.
+# (about one in 10^9 per row) only costs the exact fallback.  linsys and
+# singloci read exactalg._PRIME at call time, so setting this one binding
+# moves every certificate and fallback to another prime.
 _PRIME = 1073741789
 
 

@@ -31,7 +31,7 @@ from .errors import ConfigError, Record
 from .exactalg import insert_row, integer_row
 from .poly import HomPoly, LocalPoly, substitute_linear, upoly_coeff
 from .rng import SplitMix64
-from .schemes import FatPoint, branch_polynomial
+from .schemes import CurvilinearPoint, branch_polynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -199,11 +199,11 @@ def jet_principality_oracle(germ: CurveGerm, data: FatIdealData) -> bool:
 # Bridges and generators
 
 
-def germ_at_fat_point(f: HomPoly, fp: FatPoint) -> tuple:
-    """Local data of a projective curve at a fat point: (germ, ideal data).
+def germ_at_fat_point(f: HomPoly, fp: CurvilinearPoint) -> tuple:
+    """Local data of a projective curve at a point, fat or simple: (germ, ideal data).
 
-    Pulls the curve through the fat point's chart and dehomogenizes, with
-    local x the third chart coordinate and local y the second, matching
+    Pulls the curve through the point's frame and dehomogenizes, with
+    local x the third frame coordinate and local y the second, matching
     the membership rows of the configuration machinery.
     """
     moved = substitute_linear(f, fp.frame)

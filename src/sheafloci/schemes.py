@@ -1,35 +1,33 @@
 """Point schemes in the projective plane.
 
 A configuration of total length l = (d-1)(d-2)/2 consists of simple
-points and curvilinear fat points.  A fat point is given by a support
-point, an invertible chart matrix moving the support to (1:0:0), local
-data h(y) with h(0) = 0 and deg h < m, and the multiplicity m: in the
-chart's affine coordinates around (1:0:0) the local ideal is
-(x - h(y), y^m), where the local x is the x2-direction and the local y
-the x1-direction.  With h = 0 and m = 2 this is exactly the planar
-double point with ideal (x1^2, x2) in standard position.
+points and curvilinear fat points, each read as one CurvilinearPoint: a
+frame, an invertible matrix sending (1:0:0) to the support, branch data
+h(y) with h(0) = 0 and deg h < m, and the multiplicity m.  In the
+frame's affine coordinates around (1:0:0), local y along its second
+column and local x along its third, the local ideal is (x - h(y), y^m).
+A fat point's frame is its chart's inverse: the identity chart, h = 0
+and m = 2 give the double point (x1^2, x2) at (1:0:0).  A simple point
+is m = 1 and h = 0 in an integer frame.
 
-Membership of a degree-k form in the ideal sheaf contributes one linear
-condition (matrix row) per length unit: evaluation at a simple point;
-for a fat point the coefficients of y^0, ..., y^{m-1} of the pulled-back
-curve restricted to the parametrized branch x = h(y).  Every row is
-built as a list of ints: a simple point is read through its primitive
-integer representative, a fat point's branch polynomials over their
-common denominator.  Either is a nonzero rescaling of the rational row,
-which changes no rank, kernel or reduced echelon form.
-membership_conditions returns the rows as built, a list of int lists.
+A degree-k form F contains the point iff y^m divides F(w(y)), w(y) =
+frame (1, y, h(y)) the branch, so membership gives one row per length
+unit, the coefficients of y^0 .. y^(m-1); branch_rows builds them and
+every other row at a point.  Rows are int lists, w cleared over one
+denominator: a nonzero rescaling of the rational row, which changes no
+rank, kernel or reduced echelon form.
 
 The codimension assertions elsewhere in the package hold for every
-curvilinear configuration, whatever its number of fat points and their
-multiplicities.  Non-curvilinear fat points, such as the square of a
-maximal ideal, are outside this data model, so the paper's claim is not
-checked for them.
+curvilinear configuration.  Non-curvilinear fat points, such as the
+square of a maximal ideal, are outside this data model, so the paper's
+claim is not checked for them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, combinations, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -50,45 +48,25 @@ def expected_length(d: int) -> int:
 
 
 class CurvilinearPoint(Record):
-    """A point of the scheme as support, frame, branch data h and multiplicity m.
-
-    frame is an invertible matrix sending (1:0:0) to the support.  In
-    the frame's affine coordinates around (1:0:0), local y along its
-    second column and local x along its third, the local ideal is
-    (x - h(y), y^m), with h(0) = 0 and deg h < m (see branch_polynomial).
-    A fat point gives all four; a simple point is m = 1 and h = 0, whose
-    ideal (x, y) is the maximal ideal in any frame.  Every row the
-    package builds at a point reads only this data (see branch_rows).
-    """
-
-    def branch_coordinates(self) -> tuple:
-        """Three univariate polynomials w(y) with w = frame (1, y, h(y)).
-
-        A form F contains the point iff F(w0(y), w1(y), w2(y)) is
-        divisible by y^mult: this parametrizes the curvilinear branch in
-        the plane's coordinates.
-        """
-        f = self.frame
-        return tuple(
-            upoly_add([f.get(i, 0), f.get(i, 1)], [f.get(i, 2) * c for c in self.h])
-            for i in range(3)
-        )
+    """A point as support, frame, branch data h and multiplicity m (module docstring)."""
 
     @cached_property
     def branch(self) -> tuple:
-        """w(y) as int coefficient lists, cleared over one common denominator."""
-        w = self.branch_coordinates()
+        """w(y) = frame (1, y, h(y)): three int polynomials over one denominator."""
+        f = self.frame
+        w = [
+            upoly_add([f.get(i, 0), f.get(i, 1)], [f.get(i, 2) * c for c in self.h])
+            for i in range(3)
+        ]
         common = lcm(*(c.denominator for wi in w for c in wi))
         return tuple([c.numerator * (common // c.denominator) for c in wi] for wi in w)
 
     @cached_property
     def axes(self) -> tuple:
-        """(n, s, t): the frame's third column cleared to ints, w(0) and w'(0).
+        """(n, s, t): the frame's third column as ints, w(0) and w'(0), a basis.
 
-        s and t are the branch's point and tangent, the frame's first
-        column and its second plus h_1 times its third, scaled by w's
-        denominator; n is the chart's transverse axis.  Since the frame
-        is invertible the three are a basis.
+        s and t, the branch's point and tangent, are the frame's first
+        column and its second plus h_1 times its third, scaled alike.
         """
         n = integer_row([self.frame.get(i, 2) for i in range(3)])[0]
         s, t = ([upoly_coeff(wi, j) for wi in self.branch] for j in (0, 1))
@@ -136,11 +114,7 @@ class SimplePoint(CurvilinearPoint):
 
     @cached_property
     def axes(self) -> tuple:
-        """(e_{k+2}, p.primitive, e_{k+1}), k the first index with p_k != 0.
-
-        These are the frame's columns, all integers, so no inverse or
-        denominator is needed; the frame's determinant is p_k != 0.
-        """
+        """(e_{k+2}, p.primitive, e_{k+1}), p_k != 0 first: the frame's columns, as ints."""
         v = self.primitive
         k = 0 if v[0] else 1 if v[1] else 2
         return _UNITS[k - 1], v, _UNITS[k - 2]
@@ -234,18 +208,15 @@ class PointConfig(Record):
                 f"(d-1)(d-2)/2 = {expected} for degree {self.degree}"
             )
         supports = [p.support for p in self.points]
-        for i in range(len(supports)):
-            for j in range(i + 1, len(supports)):
-                if supports[i] == supports[j]:
-                    raise ConfigError(
-                        f"supports of points {i + 1} and {j + 1} coincide"
-                    )
+        for (i, p), (j, q) in combinations(enumerate(supports, 1), 2):
+            if p == q:
+                raise ConfigError(f"supports of points {i} and {j} coincide")
 
     @classmethod
     def of(cls, degree: int, simple: Sequence[SimplePoint], fat: Sequence[FatPoint] = ()) -> "PointConfig":
         return cls(degree, tuple(simple), tuple(fat))
 
-    @property
+    @cached_property
     def points(self) -> tuple:
         """Every point in id order, simple then fat."""
         return self.simple + self.fat
@@ -258,9 +229,7 @@ class PointConfig(Record):
         """("simple", SimplePoint) or ("fat", FatPoint) for a 1-based id."""
         if not 1 <= point_id <= self.npoints:
             raise ConfigError(f"point id {point_id} out of range 1..{self.npoints}")
-        if point_id <= len(self.simple):
-            return ("simple", self.simple[point_id - 1])
-        return ("fat", self.fat[point_id - 1 - len(self.simple)])
+        return ("simple" if point_id <= len(self.simple) else "fat", self.points[point_id - 1])
 
     def support_of(self, point_id: int) -> SimplePoint:
         return self.point(point_id)[1].support
@@ -287,64 +256,50 @@ class PointConfig(Record):
 # Membership conditions
 
 
-def branch_rows(pt: CurvilinearPoint, k: int, orders: Sequence[int], directions: Sequence = ()) -> list:
+def branch_rows(
+    pt: CurvilinearPoint, k: int, orders: Sequence[int], directions: Sequence = ()
+) -> list:
     """Rows on degree-k forms F: v . grad F(s) per direction v, then [y^j] F(w(y)) per order j.
 
-    w is the point's branch (CurvilinearPoint.branch) and s = w(0).
-    Order 0 is evaluation at s, and order 1, by the chain rule, the
-    direction w'(0); each partial derivative these need is read once
-    off s's powers.  Only orders 2 and up expand the series of F(w(y)),
-    whose y^0 and y^1 coefficients the closed forms equal.
+    With w the point's branch and (n, s, t) its axes, order 0 is
+    evaluation at s = w(0) and order 1, by the chain rule, the direction
+    t = w'(0).  Each partial derivative the directions need is read once
+    off s's powers.  Only orders 2 and up expand the series of F(w(y)).
     """
     _n, s, t = pt.axes
     pw = p0, p1, p2 = powers(s[0], k), powers(s[1], k), powers(s[2], k)
     mons = monomials(k)
     partials = {}
     rows = []
-    for v in directions:
-        rows.append(_derivative_row(pw, mons, partials, v))
+    for v in (*directions, t) if 1 in orders else directions:
+        terms = []
+        for i, c in enumerate(v):
+            if c:
+                if i not in partials:
+                    # d/dx_i replaces x_i^n by n x_i^(n-1)
+                    q = list(pw)
+                    q[i] = [0, *map(mul, range(1, k + 1), pw[i])]
+                    q0, q1, q2 = q
+                    partials[i] = [q0[a] * q1[b] * q2[e] for a, b, e in mons]
+                terms.append((c, partials[i]))
+        cs, gs = zip(*terms)
+        rows.append(gs[0] if cs == (1,) else [sum(map(mul, cs, col)) for col in zip(*gs)])
+    tangent = rows.pop() if 1 in orders else None
     series = None
     for j in orders:
         if j == 0:
             rows.append([p0[a] * p1[b] * p2[c] for a, b, c in mons])
         elif j == 1:
-            rows.append(_derivative_row(pw, mons, partials, t))
+            rows.append(tangent)
         else:
             series = series or _series_rows(pt.branch, k, [i for i in orders if i > 1])
             rows.append(series[j])
     return rows
 
 
-def _derivative_row(pw: list, mons: tuple, partials: dict, v: Sequence) -> list:
-    """The row of F -> v . grad F(s), from s's powers pw.
-
-    partials caches the row of each d/dx_i it builds, for the point's
-    other directions; a unit direction's row is that row itself.
-    """
-    terms = []
-    for i, c in enumerate(v):
-        if c:
-            if i not in partials:
-                # d/dx_i replaces x_i^n by n x_i^(n-1)
-                q = list(pw)
-                q[i] = [0, *map(mul, range(1, len(q[i])), q[i])]
-                q0, q1, q2 = q
-                partials[i] = [q0[a] * q1[b] * q2[e] for a, b, e in mons]
-            terms.append((c, partials[i]))
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    cs, gs = zip(*terms)
-    return [sum(map(mul, cs, col)) for col in zip(*gs)]
-
-
 def _series_rows(w: tuple, k: int, orders: Sequence[int]) -> dict:
     """Order j to the row sending a degree-k form F to [y^j] F(w(y)), j in orders."""
-    pw = []
-    for wi in w:
-        levels = [[1]]
-        for _ in range(k):
-            levels.append(upoly_mul(levels[-1], wi))
-        pw.append(levels)
+    pw = [list(accumulate(repeat(wi, k), upoly_mul, initial=[1])) for wi in w]
     rows = {j: [] for j in orders}
     for (a, b, c) in monomials(k):
         series = upoly_mul(upoly_mul(pw[0][a], pw[1][b]), pw[2][c])
@@ -356,14 +311,10 @@ def _series_rows(w: tuple, k: int, orders: Sequence[int]) -> dict:
 def membership_conditions(cfg: PointConfig, k: int) -> list:
     """One int row per length unit: the degree-k conditions for containing Z.
 
-    A form f of degree k vanishes on the whole scheme (with
-    multiplicities) iff every row annihilates its coefficient vector:
-    at each point, the orders 0 .. m - 1 of its branch rows.
+    A degree-k form vanishes on the scheme iff every row annihilates its
+    coefficients: at each point, its branch rows of orders 0 .. m - 1.
     """
-    rows = []
-    for pt in cfg.points:
-        rows += branch_rows(pt, k, range(pt.mult))
-    return rows
+    return [row for pt in cfg.points for row in branch_rows(pt, k, range(pt.mult))]
 
 
 def not_on_curve_of_degree(cfg: PointConfig, k: int) -> bool:

@@ -2,26 +2,17 @@
 
 For each point of the configuration, the curves whose associated sheaf
 fails to be locally free at that point form a projective-linear subspace
-of the fibre: at a simple point the conditions are the vanishing of the
-three partial derivatives (rank 2 modulo the fibre, by the Euler
-relation); at a curvilinear fat point of multiplicity m the conditions
-are the gradient at the support together with the order-m coefficient
-functional along the branch, again rank 2 modulo the fibre.
+of the fibre.  Every point is a curvilinear point of multiplicity m with
+branch w (see schemes), a simple point being m = 1; the conditions are
+the gradient at s = w(0) and the order-m coefficient functional along
+the branch, of rank 2 modulo the fibre (condition_rows says why).
 
-The condition rows are integers from the start (see schemes): the
-gradient rows read the point's primitive integer representative.  Every
+All rows are integers from the start (see schemes), and every
 codimension is a rank of integer rows.  With M the fibre's l membership
-rows and G_S the stacked condition rows of the points in S, the curves
-singular at every point of S have codimension rank([M; G_S]) - l in the
-fibre.
-condition_rows gives two rows per point, leaving out rows that exact
-identities put in the span of M and the rows kept: at a simple point
-the gradient row that Euler's relation fixes, at a fat point all
-gradient rows but one, since Euler's relation and the chain rule make
-their combinations along the branch's point and tangent at y = 0
-multiples of the order-0 and order-1 branch rows, which are rows of M.
-locus_report and normal_space_dim rank [M; G_S] through one helper,
-_locus_codim.
+rows and G_S the stacked condition rows of the points in S, two per
+point, the curves singular at every point of S have codimension
+rank([M; G_S]) - l in the fibre.  locus_report and normal_space_dim
+rank [M; G_S] through one helper, _locus_codim.
 
 Each rank carries a certificate mod the prime P of exactalg, on the
 images of linsys, x -> (x Q, x at M's pivot columns): M's images span
@@ -67,11 +58,9 @@ from .schemes import PointConfig, branch_rows
 def singular_conditions(cfg: PointConfig, point_id: int) -> tuple:
     """Rows of the functionals whose common vanishing marks the sheaf singular.
 
-    With the point's axes (n, s, t) (CurvilinearPoint.axes): the
-    gradient at s along n, s and t, which vanishes iff grad F(s) does,
-    and the order-m coefficient functional along the branch, whose
-    vanishing says the unit in the local presentation of the ideal
-    degenerates.  The first and last rows are condition_rows'.
+    grad F(s) along the point's axes n, s and t, a basis, then the
+    order-m row, whose vanishing says the unit in the local presentation
+    of the ideal degenerates.  The first and last are condition_rows'.
     """
     pt = cfg.point(point_id)[1]
     return tuple(tuple(r) for r in branch_rows(pt, cfg.degree, [pt.mult], pt.axes))
@@ -93,8 +82,7 @@ def condition_rows(cfg: PointConfig, point_id: int) -> list:
 
 
 def _cross(s: Sequence, t: Sequence) -> tuple:
-    """The cross product s x t: zero exactly when s and t are parallel, and
-    its dot product with r is the 3 x 3 determinant of s, t and r."""
+    """The cross product s x t: its dot product with r is det(s, t, r)."""
     return (
         s[1] * t[2] - s[2] * t[1],
         s[2] * t[0] - s[0] * t[2],
@@ -162,11 +150,8 @@ def _cofactors(m: tuple) -> tuple:
 def normal_space_dim(fib: Fibre, point_id: int) -> int:
     """Codimension of the point's singular locus inside the fibre.
 
-    Equals rank([M; G_p]) - l for the point's condition rows G_p.  At a
-    simple point p the three gradient rows have rank 3, so that Euler's
-    relation accounts for exactly one condition lost to the fibre: with
-    p_K != 0, their columns at x_K^d and x_k x_K^(d-1), k != K, form a
-    triangular minor d p_K^(3(d-1)) != 0.
+    Equals rank([M; G_p]) - l for the point's condition rows G_p, and
+    must be 2; DegenerateError otherwise.
     """
     k = _locus_codim(fib, condition_rows(fib.config, point_id))
     kind = fib.config.point(point_id)[0]

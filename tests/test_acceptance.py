@@ -1,4 +1,4 @@
-"""The eight acceptance checks.
+"""The eight acceptance checks, and the curvilinear degree-4 normal forms.
 
 Each test emits exactly one pass/fail line through the pytest terminal
 reporter while capture is suspended, so the lines reach the terminal
@@ -22,6 +22,7 @@ from conftest import (
     REFERENCE_POINTS_D6,
     ExactFibre,
     horner_eval,
+    identity_matrix,
     partial,
     proportional_pair_module,
     zero_column_module,
@@ -45,6 +46,7 @@ from sheafloci.localfree import (
 from sheafloci.poly import HomPoly, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
+    FatPoint,
     PointConfig,
     SimplePoint,
     expected_length,
@@ -52,6 +54,7 @@ from sheafloci.schemes import (
     random_config,
 )
 from sheafloci.singloci import (
+    asserted_violations,
     classify_curve,
     impose_singularities,
     locus_report,
@@ -288,6 +291,30 @@ def test_criterion_8_normal_space_dimension(line, generic_data, double_data):
                 for cfg, fib in pool[d]:
                     for pid in range(1, cfg.npoints + 1):
                         assert normal_space_dim(fib, pid) == 2
+
+
+def test_curvilinear_degree_4_normal_forms(line):
+    # At d = 4, l = 3 and an admissible Z lies on no line.  PGL(3) acts
+    # transitively on each curvilinear stratum of such Z, so these three
+    # reports decide the claim for every curvilinear Z of degree 4.
+    e0, e1, e2 = (SimplePoint.of(*row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    forms = {
+        "three non-collinear points": PointConfig.of(4, [e0, e1, e2]),
+        "a double point and a point off its tangent": PointConfig.of(
+            4, [e2], [FatPoint.of(e0, identity_matrix(3), (), 2)]
+        ),
+        "a triple point on a smooth conic": PointConfig.of(
+            4, [], [FatPoint.of(e0, identity_matrix(3), (0, 0, 1), 3)]
+        ),
+    }
+    with criterion(line, "d=4", "three curvilinear normal forms: fibre 11, loci 2, pairs 4, triple 6"):
+        for name, cfg in forms.items():
+            rep = locus_report(fibre(cfg), pairs=True, triples=True)
+            assert rep.fibre_dim == 11, name
+            assert [c for _, _, c in rep.point_codims] == [2] * cfg.npoints, name
+            assert [c for _, _, c in rep.pair_codims] == [4] * (cfg.npoints * (cfg.npoints - 1) // 2), name
+            assert [(c, flag) for *_, c, flag in rep.triple_codims] == [(6, False)] * (cfg.npoints == 3), name
+            assert asserted_violations(rep) == [], name
 
 
 def test_verdict_lines_reach_the_terminal_under_default_capture():

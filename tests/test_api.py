@@ -82,6 +82,7 @@ REMOVED = [
     ("sheafloci.schemes", "fat_point_rows"),
     ("sheafloci.schemes", "_completion_matrix"),
     ("sheafloci.singloci", "gradient_rows"),
+    ("sheafloci.schemes", "FatPoint.branch_coordinates"),
 ]
 
 # library names that no other library code refers to, each with the reason

@@ -23,7 +23,7 @@ from sheafloci.localfree import (
 from sheafloci.poly import HomPoly, LocalPoly, parse_local
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import random_config
-from sheafloci.singloci import classify_curve
+from sheafloci.singloci import classify_curve, impose_singularities
 
 from conftest import (
     ExactFibre,
@@ -324,6 +324,21 @@ class TestGlobalBridge:
         assert g.f == parse_local("y^2")
         assert d.mult == 2
         assert fat_ideal_free(g, d)
+
+    @pytest.mark.parametrize("d,stratum", [(d, s) for d in (5, 6, 7) for s in ("generic", "double")])
+    def test_freeness_at_every_point_agrees_with_classification(self, d, stratum):
+        # a simple point is the m = 1 branch of its frame, whose ideal (x, y)
+        # is free on the germ exactly when the curve is smooth there
+        cfg = random_config(d, d, stratum=stratum)
+        fib = fibre(cfg)
+        rng = SplitMix64(d)
+        n = cfg.npoints
+        for ids in ([1], [2, n - 1], [1, 3, n]):
+            f = impose_singularities(fib, ids, rng)
+            singular = classify_curve(fib, f)
+            assert singular == set(ids)
+            for pid, pt in enumerate(cfg.points, 1):
+                assert fat_ideal_free(*germ_at_fat_point(f, pt)) == (pid not in singular)
 
     def test_classification_agrees_with_local_freeness(self):
         # a double point, then a triple point

@@ -1,6 +1,8 @@
 """Point configurations, membership rows, genericity, random sampling."""
 
+import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,13 @@ from sheafloci.schemes import (
 
 from conftest import (
     REFERENCE_POINTS_D6,
+    SEEDED_STRATA,
     evaluation_rows,
     horner_eval,
     identity_matrix,
     matrix_product,
     random_fat_config,
+    seeded_stratum_config,
 )
 
 
@@ -106,7 +110,7 @@ class TestFatPoint:
 
     def test_branch_coordinates_identity_chart(self):
         fp = standard_double_point(h=(0, 3), mult=2)
-        w0, w1, w2 = fp.branch_coordinates()
+        w0, w1, w2 = fp.branch
         assert w0 == [1]
         assert w1 == [0, 1]
         assert w2 == [0, 3]
@@ -137,7 +141,9 @@ class TestFatPoint:
                 while w and w[-1] == 0:
                     w.pop()
                 expected.append(w)
-            assert list(fp.branch_coordinates()) == expected
+            # cleared over one common denominator
+            common = lcm(*(c.denominator for w in expected for c in w))
+            assert list(fp.branch) == [[c * common for c in w] for w in expected]
 
 
 class TestConfigValidation:
@@ -187,6 +193,19 @@ class TestConfigValidation:
 
 
 class TestMembershipRows:
+    def test_rows_are_pinned(self):
+        # M at the fibre's degree d, the Kronecker resolution's d - 2 and
+        # the admissibility test's d - 3, as the package built it before
+        # every point was read as a curvilinear point
+        cfgs = [seeded_stratum_config(*p.values) for p in SEEDED_STRATA] + [ref_config()]
+        digest = hashlib.sha256()
+        for cfg in cfgs:
+            for k in (cfg.degree, cfg.degree - 2, cfg.degree - 3):
+                digest.update(repr(membership_conditions(cfg, k)).encode())
+        assert digest.hexdigest() == (
+            "22b596dea8431b233541525d7d40e5fba4eb2042f7f64eae860cb83432740533"
+        )
+
     def test_simple_row_at_standard_point_is_indicator(self):
         # At (1:0:0) only x0^k survives, the first monomial in the order.
         row = branch_rows(SimplePoint.of(1, 0, 0), 5, [0])[0]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from sheafloci import exactalg, singloci
 from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
 from sheafloci.kronecker import kronecker_from_points
-from sheafloci.exactalg import _PRIME as P, QMatrix, insert_row, inverse, rank_of_rows
+from sheafloci.exactalg import _PRIME as P, QMatrix, det as qdet, insert_row, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
 from sheafloci.poly import HomPoly, monomial_count, monomial_index, monomials
 from sheafloci.rng import SplitMix64
@@ -50,6 +50,7 @@ from conftest import (
     ambient_singular_subspace,
     horner_eval,
     identity_matrix,
+    matrix_product,
     naive_rank,
     partial,
     random_fat_config,
@@ -1060,8 +1061,8 @@ class TestIntegerRows:
         scaled = PointConfig.of(degree, simple, fat)
         assert any(c.denominator > 1 for p in simple for c in p.coords)
         for fp in fat:
-            branch = fp.branch_coordinates()
-            assert any(c.denominator > 1 for w in branch for c in w)
+            # the frame the branch is read from is rational
+            assert any(c.denominator > 1 for c in fp.frame.entries)
 
         fib, fib_scaled = fibre(cfg), fibre(scaled)
         exact, exact_scaled = ExactFibre(fib), ExactFibre(fib_scaled)
@@ -1198,6 +1199,84 @@ class TestChainRule:
         assert rep.point_codims == ((1, "simple", 2), (2, "fat", 2))
         assert [codim for _i, _j, codim in rep.pair_codims] == [4]
         assert normal_space_dim(fib, 2) == ambient_codim(fib, [2]) == 2
+
+
+# generic, double and fat-3 configurations at degrees 5-7
+INVARIANCE_STRATA = [
+    pytest.param(d, stratum, mults, id=f"{d}-{stratum if not mults else 'fat3'}")
+    for d in (5, 6, 7)
+    for stratum, mults in (("generic", ()), ("double", ()), ("deep", (3,)))
+]
+
+
+def moved_config(cfg, g, order):
+    """cfg moved by g, with its simple points taken in the given order.
+
+    A simple point p goes to g p; a fat point to support g p and chart
+    chart g^-1, with the same h and multiplicity, so its ideal moves by g.
+    """
+    ginv = inverse(g).row_lists()
+    simple = [SimplePoint(tuple(g.apply(cfg.simple[i].coords))) for i in order]
+    fat = [
+        FatPoint(
+            SimplePoint(tuple(g.apply(fp.support.coords))),
+            QMatrix.from_rows(matrix_product(fp.chart.row_lists(), ginv)),
+            fp.h,
+            fp.mult,
+        )
+        for fp in cfg.fat
+    ]
+    return PointConfig.of(cfg.degree, simple, fat)
+
+
+def keyed_report(rep, ids):
+    """A report's numbers keyed by point ids mapped through ids."""
+    return (
+        rep.fibre_dim,
+        {ids[pid]: (kind, codim) for pid, kind, codim in rep.point_codims},
+        {tuple(sorted((ids[i], ids[j]))): codim for i, j, codim in rep.pair_codims},
+        {
+            tuple(sorted((ids[i], ids[j], ids[k]))): (codim, flag)
+            for i, j, k, codim, flag in rep.triple_codims
+        },
+    )
+
+
+@cache
+def invariance_reference(d, stratum, mults):
+    cfg = seeded_stratum_config(d, stratum, mults)
+    return cfg, locus_report(fibre(cfg), triples=True)
+
+
+class TestProjectiveInvariance:
+    """Codims, collinear flags and fibre_dim are invariant under PGL(3).
+
+    The construction commutes with moving the plane by an invertible g
+    and with relabelling the points, so every number the report gives
+    must too.  A simple point's frame is its own completion, not g times
+    the old one, so a slip in a frame convention, such as the choice of
+    the transverse axis n, would show here.
+    """
+
+    @pytest.mark.parametrize("d,stratum,mults", INVARIANCE_STRATA)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_report_is_invariant(self, d, stratum, mults, data):
+        cfg, rep = invariance_reference(d, stratum, mults)
+        g = data.draw(
+            st.lists(st.integers(-3, 3), min_size=9, max_size=9)
+            .map(lambda e: QMatrix.from_rows([e[:3], e[3:6], e[6:]]))
+            .filter(lambda m: qdet(m) != 0),
+            label="g",
+        )
+        order = data.draw(st.permutations(range(len(cfg.simple))), label="order")
+        moved = moved_config(cfg, g, order)
+        # old simple id order[j] + 1 is new id j + 1; fat ids stay
+        ids = {old + 1: new for new, old in enumerate(order, 1)}
+        ids.update({pid: pid for pid in range(len(cfg.simple) + 1, cfg.npoints + 1)})
+        same = {pid: pid for pid in range(1, cfg.npoints + 1)}
+        got = locus_report(fibre(moved), triples=True)
+        assert keyed_report(got, same) == keyed_report(rep, ids)
 
 
 # extra subsets of the tiny-prime run, where a configuration has the points
