@@ -307,13 +307,15 @@ def test_curvilinear_degree_4_normal_forms(line):
             4, [], [FatPoint.of(e0, identity_matrix(3), (0, 0, 1), 3)]
         ),
     }
-    with criterion(line, "d=4", "three curvilinear normal forms: fibre 11, loci 2, pairs 4, triple 6"):
+    label = "three curvilinear normal forms: fibre 11, loci 2, pairs 4, triple 6"
+    with criterion(line, "d=4", label):
         for name, cfg in forms.items():
+            n = cfg.npoints
             rep = locus_report(fibre(cfg), pairs=True, triples=True)
             assert rep.fibre_dim == 11, name
-            assert [c for _, _, c in rep.point_codims] == [2] * cfg.npoints, name
-            assert [c for _, _, c in rep.pair_codims] == [4] * (cfg.npoints * (cfg.npoints - 1) // 2), name
-            assert [(c, flag) for *_, c, flag in rep.triple_codims] == [(6, False)] * (cfg.npoints == 3), name
+            assert [c for *_, c in rep.point_codims] == [2] * n, name
+            assert [c for *_, c in rep.pair_codims] == [4] * (n * (n - 1) // 2), name
+            assert [t[3:] for t in rep.triple_codims] == [(6, False)] * (n == 3), name
             assert asserted_violations(rep) == [], name
 
 

@@ -325,7 +325,9 @@ class TestGlobalBridge:
         assert d.mult == 2
         assert fat_ideal_free(g, d)
 
-    @pytest.mark.parametrize("d,stratum", [(d, s) for d in (5, 6, 7) for s in ("generic", "double")])
+    @pytest.mark.parametrize(
+        "d,stratum", [(d, s) for d in (5, 6, 7) for s in ("generic", "double")]
+    )
     def test_freeness_at_every_point_agrees_with_classification(self, d, stratum):
         # a simple point is the m = 1 branch of its frame, whose ideal (x, y)
         # is free on the germ exactly when the curve is smooth there

@@ -95,7 +95,9 @@ class TestFatPoint:
         with pytest.raises(ConfigError):
             standard_double_point(mult=1)
 
-    @pytest.mark.parametrize("coords", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -3, 2), (4, 0, -1), (-6, 10, 15)])
+    @pytest.mark.parametrize(
+        "coords", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -3, 2), (4, 0, -1), (-6, 10, 15)]
+    )
     def test_simple_point_is_the_m1_branch_of_its_frame(self, coords):
         # the integer axes a simple point keeps are those CurvilinearPoint
         # reads off its frame, whose branch is p + y e_(k+1), k = first p_k != 0

@@ -15,7 +15,14 @@ from sheafloci.errors import ConfigError, DegenerateError, NotInFibreError
 from sheafloci.kronecker import kronecker_from_points
 from sheafloci.exactalg import _PRIME as P, QMatrix, det as qdet, insert_row, inverse, rank_of_rows
 from sheafloci.linsys import ProjSubspace, fibre, random_weights
-from sheafloci.poly import HomPoly, monomial_count, monomial_index, monomials
+from sheafloci.localfree import fat_ideal_free, germ_at_fat_point
+from sheafloci.poly import (
+    HomPoly,
+    monomial_count,
+    monomial_index,
+    monomials,
+    substitute_linear,
+)
 from sheafloci.rng import SplitMix64
 from sheafloci.schemes import (
     FatPoint,
@@ -1244,25 +1251,30 @@ def keyed_report(rep, ids):
 
 @cache
 def invariance_reference(d, stratum, mults):
+    """The configuration, its report, and a curve imposed at its first and last points."""
     cfg = seeded_stratum_config(d, stratum, mults)
-    return cfg, locus_report(fibre(cfg), triples=True)
+    fib = fibre(cfg)
+    curve = impose_singularities(fib, [1, cfg.npoints], SplitMix64(d))
+    return cfg, locus_report(fib, triples=True), curve, classify_curve(fib, curve)
 
 
 class TestProjectiveInvariance:
-    """Codims, collinear flags and fibre_dim are invariant under PGL(3).
+    """Reports, classifications and freeness are invariant under PGL(3).
 
     The construction commutes with moving the plane by an invertible g
-    and with relabelling the points, so every number the report gives
-    must too.  A simple point's frame is its own completion, not g times
-    the old one, so a slip in a frame convention, such as the choice of
-    the transverse axis n, would show here.
+    and with relabelling the points, so the report's codims, collinear
+    flags and fibre_dim must too, and so must the singular points of a
+    curve f moved to f(g^-1 x) and its freeness at a fat point.  A simple
+    point's frame is its own completion, not g times the old one, so a
+    slip in a frame convention, such as the choice of the transverse
+    axis n, would show here.
     """
 
     @pytest.mark.parametrize("d,stratum,mults", INVARIANCE_STRATA)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(data=st.data())
-    def test_report_is_invariant(self, d, stratum, mults, data):
-        cfg, rep = invariance_reference(d, stratum, mults)
+    def test_report_classification_and_freeness_are_invariant(self, d, stratum, mults, data):
+        cfg, rep, curve, singular = invariance_reference(d, stratum, mults)
         g = data.draw(
             st.lists(st.integers(-3, 3), min_size=9, max_size=9)
             .map(lambda e: QMatrix.from_rows([e[:3], e[3:6], e[6:]]))
@@ -1275,8 +1287,13 @@ class TestProjectiveInvariance:
         ids = {old + 1: new for new, old in enumerate(order, 1)}
         ids.update({pid: pid for pid in range(len(cfg.simple) + 1, cfg.npoints + 1)})
         same = {pid: pid for pid in range(1, cfg.npoints + 1)}
-        got = locus_report(fibre(moved), triples=True)
-        assert keyed_report(got, same) == keyed_report(rep, ids)
+        fib = fibre(moved)
+        assert keyed_report(locus_report(fib, triples=True), same) == keyed_report(rep, ids)
+        moved_curve = substitute_linear(curve, inverse(g))
+        assert classify_curve(fib, moved_curve) == {ids[pid] for pid in singular}
+        for pid, fp in enumerate(cfg.fat, len(cfg.simple) + 1):
+            free = fat_ideal_free(*germ_at_fat_point(curve, fp))
+            assert fat_ideal_free(*germ_at_fat_point(moved_curve, moved.points[pid - 1])) == free
 
 
 # extra subsets of the tiny-prime run, where a configuration has the points
