@@ -197,8 +197,8 @@ class TestConfigValidation:
 class TestMembershipRows:
     def test_rows_are_pinned(self):
         # M at the fibre's degree d, the Kronecker resolution's d - 2 and
-        # the admissibility test's d - 3, as the package built it before
-        # every point was read as a curvilinear point
+        # the admissibility test's d - 3: the fibre members, the kernel
+        # and every certificate rest on these exact bytes
         cfgs = [seeded_stratum_config(*p.values) for p in SEEDED_STRATA] + [ref_config()]
         digest = hashlib.sha256()
         for cfg in cfgs:
