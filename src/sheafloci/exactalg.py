@@ -102,16 +102,6 @@ class QMatrix(Record):
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [Fraction(x) for x in vec]
-        return [
-            sum((self.entries[i * self.cols + k] * vec[k] for k in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        ]
-
 
 def integer_row(row: Sequence) -> tuple:
     """(integer row, scale): the rational row times the lcm of its denominators."""

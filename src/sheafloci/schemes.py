@@ -6,9 +6,9 @@ frame, an invertible matrix sending (1:0:0) to the support, branch data
 h(y) with h(0) = 0 and deg h < m, and the multiplicity m.  In the
 frame's affine coordinates around (1:0:0), local y along its second
 column and local x along its third, the local ideal is (x - h(y), y^m).
-A fat point's frame is its chart's inverse: the identity chart, h = 0
-and m = 2 give the double point (x1^2, x2) at (1:0:0).  A simple point
-is m = 1 and h = 0 in an integer frame.
+A fat point stores its frame: the identity frame, h = 0 and m = 2 give
+the double point (x1^2, x2) at (1:0:0).  A simple point is m = 1 and
+h = 0 in an integer frame.
 
 A degree-k form F contains the point iff y^m divides F(w(y)), w(y) =
 frame (1, y, h(y)) the branch, so membership gives one row per length
@@ -33,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ConfigError, GenericityError, Record
-from .exactalg import QMatrix, det as qdet, integer_row, inverse, kernel, rank_of_rows
+from .exactalg import QMatrix, det as qdet, integer_row, kernel, rank_of_rows
 from .poly import HomPoly, monomials, powers, upoly_add, upoly_coeff, upoly_mul
 from .rng import SplitMix64
 
@@ -152,38 +152,32 @@ def branch_polynomial(h: Sequence, mult: int) -> tuple:
 
 
 class FatPoint(CurvilinearPoint):
-    """Curvilinear fat point: support, chart, branch data h, multiplicity.
+    """Curvilinear fat point: support, frame, branch data h, multiplicity.
 
-    chart is a 3x3 invertible matrix with chart @ support proportional to
-    (1,0,0); its inverse is the frame.  h is the univariate coefficient
-    tuple of h(y) from y^0 up, with h(0) = 0 and deg h < mult (see
-    branch_polynomial).
+    frame is a 3x3 invertible matrix sending (1:0:0) to the support, so
+    its inverse, the point's chart, moves the support to (1:0:0).  h is
+    the univariate coefficient tuple of h(y) from y^0 up, with h(0) = 0
+    and deg h < mult (see branch_polynomial).
     """
 
     support: SimplePoint
-    chart: QMatrix
+    frame: QMatrix
     h: tuple
     mult: int
 
     def __post_init__(self):
         if self.mult < 2:
             raise ConfigError("fat point multiplicity must be at least 2")
-        if self.chart.rows != 3 or self.chart.cols != 3:
-            raise ConfigError("chart must be a 3x3 matrix")
-        if qdet(self.chart) == 0:
-            raise ConfigError("chart matrix must be invertible")
-        image = self.chart.apply(self.support.coords)
-        if image[1] != 0 or image[2] != 0 or image[0] == 0:
+        if self.frame.rows != 3 or self.frame.cols != 3:
+            raise ConfigError("frame must be a 3x3 matrix")
+        if qdet(self.frame) == 0:
+            raise ConfigError("frame matrix must be invertible")
+        if SimplePoint(tuple(self.frame.get(i, 0) for i in range(3))) != self.support:
             raise ConfigError("chart must move the support to (1:0:0)")
 
     @classmethod
-    def of(cls, support: SimplePoint, chart: QMatrix, h: Sequence, mult: int) -> "FatPoint":
-        return cls(support, chart, branch_polynomial(h, mult), mult)
-
-    @cached_property
-    def frame(self) -> QMatrix:
-        """chart^{-1}, inverted once per fat point: chart coordinates to plane ones."""
-        return inverse(self.chart)
+    def of(cls, support: SimplePoint, frame: QMatrix, h: Sequence, mult: int) -> "FatPoint":
+        return cls(support, frame, branch_polynomial(h, mult), mult)
 
 
 class PointConfig(Record):
@@ -373,9 +367,8 @@ def _random_point(rng: SplitMix64) -> SimplePoint:
 def _random_fat_point(rng: SplitMix64, mult: int) -> FatPoint:
     """A fat point at a random support with h(y) = c1 y + ... + c_{m-1} y^{m-1}."""
     support = _random_point(rng)
-    chart = inverse(support.frame)
     h = [_ZERO] + [Fraction(rng.randint(-5, 5)) for _ in range(mult - 1)]
-    return FatPoint.of(support, chart, h, mult)
+    return FatPoint.of(support, support.frame, h, mult)
 
 
 # the multiplicities of the fat points random_config draws in each stratum

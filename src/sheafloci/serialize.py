@@ -20,6 +20,11 @@ run, not with this module, so a command that writes only configurations
 never loads them (see cli).  Their argument types are named in docstrings,
 since an annotation must resolve in this module's namespace.
 
+A configuration file stores each fat point's chart, the inverse of its
+frame: config_from_dict inverts each chart once, and config_to_dict
+writes the inverse of each frame.  No other module reads or writes a
+chart.
+
 Convention note: in configuration files the fat-point entry "h" lists
 the coefficients of h(y) from y^1 upward, since h(0) = 0 always; in the
 local-freeness query format "h" starts at y^0 and its first entry must
@@ -36,7 +41,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import ConfigError
-from .exactalg import QMatrix
+from .exactalg import QMatrix, inverse
 from .poly import parse_local
 from .schemes import MAX_DEGREE, FatPoint, PointConfig, SimplePoint
 
@@ -385,7 +390,7 @@ def config_to_dict(cfg: PointConfig) -> dict:
         fat.append(
             {
                 "support": _triple_out(fp.support.coords),
-                "chart": [_triple_out(fp.chart.row(i)) for i in range(3)],
+                "chart": [_triple_out(row) for row in inverse(fp.frame).row_lists()],
                 "h": [str(Fraction(c)) for c in fp.h[1:]],
                 "mult": fp.mult,
             }
@@ -422,9 +427,13 @@ def config_from_dict(d: dict) -> PointConfig:
         chart = QMatrix.from_rows(
             [[_rational(c) for c in row] for row in entry["chart"]]
         )
+        try:
+            frame = inverse(chart)
+        except ValueError:
+            raise ConfigError("chart matrix must be invertible") from None
         support = SimplePoint(tuple(_rational(c) for c in entry["support"]))
         h = (Fraction(0),) + tuple(_rational(c) for c in entry["h"])
-        fat.append(FatPoint.of(support, chart, h, entry["mult"]))
+        fat.append(FatPoint.of(support, frame, h, entry["mult"]))
     return PointConfig.of(d["degree"], simple, fat)
 
 

@@ -250,12 +250,14 @@ def locus_report(
     reduced by i's RREF, a triple (i, j, k) the determinant of j's and
     k's reduced blocks; rank_of_rows reads the rows only when that value
     is 0.  An extra subset passes none, so rank_of_rows reads its rows.
-    Extra subsets must name distinct point ids in 1..npoints, else
-    ConfigError.
+    Extra subsets must be non-empty and name distinct point ids in
+    1..npoints, else ConfigError.
     """
     cfg = fib.config
     ids = list(range(1, cfg.npoints + 1))
     for s in extra_subsets:
+        if not s:
+            raise ConfigError("subset () names no point id")
         if not all(1 <= pid <= cfg.npoints for pid in s):
             raise ConfigError(
                 f"subset {tuple(s)} has a point id outside 1..{cfg.npoints}"

@@ -16,7 +16,8 @@ cross-checks exercise independent code paths:
   order, evaluation and differentiation computed afresh.
 - euler_relation_holds: the Euler identity at a point, by Horner.
 - matrix_product: the product of two matrices given as row lists;
-  identity_matrix: the n x n identity.
+  matrix_vector: a QMatrix times a vector; identity_matrix: the n x n
+  identity.
 - naive_rref, naive_kernel, naive_solve, naive_inverse: the RREF by
   Fraction Gauss-Jordan elimination (naive_echelon), and the null-space
   basis, solution and inverse read off it.
@@ -30,6 +31,7 @@ cross-checks exercise independent code paths:
   broken on purpose.
 - random_fat_config: seeded configurations with any fat multiplicities,
   past the two strata random_config draws.
+- DEEP_D6: a degree-6 configuration file with a triple point.
 - SEEDED_STRATA, seeded_stratum_config: one seeded configuration per
   degree 4-8 and stratum, fat points of multiplicity 3 and 2+2 included.
 - tiny_prime: a fixture that sets exactalg's modulus to 2, then to 3.
@@ -47,6 +49,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,29 @@ REFERENCE_POINTS_D6 = [
     (1, -1, 1),
     (1, 1, -1),
 ]
+
+# a configuration file with seven simple points plus one triple point,
+# length 7 + 3 = 10
+DEEP_D6 = {
+    "degree": 6,
+    "simple": [
+        ["1", "0", "0"],
+        ["0", "1", "0"],
+        ["0", "0", "1"],
+        ["0", "1", "1"],
+        ["0", "1", "-1"],
+        ["1", "-2", "0"],
+        ["1", "2", "-1"],
+    ],
+    "fat": [
+        {
+            "support": ["1", "3", "2"],
+            "chart": [["1", "0", "0"], ["-3", "1", "0"], ["-2", "0", "1"]],
+            "h": ["1", "1"],
+            "mult": 3,
+        }
+    ],
+}
 
 
 def naive_echelon(rows):
@@ -271,6 +297,12 @@ def euler_relation_holds(p, pt):
 def matrix_product(a, b):
     """Row lists of the product of the matrices with row lists a and b."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def matrix_vector(m, vec):
+    """The QMatrix m times the column vector vec, as a list of Fractions."""
+    vec = [Fraction(x) for x in vec]
+    return [sum(map(mul, m.row(i), vec), Fraction(0)) for i in range(m.rows)]
 
 
 def identity_matrix(n):

@@ -23,6 +23,7 @@ from conftest import (
     ExactFibre,
     horner_eval,
     identity_matrix,
+    matrix_vector,
     partial,
     proportional_pair_module,
     zero_column_module,
@@ -205,7 +206,7 @@ def test_criterion_4_resolution_identity(line, resolutions):
             assert resolution_check(res.phi, generators=res.generators, minors=minors)
             memb = QMatrix.from_rows(membership_conditions(cfg, res.degree - 2))
             for m in minors:
-                assert all(v == 0 for v in memb.apply(m.coeffs))
+                assert all(v == 0 for v in matrix_vector(memb, m.coeffs))
             minor_rows = [list(m.coeffs) for m in minors]
             assert rank_of_rows(minor_rows) == n
             ker = kernel(memb)

@@ -83,6 +83,8 @@ REMOVED = [
     ("sheafloci.schemes", "_completion_matrix"),
     ("sheafloci.singloci", "gradient_rows"),
     ("sheafloci.schemes", "FatPoint.branch_coordinates"),
+    ("sheafloci.exactalg", "QMatrix.apply"),
+    ("sheafloci.schemes", "FatPoint.chart"),
 ]
 
 # library names that no other library code refers to, each with the reason

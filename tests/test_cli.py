@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import horner_eval, run_fresh_python
+from conftest import DEEP_D6, horner_eval, run_fresh_python
 from sheafloci.cli import console_main
 from sheafloci.localfree import random_membership_germ
 from sheafloci.poly import parse_homogeneous
@@ -17,28 +20,6 @@ CONIC_D5 = {
     "degree": 5,
     "simple": [["1", str(t), str(t * t)] for t in range(6)],
     "fat": [],
-}
-
-# seven simple points plus one triple point, length 7 + 3 = 10
-DEEP_D6 = {
-    "degree": 6,
-    "simple": [
-        ["1", "0", "0"],
-        ["0", "1", "0"],
-        ["0", "0", "1"],
-        ["0", "1", "1"],
-        ["0", "1", "-1"],
-        ["1", "-2", "0"],
-        ["1", "2", "-1"],
-    ],
-    "fat": [
-        {
-            "support": ["1", "3", "2"],
-            "chart": [["1", "0", "0"], ["-3", "1", "0"], ["-2", "0", "1"]],
-            "h": ["1", "1"],
-            "mult": 3,
-        }
-    ],
 }
 
 
@@ -351,25 +332,26 @@ class TestUsageErrors:
         assert "UTF-8" in err
 
     @pytest.mark.parametrize(
-        "kind",
+        "command,flag,kind",
         [
-            "empty",
-            "bad-json",
-            "list",
-            "missing-key",
-            "wrong-type",
-            "non-utf8",
-            "long-rational",
-            "long-integer",
-            "deep",
-        ],
-    )
-    @pytest.mark.parametrize(
-        "command,flag",
-        [
-            ("analyze", "--config"),
-            ("kronecker", "--config"),
-            ("localfree", "--in"),
+            (command, flag, kind)
+            for command, flag in (
+                ("analyze", "--config"),
+                ("kronecker", "--config"),
+                ("localfree", "--in"),
+            )
+            for kind in [
+                "empty",
+                "bad-json",
+                "list",
+                "missing-key",
+                "wrong-type",
+                "non-utf8",
+                "long-rational",
+                "long-integer",
+                "deep",
+            ]
+            + (["singular-chart", "chart-off-support"] if flag == "--config" else [])
         ],
     )
     def test_malformed_file_is_exit_one(self, capsys, tmp_path, command, flag, kind):
@@ -380,12 +362,20 @@ class TestUsageErrors:
             wrong = {"f": "x*y", "h": ["0"], "mult": "two"}
             long_rational = {"f": "x*y", "h": ["0", huge], "mult": 2}
             long_integer = '{"f": "x*y", "h": ["0"], "mult": %s}' % huge
+            charts = {}
         else:
             points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
             missing = {"degree": 4, "simple": points}
             wrong = {"degree": "four", "simple": points, "fat": []}
             long_rational = {"degree": 6, "simple": [[huge, "0", "1"]] + points, "fat": []}
             long_integer = '{"degree": %s, "simple": [], "fat": []}' % huge
+            # serialize inverts the chart, so a singular one must not reach
+            # inverse's ValueError
+            singular = json.loads(json.dumps(DEEP_D6))
+            singular["fat"][0]["chart"][2] = ["-1", "1", "0"]
+            off_support = json.loads(json.dumps(DEEP_D6))
+            off_support["fat"][0]["support"] = ["1", "3", "5"]
+            charts = {"singular-chart": singular, "chart-off-support": off_support}
         content = {
             "empty": b"",
             "bad-json": b"{not json",
@@ -396,6 +386,7 @@ class TestUsageErrors:
             "long-rational": json.dumps(long_rational).encode(),
             "long-integer": long_integer.encode(),
             "deep": b"[" * 100000 + b"]" * 100000,
+            **{name: json.dumps(payload).encode() for name, payload in charts.items()},
         }[kind]
         path = tmp_path / "input.json"
         path.write_bytes(content)
@@ -404,6 +395,11 @@ class TestUsageErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        expected = {
+            "singular-chart": "error: chart matrix must be invertible\n",
+            "chart-off-support": "error: chart must move the support to (1:0:0)\n",
+        }
+        assert err == expected.get(kind, err)
 
     @pytest.mark.parametrize("payload", ["[]", '"x"', "3", "null"])
     def test_non_object_query_with_truncation_is_exit_one(self, capsys, tmp_path, payload):
@@ -510,6 +506,74 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "analyze" in out
+
+
+def seeded_mutants():
+    """(kind, payload): schema-valid mutants of seeded d4-d6 configuration files.
+
+    Every file gets a duplicated and a dropped point; a double-point file
+    also a chart entry set to "0", its multiplicity raised by one and its
+    support moved off its chart.  A duplicate overwrites a simple point
+    with a multiple of another point, the fat support included.
+    """
+    from sheafloci.schemes import random_config
+    from sheafloci.serialize import config_to_dict
+
+    rng = SplitMix64(39)
+    mutants = []
+    for d in (4, 5, 6):
+        for stratum in ("generic", "double"):
+            for seed in range(1, 8):
+                base = config_to_dict(random_config(d, seed, stratum))
+                kinds = ["duplicate", "drop"]
+                if base["fat"]:
+                    kinds += ["chart-zero", "mult", "off-support"]
+                for kind in kinds:
+                    payload = json.loads(json.dumps(base))
+                    simple = payload["simple"]
+                    fat = payload["fat"][0] if payload["fat"] else None
+                    if kind == "duplicate":
+                        others = simple + ([fat["support"]] if fat else [])
+                        i = rng.randint(0, len(simple) - 1)
+                        j = (i + rng.randint(1, len(others) - 1)) % len(others)
+                        scale = rng.randint(-3, 3) or 1
+                        simple[i] = [str(Fraction(c) * scale) for c in others[j]]
+                    elif kind == "drop":
+                        del simple[rng.randint(0, len(simple) - 1)]
+                    elif kind == "chart-zero":
+                        fat["chart"][rng.randint(0, 2)][rng.randint(0, 2)] = "0"
+                    elif kind == "mult":
+                        fat["mult"] += 1
+                    else:
+                        k = rng.randint(0, 2)
+                        fat["support"][k] = str(Fraction(fat["support"][k]) + 1)
+                    mutants.append((kind, payload))
+    return mutants
+
+
+def test_seeded_mutants_exit_cleanly(capsys, tmp_path):
+    # every mutant is answered, refused with one error line, or certified
+    # non-generic; none escapes as a traceback
+    start = time.perf_counter()
+    mutants = seeded_mutants()
+    assert len(mutants) == 147
+    seen = Counter()
+    for n, (kind, payload) in enumerate(mutants):
+        path = write_json(tmp_path / f"mutant{n}.json", payload)
+        for command in ("analyze", "kronecker"):
+            code, out, err = run(capsys, command, "--config", path)
+            assert code in (0, 1, 2), (kind, command, err)
+            assert "Traceback" not in err
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert err == "" and out
+            seen[kind, code, "chart" in err] += 1
+    # the chart checks refuse zeroed charts and moved supports, and some
+    # zeroed chart still gives a configuration that is answered
+    assert seen["chart-zero", 1, True] and seen["off-support", 1, True]
+    assert seen["chart-zero", 0, False]
+    assert time.perf_counter() - start < 3
 
 
 class TestInputCeilings:

@@ -33,6 +33,7 @@ from conftest import (
     ExactFibre,
     cofactor_det,
     horner_eval,
+    matrix_vector,
     naive_rank,
     proportional_pair_module,
     zero_column_module,
@@ -122,7 +123,7 @@ class TestFromPoints:
         res = kronecker_from_points(cfg)
         m = QMatrix.from_rows(membership_conditions(cfg, 4))
         for minor in maximal_minors(res.phi):
-            assert all(v == 0 for v in m.apply(minor.coeffs))
+            assert all(v == 0 for v in matrix_vector(m, minor.coeffs))
 
     def test_minors_span_degree_d_minus_2_kernel(self):
         cfg = ref_config()
@@ -191,7 +192,7 @@ class TestInjectivity:
         sys = QMatrix.from_rows(injectivity_system(broken))
         witness = [Fraction(0)] * (3 * broken.ncols)
         witness[3 * 1 + 0] = Fraction(1)
-        assert all(v == 0 for v in sys.apply(witness))
+        assert all(v == 0 for v in matrix_vector(sys, witness))
 
 
 class TestBorderedDeterminants:

@@ -30,6 +30,7 @@ from conftest import (
     horner_eval,
     identity_matrix,
     matrix_product,
+    matrix_vector,
     partial,
 )
 
@@ -203,7 +204,7 @@ def test_substitute_linear_compatible_with_evaluation():
     q = substitute_linear(p, g)
     for _ in range(5):
         v = [rng.randint(-5, 5) for _ in range(3)]
-        assert horner_eval(q, v) == horner_eval(p, g.apply(v))
+        assert horner_eval(q, v) == horner_eval(p, matrix_vector(g, v))
 
 
 def test_parse_homogeneous_example():

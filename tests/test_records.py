@@ -44,7 +44,7 @@ RECORDS = {
     HomPoly: (("degree", "coeffs"), lambda: HomPoly.from_coeffs(1, [1, 0, -2])),
     LocalPoly: (("coeffs",), lambda: parse_local("x^2 - y^3")),
     SimplePoint: (("coords",), lambda: SimplePoint.of(1, 2, 3)),
-    FatPoint: (("support", "chart", "h", "mult"), lambda: _double().fat[0]),
+    FatPoint: (("support", "frame", "h", "mult"), lambda: _double().fat[0]),
     PointConfig: (("degree", "simple", "fat"), _double),
     ProjSubspace: (
         ("ambient", "pivots", "free_columns", "block", "den"),
@@ -80,7 +80,7 @@ INVALID = {
 # computes it)
 CACHED = {
     SimplePoint: ("primitive", schemes, "integer_row"),
-    FatPoint: ("frame", schemes, "inverse"),
+    FatPoint: ("axes", schemes, "integer_row"),
     PointConfig: ("admissible", schemes, "not_on_curve_of_degree"),
 }
 

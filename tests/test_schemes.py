@@ -37,6 +37,7 @@ from conftest import (
     horner_eval,
     identity_matrix,
     matrix_product,
+    matrix_vector,
     random_fat_config,
     seeded_stratum_config,
 )
@@ -79,12 +80,15 @@ class TestFatPoint:
         assert fp.h == ()
 
     def test_chart_must_move_support_to_origin_of_chart(self):
-        with pytest.raises(ConfigError):
+        # the frame must send (1:0:0) to the support; any nonzero multiple does
+        with pytest.raises(ConfigError, match="move the support"):
             FatPoint.of(SimplePoint.of(0, 1, 0), identity_matrix(3), [], 2)
+        scaled = QMatrix.from_rows([[-2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert FatPoint.of(SimplePoint.of(1, 0, 0), scaled, [], 2).frame == scaled
 
     def test_singular_chart_rejected(self):
         bad = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="invertible"):
             FatPoint.of(SimplePoint.of(1, 0, 0), bad, [], 2)
 
     def test_h_constraints(self):
@@ -280,14 +284,14 @@ class TestMembershipRows:
         # same row space for the membership conditions.
         d = 4
         g = QMatrix.from_rows([[1, 2, -1], [0, 1, 3], [0, 0, 1]])
+        ginv = inverse(g)
         fp_std = standard_double_point()
-        support = SimplePoint(tuple(inverse(g).apply(fp_std.support.coords)))
-        chart = QMatrix.from_rows(matrix_product(fp_std.chart.row_lists(), g.row_lists()))
-        fp_moved = FatPoint.of(support, chart, fp_std.h, 2)
+        support = SimplePoint(tuple(matrix_vector(ginv, fp_std.support.coords)))
+        frame = QMatrix.from_rows(matrix_product(ginv.row_lists(), fp_std.frame.row_lists()))
+        fp_moved = FatPoint.of(support, frame, fp_std.h, 2)
         rows_std = QMatrix.from_rows(branch_rows(fp_std, d, range(fp_std.mult)))
         rows_moved = QMatrix.from_rows(branch_rows(fp_moved, d, range(fp_moved.mult)))
         # Pull back: f in ideal at moved point iff f(g^{-1} .) in ideal at std.
-        ginv = inverse(g)
         for j in range(rows_std.rows):
             func = rows_std.row(j)
             pulled = []
@@ -360,6 +364,7 @@ class TestGenericity:
 
     def test_chart_is_inverted_once_per_fat_point(self, monkeypatch):
         import sheafloci.schemes as schemes
+        from sheafloci import exactalg, serialize
         from sheafloci.linsys import fibre
         from sheafloci.singloci import locus_report
 
@@ -369,10 +374,18 @@ class TestGenericity:
             calls.append(m.rows)
             return inverse(m)
 
-        monkeypatch.setattr(schemes, "inverse", counted)
-        locus_report(fibre(random_config(7, 3, "double")))
-        # one inverse builds the chart, one gives the fat point's frame
+        monkeypatch.setattr(exactalg, "inverse", counted)
+        monkeypatch.setattr(serialize, "inverse", counted)
+        assert not hasattr(schemes, "inverse")
+        # a draw keeps each support's frame, and a report reads it
+        cfg = random_fat_config(7, 3, (3, 2))
+        locus_report(fibre(cfg))
+        assert calls == []
+        # a write inverts each frame, and a read each chart
+        payload = serialize.config_to_dict(cfg)
         assert calls == [3, 3]
+        assert serialize.config_from_dict(payload) == cfg
+        assert calls == [3, 3, 3, 3]
 
 
 class TestRandomConfig:

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REFERENCE_POINTS_D6
+from conftest import DEEP_D6, REFERENCE_POINTS_D6, random_fat_config
 
 from sheafloci.errors import ConfigError
 from sheafloci.exactalg import QMatrix
@@ -101,6 +101,30 @@ class TestConfigPayload:
         d["fat"][0]["mult"] = 1
         with pytest.raises(ConfigError, match="mult"):
             config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            DEEP_D6,
+            # chart rows (1/2, 0, 0), (-3/2, 1/2, 0), (-2/3, 0, 1/3) move (1:3:2) to (1:0:0)
+            dict(
+                DEEP_D6,
+                fat=[
+                    dict(
+                        DEEP_D6["fat"][0],
+                        chart=[["1/2", "0", "0"], ["-3/2", "1/2", "0"], ["-2/3", "0", "1/3"]],
+                    )
+                ],
+            ),
+        ]
+        + [config_to_dict(random_config(d, d, "double")) for d in (4, 6, 8)]
+        + [config_to_dict(random_fat_config(d, d, (3,))) for d in (5, 7)],
+        ids=["deep-d6", "rational-chart", "double-4", "double-6", "double-8", "fat3-5", "fat3-7"],
+    )
+    def test_a_read_then_write_gives_the_same_bytes(self, payload):
+        # a read inverts each chart into a frame, and a write inverts it back
+        again = config_to_dict(config_from_dict(payload))
+        assert canonical_dumps(again) == canonical_dumps(payload)
 
     def test_semantic_validation_still_applies(self):
         # schema-valid payloads still go through configuration checks
@@ -467,9 +491,10 @@ def output_payloads() -> tuple:
             payloads.append(("report", report_to_dict(rep)))
         if d <= 6:
             payloads.append(("resolution", resolution_to_dict(kronecker_from_points(generic))))
-    # seven simple points and one triple point, length 10 in degree 6
+    # seven simple points and one triple point, length 10 in degree 6; the
+    # frame's inverse is the chart [[1, 0, 0], [-3, 1, 0], [-2, 0, 1]]
     triple = FatPoint.of(
-        SimplePoint.of(1, 3, 2), QMatrix.from_rows([[1, 0, 0], [-3, 1, 0], [-2, 0, 1]]), (0, 1, 1), 3
+        SimplePoint.of(1, 3, 2), QMatrix.from_rows([[1, 0, 0], [3, 1, 0], [2, 0, 1]]), (0, 1, 1), 3
     )
     deep = PointConfig.of(6, [SimplePoint.of(*p) for p in REFERENCE_POINTS_D6[:7]], [triple])
     payloads += [

@@ -58,6 +58,7 @@ from conftest import (
     horner_eval,
     identity_matrix,
     matrix_product,
+    matrix_vector,
     naive_rank,
     partial,
     random_fat_config,
@@ -124,13 +125,12 @@ def branch_series(f, fp):
     Avoids the row machinery entirely: samples the composed function at
     enough rational arguments and interpolates.
     """
-    cinv = inverse(fp.chart)
     npts = f.degree * fp.mult + 1
     ts = [Fraction(t) for t in range(npts)]
     vs = []
     for t in ts:
         h_t = sum(c * t**k for k, c in enumerate(fp.h))
-        pt = cinv.apply((Fraction(1), t, h_t))
+        pt = matrix_vector(fp.frame, (Fraction(1), t, h_t))
         vs.append(horner_eval(f, pt))
     return newton_interpolate(ts, vs)
 
@@ -248,6 +248,15 @@ class TestCodimensions:
         assert dict(rep.subset_codims) == {(1, 2, 3, 4): 8, (1, 2, 3, 4, 5): 9}
         assert not transversal(rep, (1, 2, 3, 4, 5))
 
+    @pytest.mark.parametrize(
+        "subset", [(), (0, 1), (1, 7), (2, 2)], ids=["empty", "zero", "past-last", "repeated"]
+    )
+    def test_extra_subsets_name_distinct_ids_in_range(self, subset):
+        # an empty subset's report entry would break the report schema
+        fib = fibre(random_config(5, 1))
+        with pytest.raises(ConfigError, match="subset"):
+            locus_report(fib, extra_subsets=[(1, 2), subset])
+
     def test_double_stratum_fat_point_codim(self):
         for seed in (11, 23):
             cfg = random_config(5, seed, stratum="double")
@@ -304,6 +313,23 @@ class TestClassify:
         got = classify_curve(fib, f)
         assert got == {2, 7}
         assert got == oracle_classify(fib.config, f)
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_m_prime_is_singular_where_two_loci_meet(self, d):
+        # README ("M' is singular"): near a curve singular at exactly p and q,
+        # M' is L_p u L_q; the span of the two, its tangent space, is the
+        # whole fibre (codim 2 + 2 - 4 = 0), while M' has codim 2
+        cfg = random_config(d, d)
+        fib = fibre(cfg)
+        p, q = 1, cfg.npoints
+        f = impose_singularities(fib, [p, q], SplitMix64(d))
+        assert classify_curve(fib, f) == {p, q}
+        rep = locus_report(fib, pairs=True)
+        codims = {pid: codim for pid, _kind, codim in rep.point_codims}
+        pairs = {(i, j): codim for i, j, codim in rep.pair_codims}
+        assert (codims[p], codims[q], pairs[p, q]) == (2, 2, 4)
+        span = ambient_singular_subspace(fib, p).basis() + ambient_singular_subspace(fib, q).basis()
+        assert rank_of_rows(span) == fib.proj_dim + 1
 
     def test_generic_member_is_smooth_on_scheme(self):
         fib = fibre(ref_config())
@@ -1063,8 +1089,8 @@ class TestIntegerRows:
             # three branch polynomials get different denominators
             lead = next(c for c in fp.support.primitive if c)
             q = rng.randint(2, 9) * abs(int(lead))
-            chart = QMatrix.from_rows([[q * a for a in fp.chart.row(i)] for i in range(3)])
-            fat.append(FatPoint.of(fp.support, chart, fp.h, fp.mult))
+            frame = QMatrix.from_rows([[a / q for a in fp.frame.row(i)] for i in range(3)])
+            fat.append(FatPoint.of(fp.support, frame, fp.h, fp.mult))
         scaled = PointConfig.of(degree, simple, fat)
         assert any(c.denominator > 1 for p in simple for c in p.coords)
         for fp in fat:
@@ -1196,7 +1222,7 @@ class TestChainRule:
             assert normal_space_dim(fib, pid) == ambient_codim(fib, [pid]) == 2
 
     def test_standard_double_point_keeps_the_normal_gradient_row(self):
-        # the double point (x1^2, x2) at (1:0:0): its chart is the identity,
+        # the double point (x1^2, x2) at (1:0:0): its frame is the identity,
         # so n = e2, and only the x2-derivative is a condition modulo M
         fp = FatPoint.of(SimplePoint.of(1, 0, 0), identity_matrix(3), (), 2)
         cfg = PointConfig.of(4, [SimplePoint.of(0, 0, 1)], [fp])
@@ -1219,15 +1245,14 @@ INVARIANCE_STRATA = [
 def moved_config(cfg, g, order):
     """cfg moved by g, with its simple points taken in the given order.
 
-    A simple point p goes to g p; a fat point to support g p and chart
-    chart g^-1, with the same h and multiplicity, so its ideal moves by g.
+    A simple point p goes to g p; a fat point to support g p and frame
+    g frame, with the same h and multiplicity, so its ideal moves by g.
     """
-    ginv = inverse(g).row_lists()
-    simple = [SimplePoint(tuple(g.apply(cfg.simple[i].coords))) for i in order]
+    simple = [SimplePoint(tuple(matrix_vector(g, cfg.simple[i].coords))) for i in order]
     fat = [
         FatPoint(
-            SimplePoint(tuple(g.apply(fp.support.coords))),
-            QMatrix.from_rows(matrix_product(fp.chart.row_lists(), ginv)),
+            SimplePoint(tuple(matrix_vector(g, fp.support.coords))),
+            QMatrix.from_rows(matrix_product(g.row_lists(), fp.frame.row_lists())),
             fp.h,
             fp.mult,
         )
