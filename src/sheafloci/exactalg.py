@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction``: arbitrary-precision, always in lowest
-terms, positive denominator.  Every rank, kernel and solution below is
+terms, positive denominator.  Every rank, kernel and inverse below is
 exact; no floating point enters the package anywhere.
 
 Rank and codimension statements about rational matrices are insensitive
@@ -19,7 +19,7 @@ rank_of_rows counts the rows that survive; reduced_echelon
 back-substitutes by inserting the echelon rows once more with the pivot
 columns reversed, and leaves each row an integer multiple of its RREF
 row (the reduced row echelon form is unique, so nothing depends on
-pivot order); kernel, solve and inverse read each entry of their
+pivot order); kernel and inverse read each entry of their
 result off those rows, one Fraction of the entry over its row's pivot;
 det tracks the row scalings, the cross-multiplication factors, the gcds
 and the pivot permutation.  The fibre in ``linsys`` keeps no echelon
@@ -255,22 +255,6 @@ def kernel(m: QMatrix) -> list:
                 v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
-
-
-def solve(m: QMatrix, b: Sequence) -> Optional[list]:
-    """One exact solution of m x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    reduced = reduced_echelon([row + [Fraction(bv)] for row, bv in zip(m.row_lists(), b)])
-    if m.cols in reduced:
-        return None
-    x = [_ZERO] * m.cols
-    for c, row in reduced.items():
-        x[c] = Fraction(row[m.cols], row[c])
-    return x
 
 
 def inverse(m: QMatrix) -> QMatrix:

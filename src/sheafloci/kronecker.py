@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import DegenerateError, NotInFibreError, Record, ShapeError
-from .exactalg import QMatrix, kernel, rank_of_rows, solve
+from .exactalg import QMatrix, kernel, rank_of_rows
 from .poly import HomPoly, column_minors, det_poly_matrix, monomials
 from .schemes import PointConfig, membership_conditions, require_generic
 
@@ -237,19 +237,21 @@ def curve_from_pair(quad: Sequence[HomPoly], phi: KroneckerModule) -> HomPoly:
 def pair_from_curve(phi: KroneckerModule, f: HomPoly) -> SheafMatrix:
     """Quadratic bordering column with det [quad | phi] = f.
 
-    Solves sum_i q_i m_i = f for the quadratic coefficients; raises
-    NotInFibreError when f is not a combination of the maximal minors,
-    which for point-derived modules means f does not pass through the
-    configuration.
+    Solves sum_i q_i m_i = f for the quadratic coefficients, with its
+    free coefficients 0: in the kernel of the rows [A | -f], that is the
+    last basis vector when its last entry is 1.  Otherwise f is not a
+    combination of the maximal minors, which for point-derived modules
+    means f does not pass through the configuration: NotInFibreError.
     """
     d = phi.curve_degree
     if f.degree != d:
         raise ShapeError(f"curve has degree {f.degree}, module expects {d}")
-    system = QMatrix.from_rows(_product_rows(maximal_minors(phi), 2))
-    sol = solve(system, list(f.coeffs))
-    if sol is None:
+    rows = _product_rows(maximal_minors(phi), 2)
+    basis = kernel(QMatrix.from_rows([r + [-c] for r, c in zip(rows, f.coeffs)]))
+    if not basis or basis[-1][-1] != 1:
         raise NotInFibreError(
             "curve is not a quadratic combination of the maximal minors"
         )
+    sol = basis[-1]
     quad = [HomPoly.from_coeffs(2, sol[6 * i : 6 * i + 6]) for i in range(phi.nrows)]
     return SheafMatrix(tuple(quad), phi)

@@ -375,25 +375,14 @@ def _random_fat_point(rng: SplitMix64, mult: int) -> FatPoint:
 _STRATUM_FAT_MULTS = {"generic": (), "double": (2,)}
 
 
-def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
-    """Seeded random configuration of length (d-1)(d-2)/2.
+def _draw_config(d: int, seed: int, mults: Sequence[int]) -> PointConfig:
+    """The first admissible configuration drawn from SplitMix64(seed).
 
-    stratum "generic": all points simple.  stratum "double": one double
-    point plus l-2 simple points.  The fat points are drawn first, then
-    the simple points.  Coordinates are integers in [-20, 20] drawn from
-    SplitMix64(seed); candidates are rejected until no degree-(d-3)
-    curve passes through the scheme, with a hard cap of 10^4 rejections.
-    A seed outside [0, 2^64), which SplitMix64 would alias, is a ConfigError.
+    Each candidate has one fat point per entry of mults, drawn first,
+    then simple points up to the length (d-1)(d-2)/2.  A candidate is
+    rejected until no degree-(d-3) curve passes through the scheme, with
+    a hard cap of 10^4 rejections.
     """
-    if d < 4:
-        raise ConfigError("degree must be at least 4")
-    if d > MAX_DEGREE:
-        raise ConfigError(f"degree {d} is above the ceiling {MAX_DEGREE}")
-    if stratum not in _STRATUM_FAT_MULTS:
-        raise ConfigError(f"unknown stratum {stratum!r}")
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"seed {seed} is outside 0..2^64 - 1")
-    mults = _STRATUM_FAT_MULTS[stratum]
     rng = SplitMix64(seed)
     l = expected_length(d)
     for _ in range(MAX_REJECTIONS):
@@ -407,5 +396,24 @@ def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
             return cfg
     raise GenericityError(
         f"no generic configuration found after {MAX_REJECTIONS} attempts "
-        f"(degree {d}, seed {seed}, stratum {stratum})"
+        f"(degree {d}, seed {seed}, fat multiplicities {tuple(mults)})"
     )
+
+
+def random_config(d: int, seed: int, stratum: str = "generic") -> PointConfig:
+    """Seeded random configuration of length (d-1)(d-2)/2.
+
+    stratum "generic": all points simple.  stratum "double": one double
+    point plus l-2 simple points.  Coordinates are integers in [-20, 20]
+    drawn by _draw_config.  A seed outside [0, 2^64), which SplitMix64
+    would alias, is a ConfigError.
+    """
+    if d < 4:
+        raise ConfigError("degree must be at least 4")
+    if d > MAX_DEGREE:
+        raise ConfigError(f"degree {d} is above the ceiling {MAX_DEGREE}")
+    if stratum not in _STRATUM_FAT_MULTS:
+        raise ConfigError(f"unknown stratum {stratum!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed} is outside 0..2^64 - 1")
+    return _draw_config(d, seed, _STRATUM_FAT_MULTS[stratum])

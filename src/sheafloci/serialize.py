@@ -11,9 +11,9 @@ their schemas by a test, not at run time.  canonical_dumps renders
 objects deterministically (sorted keys, two-space indent, trailing
 newline): the bytes of json.dumps(obj, sort_keys=True, indent=2),
 written without the pure-Python encoder that indent makes json use.  A
-list of dicts with one key set and one value type per key, such as a
-report's pairs and triples, is rendered a key at a time, not a dict at
-a time.
+list of dicts with one key set and one kind of value per key, such as
+a report's points, pairs and triples, is rendered from one % template,
+built once per list and filled once per entry.
 
 The payload functions import kronecker, localfree and singloci when they
 run, not with this module, so a command that writes only configurations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
@@ -311,50 +311,48 @@ def _write(obj, pad: str, out: list) -> None:
         raise _Unwritable
 
 
-def _column(values: list, pad: str) -> Optional[list]:
-    """The values' texts at depth pad, or None unless all are int, all
-    bool, all str or all non-empty lists of ints."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds == {str}:
-        return list(map(_quote, values))
-    if kinds == {list} and all(values) and {*map(type, chain.from_iterable(values))} == {int}:
-        # repr gives "[[1, 2], [3]]"; each ", " becomes a line break, and
-        # the lists part where "], [" was
-        inner = pad + "  "
-        sep = ",\n" + inner
-        texts = repr(values)[2:-2].replace(", ", sep).split("]" + sep + "[")
-        return list(map(f"[\n{inner}{{}}\n{pad}]".format, texts))
-    return None
-
-
 def _records(rows: list, pad: str) -> Optional[list]:
-    """A list of dicts rendered by column at depth pad, or None.
+    """A list of dicts rendered from one % template at depth pad, or None.
 
-    The dicts must share one key set of str keys, and each key's values
-    must pass _column.  Each key's values are rendered in one pass, and
-    each entry is one join of its values and the text between them.
+    The dicts must share one key set of str keys.  A key whose values
+    are all int, all bool or all str is one %s slot, filled with texts
+    rendered once per column; a key whose values are int lists of one
+    length n >= 1 is n %d slots.  Any other key gives None, and the
+    caller renders the list entry by entry.  The template is built once
+    and filled once per entry.
     """
     keys = sorted(rows[0]) if all(type(k) is str for k in rows[0]) else None
     if not keys or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
         return None
     inner = pad + "  "
-    lead = "{\n" + inner
-    parts = []
+    deep = inner + "  "
+    slots, cols = [], []
     for key in keys:
         try:
             values = list(map(itemgetter(key), rows))
         except KeyError:
             return None
-        col = _column(values, inner)
-        if col is None:
+        kinds = set(map(type, values))
+        slot = "%s"
+        if kinds == {int}:
+            cols.append(map(int.__repr__, values))
+        elif kinds == {bool}:
+            cols.append(["true" if v else "false" for v in values])
+        elif kinds == {str}:
+            cols.append(map(_quote, values))
+        elif (
+            kinds == {list}
+            and len(set(map(len, values))) == 1
+            and set(map(type, chain.from_iterable(values))) == {int}
+        ):
+            cols += zip(*values)
+            ints = (",\n" + deep).join(["%d"] * len(values[0]))
+            slot = "[\n" + deep + ints + "\n" + inner + "]"
+        else:
             return None
-        parts += (repeat(lead + _quote(key) + ": "), col)
-        lead = ",\n" + inner
-    return list(map("".join, zip(*parts, repeat("\n" + pad + "}"))))
+        slots.append(_quote(key).replace("%", "%%") + ": " + slot)
+    template = "{\n" + inner + (",\n" + inner).join(slots) + "\n" + pad + "}"
+    return list(map(template.__mod__, zip(*cols)))
 
 
 def canonical_dumps(obj: dict) -> str:
@@ -363,9 +361,10 @@ def canonical_dumps(obj: dict) -> str:
     With indent, json runs its pure-Python encoder; _write renders the
     JSON types the payloads hold (str keys, str, int, bool, None, list,
     tuple, dict) with json's own C string quoting, and a list of dicts
-    that share their keys and value types by column (_records).  Any
-    other type goes to json.dumps itself, which renders or rejects it,
-    and so does a cycle, which _write meets as a RecursionError.
+    that share their keys and kinds of value from one template
+    (_records).  Any other type goes to json.dumps itself, which renders
+    or rejects it, and so does a cycle, which _write meets as a
+    RecursionError.
     """
     out = []
     try:

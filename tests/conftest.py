@@ -29,8 +29,6 @@ cross-checks exercise independent code paths:
   its free coordinates.
 - zero_column_module, proportional_pair_module: Kronecker modules
   broken on purpose.
-- random_fat_config: seeded configurations with any fat multiplicities,
-  past the two strata random_config draws.
 - DEEP_D6: a degree-6 configuration file with a triple point.
 - SEEDED_STRATA, seeded_stratum_config: one seeded configuration per
   degree 4-8 and stratum, fat points of multiplicity 3 and 2+2 included.
@@ -399,36 +397,6 @@ def ambient_codim(fib, ids):
     return len(echelon) + naive_rank(rest) - expected_length(fib.degree)
 
 
-def random_fat_config(d, seed, mults):
-    """Seeded configuration with one fat point per entry of mults.
-
-    Draws like schemes.random_config: the fat points first through
-    schemes._random_fat_point, then the simple points, rejecting a
-    candidate until no degree-(d-3) curve passes through the scheme.
-    """
-    from sheafloci.errors import ConfigError
-    from sheafloci.rng import SplitMix64
-    from sheafloci.schemes import (
-        MAX_REJECTIONS,
-        PointConfig,
-        _random_fat_point,
-        _random_point,
-        expected_length,
-    )
-
-    rng = SplitMix64(seed)
-    for _ in range(MAX_REJECTIONS):
-        try:
-            fat = [_random_fat_point(rng, m) for m in mults]
-            simple = [_random_point(rng) for _ in range(expected_length(d) - sum(mults))]
-            cfg = PointConfig.of(d, simple, fat)
-        except ConfigError:
-            continue
-        if cfg.admissible:
-            return cfg
-    raise AssertionError(f"no admissible configuration for {d}, {seed}, {mults}")
-
-
 # generic and double-point configurations at degrees 4-8, one triple
 # point at 4-8 and two double points at 5-8 (four is too few for 2+2),
 # as pytest parameters (degree, stratum, fat multiplicities)
@@ -445,10 +413,10 @@ SEEDED_STRATA = [
 
 def seeded_stratum_config(d, stratum, mults):
     """A configuration of SEEDED_STRATA, seeded by its degree."""
-    from sheafloci.schemes import random_config
+    from sheafloci.schemes import _draw_config, random_config
 
     if mults:
-        return random_fat_config(d, d, mults)
+        return _draw_config(d, d, mults)
     return random_config(d, d, stratum=stratum)
 
 

@@ -85,6 +85,7 @@ REMOVED = [
     ("sheafloci.schemes", "FatPoint.branch_coordinates"),
     ("sheafloci.exactalg", "QMatrix.apply"),
     ("sheafloci.schemes", "FatPoint.chart"),
+    ("sheafloci.exactalg", "solve"),
 ]
 
 # library names that no other library code refers to, each with the reason

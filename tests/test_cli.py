@@ -96,6 +96,44 @@ class TestAnalyze:
         assert code == 1
         assert "does not match" in err
 
+    # sha256 prefixes of analyze --triples --subset 1,2,3 --subset 3,1 on
+    # random --degree d --seed s --stratum st, keyed by (st, d, s): points,
+    # pairs and triples are uniform record lists, and the subsets of
+    # sizes 3 and 2 are not
+    REPORT_DIGESTS = {
+        ("generic", 5, 1): "12a812da2e9f3c08",
+        ("generic", 5, 2): "12a812da2e9f3c08",
+        ("generic", 6, 1): "ecebb6364864da8d",
+        ("generic", 6, 2): "ecebb6364864da8d",
+        ("generic", 7, 1): "2b86e34e3cedc750",
+        ("generic", 7, 2): "2b86e34e3cedc750",
+        ("generic", 8, 1): "74c0130efc9ebb51",
+        ("generic", 8, 2): "74c0130efc9ebb51",
+        ("double", 5, 1): "6c2e0fd20f65dabe",
+        ("double", 5, 2): "6c2e0fd20f65dabe",
+        ("double", 6, 1): "9dc9ab74c6f64e3e",
+        ("double", 6, 2): "9dc9ab74c6f64e3e",
+        ("double", 7, 1): "c5553d16634a74ac",
+        ("double", 7, 2): "32b93b47104ba11d",
+        ("double", 8, 1): "21d1612f78c9cca1",
+        ("double", 8, 2): "0040a5b578bf3bf4",
+    }
+
+    @pytest.mark.parametrize("stratum,degree,seed", sorted(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, stratum, degree, seed):
+        cfg = str(tmp_path / "cfg.json")
+        run(
+            capsys, "random", "--degree", str(degree), "--seed", str(seed),
+            "--stratum", stratum, "--out", cfg,
+        )
+        code, out, _ = run(
+            capsys, "analyze", "--config", cfg, "--triples",
+            "--subset", "1,2,3", "--subset", "3,1",
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+        assert digest == self.REPORT_DIGESTS[stratum, degree, seed]
+
     def test_out_writes_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         report = tmp_path / "report.json"

@@ -14,7 +14,6 @@ from sheafloci.exactalg import (
     kernel,
     rank_of_rows,
     reduced_echelon,
-    solve,
 )
 from sheafloci.rng import SplitMix64
 
@@ -30,7 +29,6 @@ from conftest import (
     naive_inverse,
     naive_kernel,
     naive_rank,
-    naive_solve,
     rank_mod_p,
 )
 
@@ -103,30 +101,6 @@ def test_kernel_single_row():
     assert col != [F(0), F(0)]
 
 
-def test_solve_identity_and_sum():
-    assert solve(identity_matrix(2), [3, 4]) == [F(3), F(4)]
-    x = solve(QMatrix.from_rows([[1, 1]]), [2])
-    assert x is not None
-    assert x[0] + x[1] == F(2)
-
-
-def test_solve_inconsistent_returns_none():
-    m = QMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve(m, [0, 1]) is None
-
-
-def test_solve_zero_rows():
-    m = QMatrix(0, 3, ())
-    assert solve(m, []) == [F(0), F(0), F(0)]
-
-
-def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
-    m = QMatrix.from_rows([[1, 2], [3, 4]])
-    for b in ([1], [1, 2, 3]):
-        with pytest.raises(ValueError, match="right-hand side length mismatch"):
-            solve(m, b)
-
-
 def test_inverse_round_trip():
     m = QMatrix.from_rows([[2, 1, 0], [0, 1, 0], [1, 0, 1]])
     inv = inverse(m)
@@ -165,21 +139,6 @@ def test_rank_plus_nullity_bulk():
         if trial % 50 == 0:
             for vec in k:
                 assert all(v == 0 for v in matrix_vector(m, vec))
-
-
-def test_solve_soundness_on_seeded_systems():
-    rng = SplitMix64(404)
-    for _ in range(200):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 5)
-        m = QMatrix.from_rows(
-            [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
-        )
-        x_true = [rng.randint(-20, 20) for _ in range(nc)]
-        b = matrix_vector(m, x_true)
-        x = solve(m, b)
-        assert x is not None
-        assert matrix_vector(m, x) == b
 
 
 def test_rank_of_rows_matches_rank():
@@ -350,23 +309,12 @@ def test_kernel_exactness_property(m):
         assert all(v == 0 for v in matrix_vector(m, vec))
 
 
-# The RREF is unique, so kernel, solve and inverse must equal what the
+# The RREF is unique, so kernel and inverse must equal what the
 # Fraction Gauss-Jordan oracles read off it, entry for entry.
 @settings(max_examples=200, deadline=None)
 @given(small_matrix(min_size=0))
 def test_kernel_matches_gauss_jordan_property(m):
     assert kernel(m) == naive_kernel(m.row_lists(), m.cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_matrix(min_size=0), st.data())
-def test_solve_matches_gauss_jordan_property(m, data):
-    entries = st.lists(st.fractions(max_denominator=9), min_size=m.cols, max_size=m.cols)
-    if data.draw(st.booleans()):
-        b = matrix_vector(m, data.draw(entries))  # consistent
-    else:
-        b = data.draw(st.lists(st.fractions(max_denominator=9), min_size=m.rows, max_size=m.rows))
-    assert solve(m, b) == naive_solve(m.row_lists(), b, m.cols)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from sheafloci.exactalg import QMatrix, kernel, rank_of_rows
 from sheafloci.kronecker import (
     KroneckerModule,
     SheafMatrix,
+    _product_rows,
     curve_from_pair,
     injectivity_check,
     injectivity_system,
@@ -27,6 +28,7 @@ from sheafloci.schemes import (
     membership_conditions,
     random_config,
 )
+from sheafloci.singloci import impose_singularities
 
 from conftest import (
     REFERENCE_POINTS_D6,
@@ -35,6 +37,7 @@ from conftest import (
     horner_eval,
     matrix_vector,
     naive_rank,
+    naive_solve,
     proportional_pair_module,
     zero_column_module,
 )
@@ -249,6 +252,18 @@ class TestBorderedDeterminants:
         f = ExactFibre(fib).element(random_weights(SplitMix64(42), fib.proj_dim + 1))
         sheaf = pair_from_curve(res.phi, f)
         assert sheaf.curve() == f
+
+    def test_pair_from_curve_sets_free_coefficients_to_zero(self):
+        # the column is the Gauss-Jordan solution of sum_i q_i m_i = f
+        # whose free coefficients are 0; the system has free coefficients
+        for d, stratum in ((5, "generic"), (6, "double")):
+            cfg = random_config(d, 1, stratum)
+            phi = kronecker_from_points(cfg).phi
+            f = impose_singularities(fibre(cfg), [1, 2], SplitMix64(d))
+            rows = _product_rows(maximal_minors(phi), 2)
+            assert rank_of_rows(rows) < len(rows[0])
+            got = [c for q in pair_from_curve(phi, f).quad for c in q.coeffs]
+            assert got == naive_solve(rows, f.coeffs, len(rows[0]))
 
     def test_pair_from_curve_rejects_outsiders(self):
         res = kronecker_from_points(standard_d4_config())

@@ -22,7 +22,7 @@ from sheafloci.localfree import (
 )
 from sheafloci.poly import HomPoly, LocalPoly, parse_local
 from sheafloci.rng import SplitMix64
-from sheafloci.schemes import random_config
+from sheafloci.schemes import _draw_config, random_config
 from sheafloci.singloci import classify_curve, impose_singularities
 
 from conftest import (
@@ -30,7 +30,6 @@ from conftest import (
     ambient_singular_subspace,
     identity_matrix,
     naive_echelon,
-    random_fat_config,
     rank_modulo,
 )
 
@@ -344,7 +343,7 @@ class TestGlobalBridge:
 
     def test_classification_agrees_with_local_freeness(self):
         # a double point, then a triple point
-        for cfg in (random_config(5, 11, stratum="double"), random_fat_config(6, 3, (3,))):
+        for cfg in (random_config(5, 11, stratum="double"), _draw_config(6, 3, (3,))):
             fib = fibre(cfg)
             fat_id = cfg.npoints
             fp = cfg.fat[0]

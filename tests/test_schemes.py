@@ -22,6 +22,8 @@ from sheafloci.schemes import (
     PointConfig,
     CurvilinearPoint,
     SimplePoint,
+    _STRATUM_FAT_MULTS,
+    _draw_config,
     branch_rows,
     expected_length,
     low_degree_certificate,
@@ -38,7 +40,6 @@ from conftest import (
     identity_matrix,
     matrix_product,
     matrix_vector,
-    random_fat_config,
     seeded_stratum_config,
 )
 
@@ -131,7 +132,7 @@ class TestFatPoint:
         if mults == (2,):
             cfg = random_config(d, seed, stratum="double")
         else:
-            cfg = random_fat_config(d, seed, mults)
+            cfg = _draw_config(d, seed, mults)
         assert sorted(fp.mult for fp in cfg.fat) == sorted(mults)
         for fp in cfg.fat:
             # (1, y, h(y)) coefficient by coefficient, then frame times it
@@ -378,7 +379,7 @@ class TestGenericity:
         monkeypatch.setattr(serialize, "inverse", counted)
         assert not hasattr(schemes, "inverse")
         # a draw keeps each support's frame, and a report reads it
-        cfg = random_fat_config(7, 3, (3, 2))
+        cfg = _draw_config(7, 3, (3, 2))
         locus_report(fibre(cfg))
         assert calls == []
         # a write inverts each frame, and a read each chart
@@ -416,9 +417,12 @@ class TestRandomConfig:
     @pytest.mark.parametrize(
         "stratum,mults", [("generic", ()), ("double", (2,))], ids=["generic", "double"]
     )
-    def test_random_fat_config_draws_like_random_config(self, stratum, mults):
+    def test_stratum_draws_its_fat_multiplicities(self, stratum, mults):
+        assert _STRATUM_FAT_MULTS[stratum] == mults
         for d, seed in ((4, 9), (6, 7), (7, 3)):
-            assert random_fat_config(d, seed, mults) == random_config(d, seed, stratum)
+            cfg = random_config(d, seed, stratum)
+            assert tuple(fp.mult for fp in cfg.fat) == mults
+            assert cfg == _draw_config(d, seed, mults)
 
     def test_unknown_stratum_rejected(self):
         with pytest.raises(ConfigError):

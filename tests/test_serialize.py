@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEEP_D6, REFERENCE_POINTS_D6, random_fat_config
+from conftest import DEEP_D6, REFERENCE_POINTS_D6
 
 from sheafloci.errors import ConfigError
 from sheafloci.exactalg import QMatrix
@@ -27,7 +27,7 @@ from sheafloci.localfree import (
 )
 from sheafloci.poly import LocalPoly, parse_homogeneous, parse_local
 from sheafloci.rng import SplitMix64
-from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, random_config
+from sheafloci.schemes import FatPoint, SimplePoint, PointConfig, _draw_config, random_config
 from sheafloci.singloci import SingularLocusReport, locus_report
 from sheafloci.serialize import (
     RATIONAL_PATTERN,
@@ -118,7 +118,7 @@ class TestConfigPayload:
             ),
         ]
         + [config_to_dict(random_config(d, d, "double")) for d in (4, 6, 8)]
-        + [config_to_dict(random_fat_config(d, d, (3,))) for d in (5, 7)],
+        + [config_to_dict(_draw_config(d, d, (3,))) for d in (5, 7)],
         ids=["deep-d6", "rational-chart", "double-4", "double-6", "double-8", "fat3-5", "fat3-7"],
     )
     def test_a_read_then_write_gives_the_same_bytes(self, payload):
@@ -643,6 +643,14 @@ def test_canonical_dumps_matches_json_on_json_values(obj):
         [{"a": 1, "b": 2}, {"b": 3, "c": 4}],
         [{"a": 1}, [1]],
         [{}, {}],
+        # record lists: keys that hold % or need escaping, a bool column
+        # next to an int column, then columns the template must not take
+        [{"%": 1, "%s": "x%d", "%%d": [1, 2], "é": True}, {"%": 2, "%s": "", "%%d": [3, 4], "é": False}],
+        [{"flag": True, "n": 1}, {"flag": False, "n": -2}],
+        [{"n": 1}, {"n": True}],
+        [{"ids": [1, 2], "codim": 4}, {"ids": [1, 2, 3], "codim": 6}],
+        [{"ids": [], "codim": 0}, {"ids": [], "codim": 1}],
+        [{"ids": (1, 2), "codim": 4}, {"ids": (3, 4), "codim": 4}],
     ],
     ids=repr,
 )
@@ -672,14 +680,18 @@ def test_canonical_dumps_leaves_other_types_to_json(obj):
 def test_canonical_dumps_raises_what_json_raises():
     limit = sys.get_int_max_str_digits()
     at_limit = 10 ** (limit - 1)
-    for obj in (at_limit, [at_limit, -at_limit], {"a": [1, at_limit]}):
+    for obj in (at_limit, [at_limit, -at_limit], {"a": [1, at_limit]}, [{"a": at_limit}]):
         assert canonical_dumps(obj) == json_dumps(obj)
-    for obj in (10**limit, [1, 10**limit], {"a": {"b": -(10**limit)}}):
+    # console_main exits 1 on this ValueError's "integer string conversion",
+    # also for an int in a record column or in a column's int lists
+    records = ([{"a": 1}, {"a": 10**limit}], [{"ids": [1, 2]}, {"ids": [3, -(10**limit)]}])
+    for obj in (10**limit, [1, 10**limit], {"a": {"b": -(10**limit)}}, *records):
         with pytest.raises(ValueError) as theirs:
             json_dumps(obj)
         with pytest.raises(ValueError) as ours:
             canonical_dumps(obj)
         assert str(ours.value) == str(theirs.value)
+        assert "integer string conversion" in str(ours.value)
     cycle = []
     cycle.append(cycle)
     for obj in ({"a": Fraction(1, 2)}, [{1, 2}], {1: "a", "b": 2}, cycle):

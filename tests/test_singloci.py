@@ -28,6 +28,7 @@ from sheafloci.schemes import (
     FatPoint,
     PointConfig,
     SimplePoint,
+    _draw_config,
     _series_rows,
     branch_rows,
     membership_conditions,
@@ -61,7 +62,6 @@ from conftest import (
     matrix_vector,
     naive_rank,
     partial,
-    random_fat_config,
     rank_mod_p,
     seeded_stratum_config,
 )
@@ -400,7 +400,7 @@ class TestImpose:
         "degree,seed,mults", [(5, 11, (2,)), (6, 3, (3,))], ids=["double", "triple"]
     )
     def test_imposes_at_fat_points(self, degree, seed, mults):
-        cfg = random_fat_config(degree, seed, mults)
+        cfg = _draw_config(degree, seed, mults)
         fib = fibre(cfg)
         fat_id = cfg.npoints
         for ids in ([fat_id], [1, fat_id]):
@@ -802,7 +802,7 @@ class TestSketchDifferential:
         "degree,mults", [(5, (3,)), (6, (2, 2))], ids=["5-fat3", "6-fat2+2"]
     )
     def test_curvilinear_strata(self, degree, mults):
-        self.check(fibre(random_fat_config(degree, 2 * degree, mults)))
+        self.check(fibre(_draw_config(degree, 2 * degree, mults)))
 
     def test_dependent_blocks_are_not_certified(self, monkeypatch):
         import sheafloci.singloci as singloci
@@ -1030,7 +1030,7 @@ class TestCurvilinearStrata:
         ids=[f"{d}-fat{'+'.join(map(str, m))}" for d, m in CURVILINEAR_STRATA],
     )
     def test_report_matches_ambient_codims(self, degree, mults):
-        cfg = random_fat_config(degree, degree, mults)
+        cfg = _draw_config(degree, degree, mults)
         assert cfg.stratum() == "deep"
         fib = fibre(cfg)
         rep = locus_report(fib, pairs=True, triples=True)
@@ -1124,7 +1124,7 @@ EULER_IDS = [
 
 def euler_config(degree, stratum, seed, mults):
     if mults:
-        return random_fat_config(degree, seed, mults)
+        return _draw_config(degree, seed, mults)
     return random_config(degree, seed, stratum=stratum)
 
 
